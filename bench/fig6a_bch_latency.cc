@@ -42,7 +42,7 @@ main()
     // Both codec generations are timed: the bit-serial seed decoder
     // stands in for the paper's "unoptimized C" measurement, and the
     // word-parallel rewrite shows how far table-driven software can
-    // close the gap (see BENCH_ecc.json for the recorded trajectory).
+    // close the gap (micro_bch times the two codecs side by side).
     std::printf("\n--- software BCH decode on this host (real codec, "
                 "2 KB page) ---\n");
     std::printf("%4s %18s %22s %22s\n", "t", "errors injected",

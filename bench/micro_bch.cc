@@ -7,9 +7,8 @@
  * Each hot-path benchmark reports bytes/second over the 2 KB page so
  * runs are comparable across machines, and the retained bit-serial
  * reference implementations are benchmarked alongside the
- * word-parallel paths to keep the speedup measurable in one run
- * (see also the bench_snapshot target, which records the ratios in
- * BENCH_ecc.json).
+ * word-parallel paths to keep the speedup measurable in one run.
+ * End-to-end host cost is measured by `python3 perfbench/run.py`.
  */
 
 #include <benchmark/benchmark.h>

@@ -21,7 +21,7 @@ main()
     std::printf("%-22s 8 cores, single issue in-order (closed-loop "
                 "streams)\n", "Processor type");
     std::printf("%-22s %u concurrent request streams, %.0f us mean "
-                "compute\n", "Request model", cfg.cores,
+                "compute\n", "Request model", cfg.clients,
                 cfg.computeTime * 1e6);
     std::printf("%-22s 128-512 MB (1-4 DIMMs), tRC = %.0f ns\n", "DRAM",
                 cfg.dramSpec.rowCycle * 1e9);

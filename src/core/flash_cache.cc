@@ -1812,11 +1812,31 @@ FlashCache::loadState(std::istream& is)
     if ((getScalar<std::uint8_t>(is) != 0) != config_.splitRegions)
         fatal("cache state file split-mode mismatch");
 
+    // The file is untrusted: every value that later indexes a table
+    // is range-checked here, before any use.
+    const auto check = [](bool ok, const char* what) {
+        if (!ok)
+            fatal(std::string("cache state file ") + what +
+                  " out of range");
+    };
+    const auto blockIds = [&](const std::vector<std::uint32_t>& ids,
+                              const char* what) {
+        check(ids.size() <= numBlocks_, what);
+        for (const std::uint32_t b : ids)
+            check(b < numBlocks_, what);
+    };
+
     for (FpstEntry& e : fpst_) {
         e.lba = getScalar<std::uint64_t>(is);
-        e.state = static_cast<PageState>(getScalar<std::uint8_t>(is));
+        const auto state = getScalar<std::uint8_t>(is);
+        check(state <= static_cast<std::uint8_t>(PageState::Invalid),
+              "page state");
+        e.state = static_cast<PageState>(state);
         e.eccStrength = getScalar<std::uint8_t>(is);
-        e.mode = static_cast<DensityMode>(getScalar<std::uint8_t>(is));
+        const auto mode = getScalar<std::uint8_t>(is);
+        check(mode <= static_cast<std::uint8_t>(DensityMode::MLC),
+              "density mode");
+        e.mode = static_cast<DensityMode>(mode);
         e.accessCount = getScalar<std::uint8_t>(is);
         e.dirty = getScalar<std::uint8_t>(is) != 0;
     }
@@ -1825,13 +1845,21 @@ FlashCache::loadState(std::istream& is)
         b.slcFrames = getScalar<std::uint16_t>(is);
         b.validPages = getScalar<std::uint16_t>(is);
         b.invalidPages = getScalar<std::uint16_t>(is);
+        check(b.validPages <= 2 * framesPerBlock_, "valid page count");
+        check(b.invalidPages <= 2 * framesPerBlock_,
+              "invalid page count");
         b.retired = getScalar<std::uint8_t>(is) != 0;
         b.region = getScalar<std::int8_t>(is);
+        check(b.region >= -1 &&
+                  b.region < static_cast<int>(regions_.size()),
+              "region");
     }
     for (Region& reg : regions_) {
         reg.freeBlocks = getVector<std::uint32_t>(is);
+        blockIds(reg.freeBlocks, "free-list block");
         reg.freeBlocks.reserve(numBlocks_);
         const auto lru = getVector<std::uint32_t>(is);
+        blockIds(lru, "LRU block");
         lruClear(reg);
         // Saved MRU-first; rebuild by inserting coldest-first (the
         // FBST loaded above supplies the GC bucket counts).
@@ -1841,6 +1869,10 @@ FlashCache::loadState(std::istream& is)
             cur.block = getScalar<std::uint32_t>(is);
             cur.frame = getScalar<std::uint16_t>(is);
             cur.sub = getScalar<std::uint8_t>(is);
+            check(cur.block == kNoBlock || cur.block < numBlocks_,
+                  "cursor block");
+            check(cur.frame <= framesPerBlock_ && cur.sub <= 1,
+                  "cursor slot");
         }
         reg.ownedBlocks = getScalar<std::uint32_t>(is);
         reg.validCount = getScalar<std::uint64_t>(is);

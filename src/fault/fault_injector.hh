@@ -23,9 +23,9 @@
  * medium state for FlashCache::recover() to scan.
  *
  * When no injector is attached every hook is a single null-pointer
- * test on the device hot path — the disabled path costs nothing
- * measurable (bench/fault_snapshot.cc proves it against
- * BENCH_cache.json).
+ * test on the device hot path. The serve workloads of the end-to-end
+ * benchmark (`python3 perfbench/run.py`) attach no injector, so their
+ * host_ns_per_req tracks that path.
  */
 
 #ifndef FLASHCACHE_FAULT_FAULT_INJECTOR_HH

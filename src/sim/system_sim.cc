@@ -59,6 +59,8 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
     : config_(config), dram_(config.dramBytes, config.dramSpec),
       disk_(config.diskSpec, config.seed * 7919 + 1), rng_(config.seed)
 {
+    if (config.clients == 0)
+        fatal("SystemConfig::clients must be positive");
     pdcCapacityPages_ = std::max<std::uint64_t>(
         static_cast<std::uint64_t>(config.pdcFraction *
                                    static_cast<double>(config.dramBytes))
@@ -112,7 +114,7 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
         cache_->setDemandSink(&sink_);
     }
     sched::SchedConfig sc;
-    sc.clients = config.clients ? config.clients : config.cores;
+    sc.clients = config.clients;
     sc.flashChannels = std::max(1u, config.flashChannels);
     sc.eccUnits = config.eccUnits;
     sc.dramPorts = std::max(1u, config.dramPorts);
@@ -135,9 +137,6 @@ SystemSimulator::registerAllMetrics()
     registry_.histogram("system.request_latency",
                         "per-request latency (s)",
                         &stats_.requestLatency);
-    registry_.gauge("system.analytic_wall_clock",
-                    "retired serial-approximation wall clock (s)",
-                    [this] { return analyticWall_; });
 
     registry_.ratio("pdc.read", "primary disk cache reads",
                     &stats_.pdcReads);
@@ -180,25 +179,26 @@ SystemSimulator::enableTracing(std::size_t capacity)
         cache_->setTracer(tracer_.get());
 }
 
-Seconds
+void
 SystemSimulator::readBelow(Lba lba)
 {
-    if (cache_)
-        return cache_->read(lba).latency;
-    const Seconds lat = disk_.access(lba, false);
-    FC_LEAF(tracer_.get(), "disk.access", "disk", lat);
-    return lat;
-}
-
-Seconds
-SystemSimulator::writeBelow(Lba lba)
-{
     if (cache_) {
-        return cache_->write(lba).latency;
+        cache_->read(lba);
+        return;
     }
     const Seconds lat = disk_.access(lba, false);
     FC_LEAF(tracer_.get(), "disk.access", "disk", lat);
-    return lat;
+}
+
+void
+SystemSimulator::writeBelow(Lba lba)
+{
+    if (cache_) {
+        cache_->write(lba);
+        return;
+    }
+    const Seconds lat = disk_.access(lba, false);
+    FC_LEAF(tracer_.get(), "disk.access", "disk", lat);
 }
 
 void
@@ -215,36 +215,33 @@ SystemSimulator::evictPdcPage()
     }
 }
 
-Seconds
+void
 SystemSimulator::serve(const TraceRecord& r, Seconds& compute)
 {
     FC_SPAN(tracer_.get(), "request", "sim");
     compute = rng_.exponential(1.0 / config_.computeTime);
     FC_LEAF(tracer_.get(), "cpu.compute", "cpu", compute);
-    computeTotal_ += compute;
-    Seconds storage = 0.0;
 
     if (!r.isWrite) {
         if (pdcLru_.contains(r.lba)) {
             pdcLru_.touch(r.lba);
-            storage = dram_.read(config_.pageBytes);
-            FC_LEAF(tracer_.get(), "dram.read", "dram", storage);
+            const Seconds hit = dram_.read(config_.pageBytes);
+            FC_LEAF(tracer_.get(), "dram.read", "dram", hit);
             stats_.pdcReads.hit();
         } else {
             stats_.pdcReads.miss();
             FC_INSTANT(tracer_.get(), "pdc.miss", "pdc");
             while (pdcLru_.size() >= pdcCapacityPages_)
                 evictPdcPage();
-            const Seconds below = readBelow(r.lba);
+            readBelow(r.lba);
             const Seconds fill = dram_.write(config_.pageBytes);
             FC_LEAF(tracer_.get(), "dram.write", "dram", fill);
-            storage = below + fill;
             pdcLru_.touch(r.lba);
         }
     } else {
         // Writes complete at DRAM speed; dirty data drains later.
-        storage = dram_.write(config_.pageBytes);
-        FC_LEAF(tracer_.get(), "dram.write", "dram", storage);
+        const Seconds write = dram_.write(config_.pageBytes);
+        FC_LEAF(tracer_.get(), "dram.write", "dram", write);
         if (!pdcLru_.contains(r.lba)) {
             while (pdcLru_.size() >= pdcCapacityPages_)
                 evictPdcPage();
@@ -264,9 +261,6 @@ SystemSimulator::serve(const TraceRecord& r, Seconds& compute)
             }
         }
     }
-
-    latencyTotal_ += storage;
-    return storage;
 }
 
 void
@@ -286,7 +280,9 @@ SystemSimulator::runLoop(const std::function<bool(TraceRecord&)>& next)
         stats_.requestLatency.add(compute + (completion - issue));
     };
     sched_->run(source, done);
-    finishRun();
+    // The scheduler's virtual time after the last event (foreground
+    // completions plus background runoff) is the run's wall clock.
+    stats_.wallClock = sched_->wallClock();
 }
 
 void
@@ -312,29 +308,6 @@ SystemSimulator::run(const Trace& trace)
         r = *it++;
         return true;
     });
-}
-
-void
-SystemSimulator::finishRun()
-{
-    // Retired serial approximation, kept alongside the event clock
-    // for comparison: perfectly pipelined streams bounded below by
-    // each device's busy time, with the flash array and the ECC
-    // engine treated as one serial path.
-    const auto streams = static_cast<double>(
-        config_.clients ? config_.clients : config_.cores);
-    Seconds wall = (computeTotal_ + latencyTotal_) / streams;
-    wall = std::max(wall, disk_.busyTime());
-    if (flash_) {
-        wall = std::max(wall, flash_->stats().busyTime +
-                              controller_->stats().eccTime);
-    }
-    wall = std::max(wall, dram_.readBusyTime() + dram_.writeBusyTime());
-    analyticWall_ = wall;
-
-    // Authoritative wall clock: the scheduler's virtual time after
-    // the last event (foreground completions plus background runoff).
-    stats_.wallClock = sched_->wallClock();
 }
 
 PowerReport

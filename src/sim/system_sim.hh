@@ -44,14 +44,12 @@ class Tracer;
 /** System configuration (Table 3 defaults). */
 struct SystemConfig
 {
-    /** Concurrent request streams (8 single-issue in-order cores). */
-    unsigned cores = 8;
-
-    /** Closed-loop clients driving the event scheduler; 0 = one per
-     *  core. Each client computes (thinks), issues its request
-     *  through the per-resource service queues, and draws the next
-     *  one when it completes. */
-    unsigned clients = 0;
+    /** Closed-loop clients driving the event scheduler (Table 3's 8
+     *  single-issue in-order cores); must be positive. Each client
+     *  computes (thinks), issues its request through the
+     *  per-resource service queues, and draws the next one when it
+     *  completes. */
+    unsigned clients = 8;
 
     /** Independent flash channels: blocks are striped over them and
      *  ops on different channels overlap in the event scheduler. */
@@ -147,13 +145,6 @@ class SystemSimulator
 
     const SystemStats& stats() const { return stats_; }
 
-    /**
-     * The retired serial approximation, kept for comparison:
-     * max((compute + latency) / clients, per-device busy sums). The
-     * event-driven stats().wallClock is authoritative.
-     */
-    Seconds analyticWallClock() const { return analyticWall_; }
-
     /** The event scheduler (resource queues + closed loop). */
     const sched::ClosedLoop& scheduler() const { return *sched_; }
 
@@ -204,24 +195,21 @@ class SystemSimulator
 
   private:
     /** Run one request through the functional model (cache state
-     *  mutates, device demands land in the sink); returns its
-     *  service-time storage latency and the drawn compute time. */
-    Seconds serve(const TraceRecord& r, Seconds& compute);
+     *  mutates, device demands land in the sink); `compute` receives
+     *  the drawn compute time. */
+    void serve(const TraceRecord& r, Seconds& compute);
 
     /** Drive the event scheduler over a record source. */
     void runLoop(const std::function<bool(TraceRecord&)>& next);
 
-    /** Handle a read below the PDC. @return fill latency. */
-    Seconds readBelow(Lba lba);
+    /** Handle a read below the PDC. */
+    void readBelow(Lba lba);
 
     /** Write a dirty page below the PDC (to flash or disk). */
-    Seconds writeBelow(Lba lba);
+    void writeBelow(Lba lba);
 
     /** Evict the PDC's LRU page, writing it back if dirty. */
     void evictPdcPage();
-
-    /** Close out a run: wall clock + retired analytic comparison. */
-    void finishRun();
 
     /** Register every layer's metrics into registry_. */
     void registerAllMetrics();
@@ -258,10 +246,6 @@ class SystemSimulator
     SystemStats stats_;
     obs::MetricRegistry registry_;
     std::unique_ptr<obs::Tracer> tracer_;
-    /** Aggregates for the retired analytic wall-clock comparison. */
-    Seconds computeTotal_ = 0.0;
-    Seconds latencyTotal_ = 0.0;
-    Seconds analyticWall_ = 0.0;
 };
 
 } // namespace flashcache

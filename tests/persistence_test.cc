@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "core/flash_cache.hh"
 #include "util/rng.hh"
@@ -276,6 +278,100 @@ TEST(PersistenceTest, SplitModeMismatchIsFatal)
     cfg.splitRegions = false;
     FlashCache unified(ctrl, store, cfg);
     EXPECT_DEATH(unified.loadState(cache_state), "split-mode");
+}
+
+/** A cache state saved after a mixed workload, plus the byte offsets
+ *  (in FlashCache::saveState's layout) of the fields the corruption
+ *  tests patch. */
+struct SavedCache
+{
+    std::string bytes;
+    std::uint32_t numBlocks = 0;
+    std::uint32_t framesPerBlock = 0;
+    std::size_t fbstAt = 0; ///< first FBST entry
+    std::size_t lruAt = 0;  ///< region 0's LRU length prefix
+};
+
+template <typename T>
+T
+peek(const std::string& s, std::size_t at)
+{
+    T v;
+    std::memcpy(&v, s.data() + at, sizeof(v));
+    return v;
+}
+
+template <typename T>
+void
+poke(std::string& s, std::size_t at, T v)
+{
+    std::memcpy(s.data() + at, &v, sizeof(v));
+}
+
+SavedCache
+savedCacheAfterWorkload()
+{
+    CellLifetimeModel lifetime;
+    FlashDevice device(geom(), FlashTiming(), lifetime, 12);
+    FlashMemoryController ctrl(device);
+    NullStore store;
+    FlashCache cache(ctrl, store);
+    Rng rng(2);
+    for (int i = 0; i < 5000; ++i) {
+        const Lba l = rng.uniformInt(150);
+        if (rng.bernoulli(0.4))
+            cache.write(l);
+        else
+            cache.read(l);
+    }
+    std::stringstream os;
+    cache.saveState(os);
+
+    SavedCache sc;
+    sc.bytes = os.str();
+    // magic(8) numBlocks(4) framesPerBlock(4) split(1), then one
+    // 13-byte FPST entry per page id (2 per frame), then one 12-byte
+    // FBST entry per block, then region 0: free list, LRU list.
+    sc.numBlocks = peek<std::uint32_t>(sc.bytes, 8);
+    sc.framesPerBlock = peek<std::uint32_t>(sc.bytes, 12);
+    sc.fbstAt = 17 + 13ull * sc.numBlocks * sc.framesPerBlock * 2;
+    const std::size_t freeAt = sc.fbstAt + 12ull * sc.numBlocks;
+    sc.lruAt = freeAt + 8 +
+        4 * peek<std::uint64_t>(sc.bytes, freeAt);
+    return sc;
+}
+
+void
+loadCorrupted(const std::string& bytes)
+{
+    CellLifetimeModel lifetime;
+    FlashDevice device(geom(), FlashTiming(), lifetime, 12);
+    FlashMemoryController ctrl(device);
+    NullStore store;
+    FlashCache cache(ctrl, store);
+    std::stringstream is(bytes);
+    cache.loadState(is);
+}
+
+TEST(PersistenceTest, OutOfRangeLruBlockIsFatal)
+{
+    SavedCache sc = savedCacheAfterWorkload();
+    ASSERT_GT(peek<std::uint64_t>(sc.bytes, sc.lruAt), 0u);
+    poke<std::uint32_t>(sc.bytes, sc.lruAt + 8, sc.numBlocks);
+    EXPECT_DEATH(loadCorrupted(sc.bytes),
+                 "cache state file LRU block out of range");
+}
+
+TEST(PersistenceTest, InvalidPageCountPastGcBucketsIsFatal)
+{
+    // FBST entry: totalEcc(4) slcFrames(2) validPages(2)
+    // invalidPages(2) ...; the GC buckets cover 0..2*framesPerBlock.
+    SavedCache sc = savedCacheAfterWorkload();
+    poke<std::uint16_t>(sc.bytes, sc.fbstAt + 8,
+                        static_cast<std::uint16_t>(
+                            2 * sc.framesPerBlock + 1));
+    EXPECT_DEATH(loadCorrupted(sc.bytes),
+                 "cache state file invalid page count out of range");
 }
 
 } // namespace

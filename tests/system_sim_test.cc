@@ -35,6 +35,13 @@ smallZipf(double wf = 0.2)
     return wl;
 }
 
+TEST(SystemSimTest, ZeroClientsIsFatal)
+{
+    SystemConfig cfg = baseConfig();
+    cfg.clients = 0;
+    EXPECT_DEATH(SystemSimulator{cfg}, "clients must be positive");
+}
+
 TEST(SystemSimTest, PdcAbsorbsHotReads)
 {
     SystemConfig cfg = baseConfig();
