@@ -155,6 +155,28 @@ BM_BchDecodePageTErrors(benchmark::State& state)
 BENCHMARK(BM_BchDecodePageTErrors)->Arg(1)->Arg(4)->Arg(8)->Arg(12);
 
 void
+BM_BchDecodePageOneError(benchmark::State& state)
+{
+    // The real-data read path's common correction case: a single bit
+    // error mid-page at the cache's working strengths.
+    const auto t = static_cast<unsigned>(state.range(0));
+    BchCode code(15, t, kPageBytes * 8);
+    auto data = randomPage(6);
+    std::vector<std::uint8_t> parity(code.parityBytes());
+    code.encode(data.data(), parity.data());
+    for (auto _ : state) {
+        data[kPageBytes / 2] ^= 8;
+        const auto res = code.decode(data.data(), parity.data());
+        benchmark::DoNotOptimize(res);
+        if (!res.ok || res.correctedBits != 1)
+            state.SkipWithError("decode failed");
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * kPageBytes);
+}
+BENCHMARK(BM_BchDecodePageOneError)->Arg(4)->Arg(8);
+
+void
 BM_BchDecodePageReference(benchmark::State& state)
 {
     // Seed bit-serial decoder on the same workload shapes.

@@ -1,6 +1,7 @@
 #include "ecc/bch.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "util/log.hh"
@@ -58,38 +59,35 @@ BchCode::BchCode(unsigned m, unsigned t, std::uint32_t data_bits)
         fatal(os.str());
     }
 
-    // ---- encoder remainder table ----
-    // T[b] = b(x) * x^r mod g(x). Built from the 8 single-bit basis
-    // remainders x^(r+k) mod g by GF(2) linearity.
+    // ---- slicing-by-8 remainder tables ----
+    // T_k[b] = b(x) * x^(8k) * x^r mod g(x), built from the 64
+    // single-bit basis remainders x^(r+i) mod g by GF(2) linearity and
+    // stored shifted up by 64W - r bits, so the state's top word is
+    // always the next 64 coefficients to fold.
     const std::uint32_t r = parityBits_;
     parityWords_ = (r + 63) / 64;
-    // The byte LFSR keeps its state in at most 4 words (256 parity
-    // bits, far above the page code's 180); codes outside that range
-    // or with fewer than 8 parity bits use the reference encoder.
-    byteEncode_ = r >= 8 && parityWords_ <= 4;
-    topWordMask_ = (r % 64) ? ((1ull << (r % 64)) - 1) : ~0ull;
+    const std::uint32_t W = parityWords_;
+    const std::uint32_t align = 64 * W - r;
     lastParityMask_ = (r % 8)
         ? static_cast<std::uint8_t>((1u << (r % 8)) - 1) : 0xFF;
-    if (byteEncode_) {
-        topByteWord_ = (r - 8) / 64;
-        topByteShift_ = (r - 8) % 64;
-        std::uint64_t basis[8][4] = {};
-        for (unsigned k = 0; k < 8; ++k) {
-            const Gf2Poly rem = Gf2Poly::monomial(r + k).mod(gen_);
-            for (std::uint32_t i = 0; i < r; ++i) {
-                if (rem.coeff(i))
-                    basis[k][i / 64] |= 1ull << (i % 64);
-            }
+    std::vector<std::uint64_t> basis(64u * W, 0);
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        const Gf2Poly rem = Gf2Poly::monomial(r + i).mod(gen_);
+        for (std::uint32_t c = 0; c < r; ++c) {
+            const std::uint32_t at = c + align;
+            if (rem.coeff(c))
+                basis[i * W + at / 64] |= 1ull << (at % 64);
         }
-        encTable_.assign(256u * parityWords_, 0);
-        for (unsigned b = 0; b < 256; ++b) {
-            std::uint64_t* entry = &encTable_[b * parityWords_];
-            for (unsigned k = 0; k < 8; ++k) {
-                if (!(b & (1u << k)))
-                    continue;
-                for (std::uint32_t w = 0; w < parityWords_; ++w)
-                    entry[w] ^= basis[k][w];
-            }
+    }
+    sliceTable_.assign(8u * 256u * W, 0);
+    for (unsigned k = 0; k < 8; ++k) {
+        std::uint64_t* tbl = &sliceTable_[k * 256u * W];
+        for (unsigned byte = 1; byte < 256; ++byte) {
+            const unsigned low = byte & (byte - 1);
+            const unsigned bit = 8 * k + static_cast<unsigned>(
+                __builtin_ctz(byte));
+            for (std::uint32_t w = 0; w < W; ++w)
+                tbl[byte * W + w] = tbl[low * W + w] ^ basis[bit * W + w];
         }
     }
 
@@ -99,12 +97,9 @@ BchCode::BchCode(unsigned m, unsigned t, std::uint32_t data_bits)
     // per-byte work.
     byteEval_.assign(static_cast<std::size_t>(t_) * 256, 0);
     stepLog8_.resize(t_);
-    parityBaseLog_.resize(t_);
     for (unsigned k = 0; k < t_; ++k) {
         const std::uint64_t j = 2ull * k + 1;
         stepLog8_[k] = static_cast<std::uint32_t>((8 * j) % n);
-        parityBaseLog_[k] = static_cast<std::uint32_t>(
-            (static_cast<std::uint64_t>(parityBits_) * j) % n);
         GaloisField::Elem bit[8];
         for (unsigned bpos = 0; bpos < 8; ++bpos)
             bit[bpos] = gf_.alphaPow(static_cast<std::int64_t>(
@@ -126,6 +121,7 @@ BchCode::BchCode(unsigned m, unsigned t, std::uint32_t data_bits)
 
     // ---- workspace (the only allocations after construction) ----
     ws_.encState.assign(parityWords_, 0);
+    ws_.remBytes.assign(parityBytes(), 0);
     ws_.synd.assign(2 * t_, 0);
     const std::size_t bm_cap = 2 * t_ + 3;
     ws_.sigma.assign(bm_cap, 0);
@@ -135,48 +131,76 @@ BchCode::BchCode(unsigned m, unsigned t, std::uint32_t data_bits)
     ws_.positions.assign(t_, 0);
 }
 
+template <unsigned kW>
 void
-BchCode::encode(const std::uint8_t* data, std::uint8_t* parity) const
+BchCode::remainderWords(const std::uint8_t* data, std::uint8_t* out) const
 {
-    if (!byteEncode_) {
-        // Degenerate tiny codes (r < 8) stay on the reference path.
-        encodeReference(data, parity);
-        return;
-    }
-
-    // Byte-at-a-time LFSR for parity(x) = data(x) * x^r mod g(x).
-    // State R holds the running remainder; feeding message byte B
-    // (high-degree bytes first) performs
-    //   R' = ((R << 8) mod x^r) ^ T[topByte(R) ^ B]
-    // using the linearity of the remainder map.
-    std::uint64_t* s = ws_.encState.data();
-    const std::uint32_t W = parityWords_;
+    // The state S holds the running remainder R shifted up by
+    // 64W - r bits, so the coefficients that overflow x^r on the next
+    // step are always S's top word (or top byte). Bytes are fed
+    // highest degree first. Folding 8 data bytes D is
+    //   S' = (S << 64) ^ XOR_k T_k[byte_k(S_top ^ D)]
+    // and one tail byte B is
+    //   S' = (S << 8) ^ T_0[(S_top >> 56) ^ B].
+    const std::uint32_t W = kW ? kW : parityWords_;
+    std::uint64_t local[kW ? kW : 1];
+    std::uint64_t* s = kW ? local : ws_.encState.data();
     for (std::uint32_t w = 0; w < W; ++w)
         s[w] = 0;
+    const std::uint64_t* t0 = sliceTable_.data();
 
     const std::uint32_t nbytes = dataBits_ / 8;
-    for (std::uint32_t i = nbytes; i-- > 0;) {
-        std::uint64_t top = s[topByteWord_] >> topByteShift_;
-        if (topByteShift_ > 56 && topByteWord_ + 1 < W)
-            top |= s[topByteWord_ + 1] << (64 - topByteShift_);
+    const std::uint32_t nblocks = nbytes / 8;
+    for (std::uint32_t i = nbytes; i-- > nblocks * 8;) {
         const unsigned idx =
-            static_cast<unsigned>(top & 0xFF) ^ data[i];
-
+            static_cast<unsigned>(s[W - 1] >> 56) ^ data[i];
         for (std::uint32_t w = W; w-- > 1;)
             s[w] = (s[w] << 8) | (s[w - 1] >> 56);
         s[0] <<= 8;
-        s[W - 1] &= topWordMask_;
+        for (std::uint32_t w = 0; w < W; ++w)
+            s[w] ^= t0[idx * W + w];
+    }
 
-        if (idx) {
-            const std::uint64_t* entry = &encTable_[idx * W];
+    for (std::uint32_t blk = nblocks; blk-- > 0;) {
+        std::uint64_t d;
+        std::memcpy(&d, data + 8 * blk, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        d = __builtin_bswap64(d);
+#endif
+        const std::uint64_t h = s[W - 1] ^ d;
+        for (std::uint32_t w = W; w-- > 1;)
+            s[w] = s[w - 1];
+        s[0] = 0;
+        for (unsigned k = 0; k < 8; ++k) {
+            const std::uint64_t* e =
+                t0 + (k * 256u + ((h >> (8 * k)) & 0xFF)) * W;
             for (std::uint32_t w = 0; w < W; ++w)
-                s[w] ^= entry[w];
+                s[w] ^= e[w];
         }
     }
 
+    // Undo the alignment, R = S >> (64W - r), and emit R's bytes.
+    const std::uint32_t sh = 64 * W - parityBits_;
+    for (std::uint32_t w = 0; w < W; ++w) {
+        s[w] >>= sh;
+        if (sh && w + 1 < W)
+            s[w] |= s[w + 1] << (64 - sh);
+    }
     const std::uint32_t pbytes = parityBytes();
     for (std::uint32_t i = 0; i < pbytes; ++i)
-        parity[i] = static_cast<std::uint8_t>(s[i / 8] >> ((i % 8) * 8));
+        out[i] = static_cast<std::uint8_t>(s[i / 8] >> ((i % 8) * 8));
+}
+
+void
+BchCode::encode(const std::uint8_t* data, std::uint8_t* parity) const
+{
+    switch (parityWords_) {
+      case 1: remainderWords<1>(data, parity); break;
+      case 2: remainderWords<2>(data, parity); break;
+      case 3: remainderWords<3>(data, parity); break;
+      case 4: remainderWords<4>(data, parity); break;
+      default: remainderWords<0>(data, parity); break;
+    }
 }
 
 void
@@ -206,33 +230,46 @@ BchCode::encodeReference(const std::uint8_t* data,
 }
 
 bool
-BchCode::computeSyndromes(const std::uint8_t* data,
-                          const std::uint8_t* parity) const
+BchCode::reduceWord(const std::uint8_t* data,
+                    const std::uint8_t* parity) const
 {
-    // Odd syndromes S_j = r(alpha^j), j = 1, 3, .., 2t-1, accumulated
-    // byte-wise: each nonzero byte B at byte position i contributes
-    // B(alpha^j) * alpha^(8ij), with the position power maintained as
-    // a running discrete log (one add + compare per byte, no modulo).
-    // Even syndromes are Frobenius squares: S_2j = S_j^2.
+    // The received word c(x) = parity(x) + data(x) x^r reduces mod g
+    // to rem(x) = parity(x) ^ (data(x) x^r mod g). Every alpha^j,
+    // j = 1..2t, is a root of g, so S_j = c(alpha^j) = rem(alpha^j):
+    // after the one O(n) remainder pass the syndromes cost O(t r).
+    std::uint8_t* rb = ws_.remBytes.data();
+    encode(data, rb);
+    const std::uint32_t pbytes = parityBytes();
+    std::uint8_t nonzero = 0;
+    for (std::uint32_t i = 0; i < pbytes; ++i) {
+        // Bits above r in the last parity byte are not part of the word.
+        const std::uint8_t mask = i + 1 == pbytes ? lastParityMask_ : 0xFF;
+        rb[i] = (rb[i] ^ parity[i]) & mask;
+        nonzero |= rb[i];
+    }
+    return nonzero == 0;
+}
+
+void
+BchCode::computeSyndromes() const
+{
+    // Odd syndromes S_j, j = 1, 3, .., 2t-1, byte-wise over rem: byte
+    // B at position i contributes B(alpha^j) * alpha^(8ij), with the
+    // position power kept as a running discrete log. Even syndromes
+    // are Frobenius squares: S_2j = S_j^2.
     const std::uint32_t nmod = gf_.groupOrder();
     const std::uint32_t pbytes = parityBytes();
-    const std::uint32_t dbytes = dataBits_ / 8;
+    const std::uint8_t* rb = ws_.remBytes.data();
     GaloisField::Elem* synd = ws_.synd.data();
-    GaloisField::Elem any = 0;
-
     for (unsigned k = 0; k < t_; ++k) {
         const GaloisField::Elem* tbl =
             &byteEval_[static_cast<std::size_t>(k) * 256];
         const std::uint32_t step = stepLog8_[k];
         GaloisField::Elem s = 0;
-
         std::uint32_t lp = 0;
         for (std::uint32_t i = 0; i < pbytes; ++i) {
-            std::uint8_t b = parity[i];
-            if (i == pbytes - 1)
-                b &= lastParityMask_;
-            if (b) {
-                const GaloisField::Elem v = tbl[b];
+            if (rb[i]) {
+                const GaloisField::Elem v = tbl[rb[i]];
                 if (v)
                     s ^= gf_.alphaPowUnreduced(gf_.logAlpha(v) + lp);
             }
@@ -240,28 +277,10 @@ BchCode::computeSyndromes(const std::uint8_t* data,
             if (lp >= nmod)
                 lp -= nmod;
         }
-
-        lp = parityBaseLog_[k];
-        for (std::uint32_t i = 0; i < dbytes; ++i) {
-            const std::uint8_t b = data[i];
-            if (b) {
-                const GaloisField::Elem v = tbl[b];
-                if (v)
-                    s ^= gf_.alphaPowUnreduced(gf_.logAlpha(v) + lp);
-            }
-            lp += step;
-            if (lp >= nmod)
-                lp -= nmod;
-        }
-
         synd[2 * k] = s;
-        any |= s;
     }
-    for (unsigned j = 2; j <= 2 * t_; j += 2) {
+    for (unsigned j = 2; j <= 2 * t_; j += 2)
         synd[j - 1] = gf_.square(synd[j / 2 - 1]);
-        any |= synd[j - 1];
-    }
-    return any == 0;
 }
 
 std::vector<GaloisField::Elem>
@@ -287,7 +306,7 @@ bool
 BchCode::isCodewordClean(const std::uint8_t* data,
                          const std::uint8_t* parity) const
 {
-    return computeSyndromes(data, parity);
+    return reduceWord(data, parity);
 }
 
 unsigned
@@ -360,10 +379,11 @@ BchCode::decode(std::uint8_t* data, std::uint8_t* parity) const
 {
     BchDecodeResult res;
 
-    if (computeSyndromes(data, parity)) {
+    if (reduceWord(data, parity)) {
         res.ok = true;
         return res;
     }
+    computeSyndromes();
 
     const unsigned sigma_len = berlekampMassey();
     const unsigned deg = sigma_len == 0 ? 0 : sigma_len - 1;
@@ -372,38 +392,47 @@ BchCode::decode(std::uint8_t* data, std::uint8_t* parity) const
         return res;
     }
 
-    // Chien search over the shortened positions: sigma has a root at
-    // alpha^{-p} exactly when an error sits at codeword position p.
-    // Each term sigma_j * alpha^{-pj} advances per position by one
-    // log-domain add (termLog_j += n - j), and the scan stops as soon
-    // as deg roots are found — a degree-deg polynomial has no more.
-    const std::uint32_t nmod = gf_.groupOrder();
-    const GaloisField::Elem* sigma = ws_.sigma.data();
-    std::uint32_t* term = ws_.termLog.data();
-    static constexpr std::uint32_t kNoTerm = 0xFFFFFFFFu;
-    for (unsigned j = 0; j <= deg; ++j)
-        term[j] = sigma[j] ? gf_.logAlpha(sigma[j]) : kNoTerm;
-
     std::uint32_t* positions = ws_.positions.data();
     unsigned nfound = 0;
     const std::uint32_t total = codewordBits();
-    for (std::uint32_t p = 0; p < total; ++p) {
-        GaloisField::Elem acc = 0;
-        for (unsigned j = 0; j <= deg; ++j) {
-            if (term[j] != kNoTerm)
-                acc ^= gf_.alphaPowUnreduced(term[j]);
-        }
-        if (acc == 0) {
+    const GaloisField::Elem* sigma = ws_.sigma.data();
+    if (deg == 1) {
+        // sigma(x) = 1 + sigma_1 x has its one root at alpha^-p with
+        // p = log sigma_1; the error lies in the word only if p does.
+        const std::uint32_t p = gf_.logAlpha(sigma[1]);
+        if (p < total)
             positions[nfound++] = p;
-            if (nfound == deg)
-                break;
-        }
-        for (unsigned j = 1; j <= deg; ++j) {
-            if (term[j] == kNoTerm)
-                continue;
-            term[j] += chienStepLog_[j];
-            if (term[j] >= nmod)
-                term[j] -= nmod;
+    } else {
+        // Chien search over the shortened positions: sigma has a root
+        // at alpha^{-p} exactly when an error sits at codeword
+        // position p. Each term sigma_j * alpha^{-pj} advances per
+        // position by one log-domain add (termLog_j += n - j), and the
+        // scan stops as soon as deg roots are found — a degree-deg
+        // polynomial has no more.
+        const std::uint32_t nmod = gf_.groupOrder();
+        std::uint32_t* term = ws_.termLog.data();
+        static constexpr std::uint32_t kNoTerm = 0xFFFFFFFFu;
+        for (unsigned j = 0; j <= deg; ++j)
+            term[j] = sigma[j] ? gf_.logAlpha(sigma[j]) : kNoTerm;
+
+        for (std::uint32_t p = 0; p < total; ++p) {
+            GaloisField::Elem acc = 0;
+            for (unsigned j = 0; j <= deg; ++j) {
+                if (term[j] != kNoTerm)
+                    acc ^= gf_.alphaPowUnreduced(term[j]);
+            }
+            if (acc == 0) {
+                positions[nfound++] = p;
+                if (nfound == deg)
+                    break;
+            }
+            for (unsigned j = 1; j <= deg; ++j) {
+                if (term[j] == kNoTerm)
+                    continue;
+                term[j] += chienStepLog_[j];
+                if (term[j] >= nmod)
+                    term[j] -= nmod;
+            }
         }
     }
 

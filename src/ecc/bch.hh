@@ -13,16 +13,26 @@
  * the error locator polynomial, Chien search to find its roots, and
  * in-place bit flips (binary code, so error magnitude is always 1).
  *
- * The hot paths are word-parallel and allocation-free:
- *  - encode() advances a byte-at-a-time LFSR through a precomputed
- *    256-entry remainder table (one multi-word shift + XOR per data
- *    byte) instead of building a Gf2Poly per call;
- *  - syndromes are computed byte-wise: only the t odd syndromes are
- *    accumulated directly (a 256-entry per-syndrome byte-evaluation
- *    table plus a running log-domain position power), and the even
- *    ones follow from the Frobenius identity S_2j = S_j^2;
- *  - Chien search steps each locator coefficient incrementally in
- *    the log domain and exits as soon as all roots are found;
+ * The hot paths share one allocation-free kernel, the remainder
+ * data(x) * x^r mod g(x), computed slicing-by-8 (the structure of
+ * crc32Update): the parity state is kept left-aligned in W = ceil(r/64)
+ * 64-bit words, and each step folds 8 data bytes through eight
+ * constructor-built 256-entry tables T_k[b] = b(x) x^(8k) x^r mod g,
+ *     R' = (R_lo << 64) ^ XOR_k T_k[byte_k(R_hi ^ D)],
+ * compiled for W = 1..4 (r <= 256; wider codes run the same kernel
+ * with a runtime word count). A byte LFSR on the same state covers
+ * the dataBits/8 mod 8 tail bytes.
+ *  - encode() is that remainder.
+ *  - decode() and isCodewordClean() compute encode(data) ^ parity,
+ *    the received word mod g. A zero result is a clean page and ends
+ *    the decode after one O(n) pass. Otherwise the t odd syndromes
+ *    are evaluated over the <= r-bit remainder only, which is exact
+ *    because g(alpha^j) = 0 for j = 1..2t; even syndromes follow from
+ *    S_2j = S_j^2.
+ *  - A degree-1 locator 1 + sigma_1 x is solved in closed form
+ *    (p = log sigma_1; p outside the shortened word is uncorrectable);
+ *    larger locators go to a Chien search that steps each coefficient
+ *    in the log domain and exits once all roots are found.
  *  - Berlekamp-Massey and Chien scratch live in a per-code workspace
  *    sized at construction, so steady-state encode/decode perform no
  *    heap allocation.
@@ -108,7 +118,8 @@ class BchCode
     const Gf2Poly& generator() const { return gen_; }
 
     /**
-     * Systematic encode (table-driven LFSR, no allocation).
+     * Systematic encode: parity = data(x) x^r mod g(x), slicing-by-8,
+     * no allocation.
      *
      * @param data   dataBits()/8 bytes of payload.
      * @param parity Out: parityBytes() bytes of check bits.
@@ -116,8 +127,9 @@ class BchCode
     void encode(const std::uint8_t* data, std::uint8_t* parity) const;
 
     /**
-     * Decode and correct in place (byte-wise syndromes, workspace
-     * Berlekamp-Massey, incremental Chien; no allocation).
+     * Decode and correct in place (remainder-first syndromes,
+     * workspace Berlekamp-Massey, closed-form or incremental Chien
+     * root finding; no allocation).
      *
      * @param data   dataBits()/8 bytes, corrected on success.
      * @param parity parityBytes() bytes, corrected on success.
@@ -125,9 +137,9 @@ class BchCode
     BchDecodeResult decode(std::uint8_t* data, std::uint8_t* parity) const;
 
     /**
-     * Count syndromes without correcting; zero syndromes mean the
-     * word is (believed) clean. Exposed for the controller's
-     * error-monitoring path.
+     * Check without correcting: a zero remainder of the received word
+     * mod g(x) means the word is (believed) clean. Exposed for the
+     * controller's error-monitoring path.
      */
     bool isCodewordClean(const std::uint8_t* data,
                          const std::uint8_t* parity) const;
@@ -135,8 +147,7 @@ class BchCode
     /**
      * Bit-serial reference encoder (the original Gf2Poly-based
      * implementation). Slow; kept as the oracle for differential
-     * tests and as the fallback for degenerate codes with fewer than
-     * 8 parity bits.
+     * tests.
      */
     void encodeReference(const std::uint8_t* data,
                          std::uint8_t* parity) const;
@@ -167,11 +178,22 @@ class BchCode
     }
 
     /**
-     * Byte-wise syndromes into ws_.synd.
-     * @return true when all 2t syndromes are zero.
+     * data(x) * x^r mod g(x) into out[0, parityBytes()) for a state of
+     * kW words (kW = 0: parityWords_ at run time).
      */
-    bool computeSyndromes(const std::uint8_t* data,
-                          const std::uint8_t* parity) const;
+    template <unsigned kW>
+    void remainderWords(const std::uint8_t* data, std::uint8_t* out) const;
+
+    /**
+     * The received word mod g(x) into ws_.remBytes.
+     * @return true when it is zero: every syndrome vanishes and the
+     *         word is clean.
+     */
+    bool reduceWord(const std::uint8_t* data,
+                    const std::uint8_t* parity) const;
+
+    /** The 2t syndromes of ws_.remBytes into ws_.synd. */
+    void computeSyndromes() const;
 
     /** Bit-serial reference syndromes (allocates; oracle only). */
     std::vector<GaloisField::Elem>
@@ -194,17 +216,14 @@ class BchCode
 
     /** Words per parity state: ceil(parityBits / 64). */
     std::uint32_t parityWords_ = 0;
-    /** True when parityBits >= 8 and the byte LFSR applies. */
-    bool byteEncode_ = false;
-    /** Mask for the top parity state word (bits above parityBits). */
-    std::uint64_t topWordMask_ = 0;
-    /** Word/shift locating the top byte (bits r-8..r-1) of the state. */
-    std::uint32_t topByteWord_ = 0;
-    std::uint32_t topByteShift_ = 0;
     /** Valid-bit mask of the last parity byte. */
     std::uint8_t lastParityMask_ = 0xFF;
-    /** encTable_[256 * parityWords_]: b(x) * x^r mod g(x) per byte b. */
-    std::vector<std::uint64_t> encTable_;
+    /**
+     * sliceTable_[(k * 256 + b) * parityWords_ + w]: word w of
+     * b(x) * x^(8k) * x^r mod g(x), left-aligned (shifted up by
+     * 64 * parityWords_ - r bits), for k = 0..7.
+     */
+    std::vector<std::uint64_t> sliceTable_;
     /**
      * byteEval_[k * 256 + b] = b(alpha^j) for the k-th odd syndrome
      * exponent j = 2k + 1, b interpreted as a degree-7 polynomial.
@@ -212,15 +231,14 @@ class BchCode
     std::vector<GaloisField::Elem> byteEval_;
     /** (8 * j) mod n per odd j: log-domain step for one byte. */
     std::vector<std::uint32_t> stepLog8_;
-    /** (parityBits * j) mod n per odd j: data-region base offset. */
-    std::vector<std::uint32_t> parityBaseLog_;
     /** (n - j) mod n for j = 0..t: Chien per-position step. */
     std::vector<std::uint32_t> chienStepLog_;
 
     // ---- reusable per-code workspace (steady state: no heap) ----
     struct Workspace
     {
-        std::vector<std::uint64_t> encState;       ///< parityWords_
+        std::vector<std::uint64_t> encState;       ///< state when W > 4
+        std::vector<std::uint8_t> remBytes;        ///< parityBytes()
         std::vector<GaloisField::Elem> synd;       ///< 2t
         std::vector<GaloisField::Elem> sigma;      ///< BM locator
         std::vector<GaloisField::Elem> bmB, bmTmp; ///< BM scratch

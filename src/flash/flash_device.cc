@@ -471,13 +471,15 @@ FlashDevice::loadState(std::istream& is)
     std::fill(dataLen_.begin(), dataLen_.end(), 0);
     const auto npages = getScalar<std::uint64_t>(is);
     for (std::uint64_t i = 0; i < npages; ++i) {
+        // Same wire format as putVector: a u64 length, then the bytes,
+        // read straight into the page's arena slot once both the page
+        // and the length are known to fit it.
         const auto lp = getScalar<std::uint64_t>(is);
-        const auto bytes = getVector<std::uint8_t>(is);
-        if (lp >= dataLen_.size() || bytes.size() > slotBytes_)
+        const auto len = getScalar<std::uint64_t>(is);
+        if (lp >= dataLen_.size() || len > slotBytes_)
             fatal("flash state file payload out of range");
-        std::memcpy(&arena_[lp * slotBytes_], bytes.data(),
-                    bytes.size());
-        dataLen_[lp] = static_cast<std::uint32_t>(bytes.size());
+        getBytes(is, &arena_[lp * slotBytes_], len);
+        dataLen_[lp] = static_cast<std::uint32_t>(len);
     }
 }
 

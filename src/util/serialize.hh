@@ -10,6 +10,7 @@
 #ifndef FLASHCACHE_UTIL_SERIALIZE_HH
 #define FLASHCACHE_UTIL_SERIALIZE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -31,6 +32,15 @@ putScalar(std::ostream& os, T v)
     os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
+/** Read n raw bytes into dst; fatal on truncated input. */
+inline void
+getBytes(std::istream& is, void* dst, std::size_t n)
+{
+    is.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+    if (!is)
+        fatal("truncated state file");
+}
+
 /** Read one scalar; fatal on truncated input. */
 template <typename T>
 T
@@ -38,9 +48,7 @@ getScalar(std::istream& is)
 {
     static_assert(std::is_trivially_copyable_v<T>);
     T v;
-    is.read(reinterpret_cast<char*>(&v), sizeof(v));
-    if (!is)
-        fatal("truncated state file");
+    getBytes(is, &v, sizeof(v));
     return v;
 }
 
@@ -54,18 +62,29 @@ putVector(std::ostream& os, const std::vector<T>& v)
         putScalar(os, x);
 }
 
-/** Read a length-prefixed vector of scalars. */
+/**
+ * Read a length-prefixed vector of scalars. The length prefix is
+ * untrusted: the body is read in chunks of at most 64 KiB, so a
+ * prefix the file does not back fails as a truncation having
+ * allocated at most about twice the bytes the file holds.
+ */
 template <typename T>
 std::vector<T>
 getVector(std::istream& is)
 {
+    static_assert(std::is_trivially_copyable_v<T>);
+    constexpr std::uint64_t kChunk = (std::uint64_t{64} << 10) / sizeof(T);
     const auto n = getScalar<std::uint64_t>(is);
     if (n > (1ull << 32))
         fatal("implausible vector length in state file");
     std::vector<T> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(getScalar<T>(is));
+    while (v.size() < n) {
+        const std::size_t have = v.size();
+        const auto take = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n - have, kChunk));
+        v.resize(have + take);
+        getBytes(is, v.data() + have, take * sizeof(T));
+    }
     return v;
 }
 

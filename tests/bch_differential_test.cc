@@ -6,7 +6,10 @@
  * reference (encodeReference/decodeReference) for every controller
  * strength t = 1..12 over randomized 2 KB pages with 0..t+1 injected
  * errors — including the t+1 overflow case, where both decoders must
- * detect or miscorrect identically. Also enforces the "no heap
+ * detect or miscorrect identically. Edge cases of the slicing-by-8
+ * remainder kernel (byte tails, r = 64, four state words) and of the
+ * closed-form single-error locator are checked against the same
+ * oracle. Also enforces the "no heap
  * allocation in steady-state encode/decode" contract by counting
  * global operator new calls around the hot path.
  */
@@ -47,10 +50,14 @@ operator new[](std::size_t size)
     throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined next to the replaced operator new, the
+// free() calls trip GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace flashcache {
 namespace {
@@ -64,6 +71,20 @@ randomBytes(Rng& rng, std::size_t n)
     return v;
 }
 
+/** Flip codeword bit p in the split data/parity buffers. */
+void
+flipCodewordBit(std::vector<std::uint8_t>& data,
+                std::vector<std::uint8_t>& parity,
+                std::uint32_t parity_bits, std::uint32_t p)
+{
+    if (p < parity_bits) {
+        parity[p / 8] ^= static_cast<std::uint8_t>(1u << (p % 8));
+    } else {
+        const std::uint32_t q = p - parity_bits;
+        data[q / 8] ^= static_cast<std::uint8_t>(1u << (q % 8));
+    }
+}
+
 void
 injectErrors(Rng& rng, std::vector<std::uint8_t>& data,
              std::vector<std::uint8_t>& parity, std::uint32_t parity_bits,
@@ -74,14 +95,33 @@ injectErrors(Rng& rng, std::vector<std::uint8_t>& data,
     std::set<std::uint32_t> picks;
     while (picks.size() < k)
         picks.insert(static_cast<std::uint32_t>(rng.uniformInt(total)));
-    for (std::uint32_t p : picks) {
-        if (p < parity_bits)
-            parity[p / 8] ^= static_cast<std::uint8_t>(1u << (p % 8));
-        else {
-            const std::uint32_t q = p - parity_bits;
-            data[q / 8] ^= static_cast<std::uint8_t>(1u << (q % 8));
-        }
+    for (std::uint32_t p : picks)
+        flipCodewordBit(data, parity, parity_bits, p);
+}
+
+/**
+ * Decode a copy of (data, parity) with both decoders and require
+ * identical outcomes and buffers. Returns the fast decoder's result
+ * and leaves its corrected buffers in data/parity.
+ */
+BchDecodeResult
+decodeBothAndCompare(const BchCode& code, std::vector<std::uint8_t>& data,
+                     std::vector<std::uint8_t>& parity)
+{
+    auto ref_data = data;
+    auto ref_parity = parity;
+    const auto res = code.decode(data.data(), parity.data());
+    const auto ref = code.decodeReference(ref_data.data(),
+                                          ref_parity.data());
+    EXPECT_EQ(res.ok, ref.ok);
+    EXPECT_EQ(res.correctedBits, ref.correctedBits);
+    EXPECT_EQ(data, ref_data);
+    EXPECT_EQ(parity, ref_parity);
+    for (unsigned i = 0; i < res.correctedBits &&
+         i < BchDecodeResult::kMaxReportedPositions; ++i) {
+        EXPECT_EQ(res.positions[i], ref.positions[i]) << "i=" << i;
     }
+    return res;
 }
 
 TEST(BchDifferentialTest, PageEncoderMatchesReferenceForAllStrengths)
@@ -181,6 +221,124 @@ TEST(BchDifferentialTest, SmallCodesMatchReferenceToo)
     }
 }
 
+TEST(BchDifferentialTest, KernelEdgeCodesMatchReference)
+{
+    // Edges of the slicing-by-8 remainder kernel, each with 0..t+1
+    // random errors. r is pinned so no case can drift off its edge.
+    const struct {
+        unsigned m, t;
+        std::uint32_t bytes, r;
+        const char* edge;
+    } params[] = {
+        {15, 4, 2051, 60, "256 eight-byte blocks plus a 3-byte tail"},
+        {8, 8, 23, 64, "r = 64: one full word, no alignment shift"},
+        {15, 17, 2048, 255, "W = 4, the widest compiled state"},
+        {10, 30, 61, 295, "r > 256: runtime word count"},
+    };
+    Rng rng(81);
+    for (const auto& pr : params) {
+        SCOPED_TRACE(pr.edge);
+        BchCode code(pr.m, pr.t, pr.bytes * 8);
+        ASSERT_EQ(code.parityBits(), pr.r);
+        for (unsigned k = 0; k <= pr.t + 1; ++k) {
+            const auto orig = randomBytes(rng, pr.bytes);
+            std::vector<std::uint8_t> parity(code.parityBytes(), 0xAA);
+            std::vector<std::uint8_t> ref_par(code.parityBytes(), 0x55);
+            code.encode(orig.data(), parity.data());
+            code.encodeReference(orig.data(), ref_par.data());
+            ASSERT_EQ(parity, ref_par) << "k=" << k;
+
+            auto data = orig;
+            const auto orig_parity = parity;
+            injectErrors(rng, data, parity, code.parityBits(), k);
+            const auto res = decodeBothAndCompare(code, data, parity);
+            if (k <= pr.t) {
+                EXPECT_TRUE(res.ok) << "k=" << k;
+                EXPECT_EQ(res.correctedBits, k);
+                EXPECT_EQ(data, orig) << "k=" << k;
+                EXPECT_EQ(parity, orig_parity) << "k=" << k;
+            }
+        }
+    }
+}
+
+TEST(BchDifferentialTest, SingleRootOutsideShortenedWordIsUncorrectable)
+{
+    // Zero data with parity = x^p mod g(x) is congruent to a single
+    // error at p. For p past the shortened word the degree-1 locator's
+    // root lies outside it: both decoders must refuse and leave the
+    // buffers untouched.
+    BchCode code(15, 4, 2048 * 8);
+    const std::uint32_t n = code.field().groupOrder();
+    for (const std::uint32_t p : {code.codewordBits(),
+                                  code.codewordBits() + 1, n - 1}) {
+        const Gf2Poly rem = Gf2Poly::monomial(p).mod(code.generator());
+        std::vector<std::uint8_t> data(code.dataBits() / 8, 0);
+        std::vector<std::uint8_t> parity(code.parityBytes(), 0);
+        for (std::uint32_t i = 0; i < code.parityBits(); ++i) {
+            if (rem.coeff(i))
+                parity[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+        }
+        const auto data_in = data;
+        const auto parity_in = parity;
+        const auto res = decodeBothAndCompare(code, data, parity);
+        EXPECT_FALSE(res.ok) << "p=" << p;
+        EXPECT_EQ(data, data_in) << "p=" << p;
+        EXPECT_EQ(parity, parity_in) << "p=" << p;
+    }
+}
+
+TEST(BchDifferentialTest, SingleErrorAtEveryPositionOfSmallCode)
+{
+    // r = 30 (not byte aligned) over 13 data bytes (a 5-byte tail).
+    Rng rng(84);
+    BchCode code(10, 3, 13 * 8);
+    const auto orig = randomBytes(rng, 13);
+    std::vector<std::uint8_t> orig_parity(code.parityBytes(), 0);
+    code.encode(orig.data(), orig_parity.data());
+    for (std::uint32_t p = 0; p < code.codewordBits(); ++p) {
+        auto data = orig;
+        auto parity = orig_parity;
+        flipCodewordBit(data, parity, code.parityBits(), p);
+        const auto res = decodeBothAndCompare(code, data, parity);
+        ASSERT_TRUE(res.ok) << "p=" << p;
+        ASSERT_EQ(res.correctedBits, 1u);
+        EXPECT_EQ(res.positions[0], p);
+        EXPECT_EQ(data, orig) << "p=" << p;
+        EXPECT_EQ(parity, orig_parity) << "p=" << p;
+    }
+}
+
+TEST(BchDifferentialTest, SingleErrorsOnPageCode)
+{
+    // The dominant correction case of the real-data read path: one bit
+    // error on a t = 4 page, at the parity/data boundaries and at
+    // 1,000 random positions.
+    Rng rng(85);
+    BchCode code(15, 4, 2048 * 8);
+    const auto orig = randomBytes(rng, 2048);
+    std::vector<std::uint8_t> orig_parity(code.parityBytes(), 0);
+    code.encode(orig.data(), orig_parity.data());
+    const std::uint32_t r = code.parityBits();
+    std::vector<std::uint32_t> picks = {0, r - 1, r,
+                                        code.codewordBits() - 1};
+    for (int i = 0; i < 1000; ++i) {
+        picks.push_back(static_cast<std::uint32_t>(
+            rng.uniformInt(code.codewordBits())));
+    }
+    for (const std::uint32_t p : picks) {
+        auto data = orig;
+        auto parity = orig_parity;
+        flipCodewordBit(data, parity, r, p);
+        const auto res = decodeBothAndCompare(code, data, parity);
+        ASSERT_TRUE(res.ok) << "p=" << p;
+        ASSERT_EQ(res.correctedBits, 1u);
+        EXPECT_EQ(res.positions[0], p);
+        EXPECT_EQ(data, orig) << "p=" << p;
+        EXPECT_EQ(parity, orig_parity) << "p=" << p;
+    }
+}
+
 TEST(BchDifferentialTest, CleanlinessCheckMatchesDecode)
 {
     Rng rng(74);
@@ -191,6 +349,34 @@ TEST(BchDifferentialTest, CleanlinessCheckMatchesDecode)
     EXPECT_TRUE(code.isCodewordClean(data.data(), parity.data()));
     data[1234] ^= 0x10;
     EXPECT_FALSE(code.isCodewordClean(data.data(), parity.data()));
+}
+
+TEST(BchDifferentialTest, BitsAboveParityAreNotPartOfTheWord)
+{
+    // r = 60: the top 4 bits of the last parity byte lie outside the
+    // codeword, so whatever they hold must not read as an error.
+    Rng rng(87);
+    BchCode code(15, 4, 2048 * 8);
+    ASSERT_NE(code.parityBits() % 8, 0u);
+    const auto orig = randomBytes(rng, 2048);
+    std::vector<std::uint8_t> parity(code.parityBytes(), 0);
+    code.encode(orig.data(), parity.data());
+    const unsigned used = code.parityBits() % 8;
+    parity.back() |= static_cast<std::uint8_t>(0xFFu << used);
+    auto data = orig;
+    EXPECT_TRUE(code.isCodewordClean(data.data(), parity.data()));
+    const auto parity_in = parity;
+    const auto res = decodeBothAndCompare(code, data, parity);
+    EXPECT_TRUE(res.ok);
+    EXPECT_EQ(res.correctedBits, 0u);
+    EXPECT_EQ(parity, parity_in);
+
+    flipCodewordBit(data, parity, code.parityBits(), 12345);
+    const auto fixed = decodeBothAndCompare(code, data, parity);
+    EXPECT_TRUE(fixed.ok);
+    EXPECT_EQ(fixed.correctedBits, 1u);
+    EXPECT_EQ(data, orig);
+    EXPECT_EQ(parity, parity_in);
 }
 
 TEST(BchDifferentialTest, SteadyStateEncodeDecodeDoNotAllocate)

@@ -169,6 +169,41 @@ TEST(PersistenceTest, RealDataPayloadsSurviveRestart)
     EXPECT_EQ(out, content);
 }
 
+TEST(PersistenceTest, OversizedPayloadLengthIsFatal)
+{
+    // The state ends with the only stored page's (lp, length, bytes)
+    // record. Replacing its length by 2^32 with no body behind it must
+    // fail on the slot-size check, before any payload is read.
+    CellLifetimeModel lifetime;
+    std::stringstream dev_state;
+    {
+        FlashDevice device(geom(), FlashTiming(), lifetime, 3, 0.0,
+                           true);
+        FlashMemoryController ctrl(device);
+        const std::vector<std::uint8_t> content(2048, 0x5A);
+        PageDescriptor desc{4, DensityMode::MLC};
+        ctrl.writePageReal({0, 0, 0}, desc, content.data());
+        device.saveState(dev_state);
+    }
+    const std::string full = dev_state.str();
+    std::size_t len_at = 0;
+    for (std::uint64_t len = 1; len + 8 < full.size(); ++len) {
+        std::uint64_t v;
+        std::memcpy(&v, full.data() + full.size() - len - 8, 8);
+        if (v == len) {
+            len_at = full.size() - len - 8;
+            break;
+        }
+    }
+    ASSERT_NE(len_at, 0u);
+    std::string forged = full.substr(0, len_at);
+    const std::uint64_t huge = 1ull << 32;
+    forged.append(reinterpret_cast<const char*>(&huge), 8);
+    std::stringstream in(forged);
+    FlashDevice device(geom(), FlashTiming(), lifetime, 3, 0.0, true);
+    EXPECT_DEATH(device.loadState(in), "payload out of range");
+}
+
 TEST(PersistenceTest, GeometryMismatchIsFatal)
 {
     CellLifetimeModel lifetime;

@@ -100,6 +100,15 @@ TEST(SerializeDeathTest, ImplausibleVectorLengthIsFatal)
     EXPECT_DEATH(getVector<std::uint8_t>(ss), "implausible");
 }
 
+TEST(SerializeDeathTest, UnbackedVectorLengthIsTruncationNotAllocation)
+{
+    // A plausible 2^32-element prefix with no body must fail as a
+    // truncated file without first reserving 16 GB.
+    std::stringstream ss;
+    putScalar<std::uint64_t>(ss, 1ull << 32);
+    EXPECT_DEATH(getVector<std::uint32_t>(ss), "truncated state file");
+}
+
 TEST(SerializeDeathTest, MagicMismatchIsFatal)
 {
     std::stringstream ss;
