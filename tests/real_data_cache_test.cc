@@ -212,6 +212,162 @@ TEST(RealDataCacheTest, IntegrityUnderSoftErrors)
     EXPECT_GT(corrected_before, 50u) << "soft errors never exercised ECC";
 }
 
+/** Payload disk whose latency is a function of the LBA alone, so a
+ *  metadata-only cache and a real-data cache see the same disk time
+ *  for the same access stream. */
+class LbaTimedDisk : public MemoryDisk
+{
+  public:
+    static Seconds latency(Lba lba) { return milliseconds(2.0 + lba % 7); }
+
+    Seconds read(Lba lba) override { return latency(lba); }
+    Seconds write(Lba lba) override { return latency(lba); }
+
+    Seconds
+    readData(Lba lba, std::uint8_t* out) override
+    {
+        MemoryDisk::readData(lba, out);
+        return latency(lba);
+    }
+
+    Seconds
+    writeData(Lba lba, const std::uint8_t* data) override
+    {
+        MemoryDisk::writeData(lba, data);
+        return latency(lba);
+    }
+};
+
+/** One cache over a fresh 32x8-block device, in either mode. */
+struct AgreementStack
+{
+    AgreementStack(bool real_data, const FlashCacheConfig& base)
+        : lifetime(unworn())
+    {
+        FlashGeometry g;
+        g.numBlocks = 32;
+        g.framesPerBlock = 8;
+        device = std::make_unique<FlashDevice>(g, FlashTiming(),
+                                               lifetime, 2024, 0.0,
+                                               real_data);
+        device->setSoftErrorRate(3e-6);
+        controller = std::make_unique<FlashMemoryController>(*device);
+        FlashCacheConfig cfg = base;
+        cfg.realData = real_data;
+        cache = std::make_unique<FlashCache>(*controller, disk, cfg);
+    }
+
+    /** No cell dies within the run: at 1e9 nominal cycles and a
+     *  one-decade lifetime spread, hard errors stay at zero, so
+     *  every bit error is a transient soft flip. */
+    static WearParams
+    unworn()
+    {
+        WearParams wp;
+        wp.nominalCycles = 1e9;
+        wp.sigmaDecades = 1.0;
+        return wp;
+    }
+
+    CellLifetimeModel lifetime;
+    std::unique_ptr<FlashDevice> device;
+    std::unique_ptr<FlashMemoryController> controller;
+    LbaTimedDisk disk;
+    std::unique_ptr<FlashCache> cache;
+};
+
+TEST(RealDataCacheTest, ModelAndRealDataAgreeOnUnwornFlash)
+{
+    // On flash that never wears out, moving real payloads through the
+    // BCH + CRC pipeline must not change a single modeled number: the
+    // two modes share every device op, RNG draw and table update.
+    FlashCacheConfig cfg;
+    cfg.accessSaturation = 8; // hot MLC->SLC migration
+    cfg.wearThreshold = 16.0; // section 3.6 wear swaps
+    AgreementStack model(false, cfg);
+    AgreementStack real(true, cfg);
+
+    Rng rng(42);
+    std::vector<std::uint8_t> out(kPage);
+    std::vector<std::uint8_t> data(kPage);
+    for (int i = 0; i < 40000; ++i) {
+        // A hot set of 64 LBAs takes half the traffic.
+        const Lba lba = rng.bernoulli(0.5) ? rng.uniformInt(64)
+                                           : rng.uniformInt(1200);
+        CacheAccessResult m, r;
+        if (rng.bernoulli(0.45)) {
+            std::fill(data.begin(), data.end(),
+                      static_cast<std::uint8_t>(i));
+            m = model.cache->write(lba);
+            r = real.cache->writeData(lba, data.data());
+        } else {
+            m = model.cache->read(lba);
+            r = real.cache->readData(lba, out.data());
+        }
+        ASSERT_EQ(m.hit, r.hit) << "op " << i;
+        ASSERT_EQ(m.latency, r.latency) << "op " << i;
+    }
+    model.cache->flushAll();
+    real.cache->flushAll();
+
+    const FlashCacheStats& ms = model.cache->stats();
+    const FlashCacheStats& rs = real.cache->stats();
+    EXPECT_GT(ms.gcRuns, 0u);
+    EXPECT_GT(ms.evictions, 0u);
+    EXPECT_GT(ms.wearMigrations, 0u);
+    EXPECT_GT(ms.hotMigrations, 0u);
+    EXPECT_GT(ms.eccRetryReads, 0u);
+    EXPECT_GT(model.controller->stats().correctedReads, 0u);
+    // Unworn: no reconfiguration ever changed a page's code.
+    EXPECT_EQ(ms.eccReconfigs, 0u);
+    EXPECT_EQ(ms.densityReconfigs, 0u);
+
+    EXPECT_EQ(ms.fgst.reads.hits(), rs.fgst.reads.hits());
+    EXPECT_EQ(ms.fgst.reads.misses(), rs.fgst.reads.misses());
+    EXPECT_EQ(ms.fgst.writes.hits(), rs.fgst.writes.hits());
+    EXPECT_EQ(ms.fgst.writes.misses(), rs.fgst.writes.misses());
+    EXPECT_EQ(ms.gcRuns, rs.gcRuns);
+    EXPECT_EQ(ms.gcPageCopies, rs.gcPageCopies);
+    EXPECT_EQ(ms.gcErases, rs.gcErases);
+    EXPECT_EQ(ms.gcTime, rs.gcTime);
+    EXPECT_EQ(ms.evictions, rs.evictions);
+    EXPECT_EQ(ms.evictionFlushes, rs.evictionFlushes);
+    EXPECT_EQ(ms.evictionTime, rs.evictionTime);
+    EXPECT_EQ(ms.wearMigrations, rs.wearMigrations);
+    EXPECT_EQ(ms.eccReconfigs, rs.eccReconfigs);
+    EXPECT_EQ(ms.densityReconfigs, rs.densityReconfigs);
+    EXPECT_EQ(ms.hotMigrations, rs.hotMigrations);
+    EXPECT_EQ(ms.retiredBlocks, rs.retiredBlocks);
+    EXPECT_EQ(ms.uncorrectableReads, rs.uncorrectableReads);
+    EXPECT_EQ(ms.dataLossPages, rs.dataLossPages);
+    EXPECT_EQ(ms.eccRetryReads, rs.eccRetryReads);
+    EXPECT_EQ(ms.diskFlushFailures, rs.diskFlushFailures);
+    EXPECT_EQ(ms.reconfigTime, rs.reconfigTime);
+    EXPECT_EQ(ms.flashBusyTime, rs.flashBusyTime);
+
+    const ControllerStats& mc = model.controller->stats();
+    const ControllerStats& rc = real.controller->stats();
+    EXPECT_EQ(mc.reads, rc.reads);
+    EXPECT_EQ(mc.writes, rc.writes);
+    EXPECT_EQ(mc.erases, rc.erases);
+    EXPECT_EQ(mc.correctedReads, rc.correctedReads);
+    EXPECT_EQ(mc.uncorrectableReads, rc.uncorrectableReads);
+    EXPECT_EQ(mc.bitsCorrected, rc.bitsCorrected);
+    EXPECT_EQ(mc.eccTime, rc.eccTime);
+
+    const FlashOpStats& md = model.device->stats();
+    const FlashOpStats& rd = real.device->stats();
+    EXPECT_EQ(md.reads, rd.reads);
+    EXPECT_EQ(md.programs, rd.programs);
+    EXPECT_EQ(md.erases, rd.erases);
+    EXPECT_EQ(md.busyTime, rd.busyTime);
+    EXPECT_EQ(md.activeEnergy, rd.activeEnergy);
+
+    EXPECT_EQ(model.cache->validPages(), real.cache->validPages());
+    model.cache->checkInvariants();
+    real.cache->checkInvariants();
+}
+
 TEST(RealDataCacheTest, ModeMismatchIsFatal)
 {
     WearParams no_wear;
