@@ -114,12 +114,12 @@ FlashMemoryController::codeFor(unsigned t)
 
 ControllerReadResult
 FlashMemoryController::readPage(const PageAddress& addr,
-                                const PageDescriptor& desc)
+                                const PageDescriptor& desc,
+                                std::uint8_t* out,
+                                unsigned extra_bit_errors)
 {
     ControllerReadResult res;
     const auto raw = device_->readPage(addr);
-    res.rawBitErrors = raw.hardBitErrors;
-
     const Seconds ecc_lat = decodeLatency(desc.eccStrength);
     FC_LEAF(tracer_, "flash.read", "flash", raw.latency);
     FC_LEAF(tracer_, "ecc.decode", "ecc", ecc_lat);
@@ -129,26 +129,116 @@ FlashMemoryController::readPage(const PageAddress& addr,
         demands_->record(sched::ResourceKind::Ecc, 0, ecc_lat);
     ++stats_.reads;
 
-    if (raw.hardBitErrors == 0) {
-        res.status = ReadStatus::Clean;
-    } else if (raw.hardBitErrors <= desc.eccStrength) {
-        res.status = ReadStatus::Corrected;
-        res.correctedBits = raw.hardBitErrors;
-        ++stats_.correctedReads;
-        stats_.bitsCorrected += raw.hardBitErrors;
-    } else {
+    res.rawBitErrors = raw.hardBitErrors;
+    bool ok = raw.hardBitErrors <= desc.eccStrength;
+    unsigned corrected = raw.hardBitErrors;
+    if (out) {
+        const auto& geom = device_->geometry();
+        const PageBytes stored = device_->pageData(addr);
+        if (!stored)
+            panic("a payload read requires a store_data FlashDevice");
+        dataBuf_.assign(stored.data, stored.data + geom.pageDataBytes);
+        spareBuf_.assign(stored.data + geom.pageDataBytes,
+                         stored.data + stored.size);
+
+        // Decode with the code the page was written with: its OOB
+        // record says which (the descriptor may have been raised
+        // since). A strength past the hardware limit comes from a
+        // damaged medium and counts as no record.
+        unsigned t = desc.eccStrength;
+        OobRecord rec;
+        if (parseOobRecord(spareBuf_.data(),
+                           static_cast<std::uint32_t>(spareBuf_.size()),
+                           rec) &&
+            rec.eccStrength <= maxEcc_) {
+            t = rec.eccStrength;
+        }
+
+        // Physically inject the medium's hard errors (plus any extra
+        // the caller wants) across the protected region: data +
+        // parity. The OOB record in the spare tail is not part of it.
+        const unsigned nerr = raw.hardBitErrors + extra_bit_errors;
+        res.rawBitErrors = nerr;
+        const std::uint32_t data_bits = geom.pageDataBytes * 8;
+        const std::uint32_t protected_bits = data_bits +
+            (t > 0 ? codeFor(t).parityBits() : 0);
+        // Rejection sampling into a flat workspace: one RNG draw per
+        // loop iteration, duplicates re-drawn.
+        pickBuf_.clear();
+        while (pickBuf_.size() < nerr && pickBuf_.size() < protected_bits) {
+            const auto p = static_cast<std::uint32_t>(
+                injectRng_.uniformInt(protected_bits));
+            if (std::find(pickBuf_.begin(), pickBuf_.end(), p) ==
+                pickBuf_.end()) {
+                pickBuf_.push_back(p);
+            }
+        }
+        for (const std::uint32_t p : pickBuf_) {
+            if (p < data_bits) {
+                dataBuf_[p / 8] ^= static_cast<std::uint8_t>(1u << (p % 8));
+            } else {
+                const std::uint32_t q = p - data_bits;
+                spareBuf_[4 + q / 8] ^=
+                    static_cast<std::uint8_t>(1u << (q % 8));
+            }
+        }
+
+        if (t > 0) {
+            const auto dec = codeFor(t).decode(dataBuf_.data(),
+                                               spareBuf_.data() + 4);
+            ok = dec.ok;
+            corrected = dec.correctedBits;
+        } else {
+            ok = pickBuf_.empty();
+        }
+        std::uint32_t stored_crc;
+        std::memcpy(&stored_crc, spareBuf_.data(), 4);
+        ok = ok && crc32(dataBuf_.data(), geom.pageDataBytes) == stored_crc;
+        std::memcpy(out, dataBuf_.data(), geom.pageDataBytes);
+    }
+
+    if (!ok) {
         res.status = ReadStatus::Uncorrectable;
         ++stats_.uncorrectableReads;
+    } else if (corrected == 0 && res.rawBitErrors == 0) {
+        res.status = ReadStatus::Clean;
+    } else {
+        res.status = ReadStatus::Corrected;
+        res.correctedBits = corrected;
+        ++stats_.correctedReads;
+        stats_.bitsCorrected += corrected;
     }
     return res;
 }
 
 ControllerWriteResult
 FlashMemoryController::writePage(const PageAddress& addr,
-                                 const PageDescriptor& desc)
+                                 const PageDescriptor& desc,
+                                 const std::uint8_t* data,
+                                 const OobRecord* oob)
 {
+    if (data) {
+        // Spare layout: [0..3] CRC32 of the data, [4..] BCH parity,
+        // and (cache programs) the self-describing OOB record in the
+        // tail.
+        const auto& geom = device_->geometry();
+        wspare_.assign(geom.pageSpareBytes, 0);
+        const std::uint32_t crc = crc32(data, geom.pageDataBytes);
+        std::memcpy(wspare_.data(), &crc, 4);
+        if (desc.eccStrength > 0) {
+            const BchCode& code = codeFor(desc.eccStrength);
+            const std::uint32_t reserved = oob ? kOobRecordBytes : 0;
+            if (4 + code.parityBytes() + reserved > geom.pageSpareBytes)
+                panic("BCH parity does not fit the spare area");
+            code.encode(data, wspare_.data() + 4);
+        }
+        if (oob)
+            packOobRecord(wspare_.data(), geom.pageSpareBytes, *oob);
+    }
+
     const Seconds enc = timing_.encodeLatency(desc.eccStrength);
-    const auto prog = device_->programPage(addr);
+    const auto prog = device_->programPage(addr, data,
+                                           data ? wspare_.data() : nullptr);
     FC_LEAF(tracer_, "ecc.encode", "ecc", enc);
     FC_LEAF(tracer_, "flash.program", "flash", prog.latency);
     stats_.eccTime += enc;
@@ -173,135 +263,6 @@ FlashMemoryController::eraseBlock(std::uint32_t block)
         FC_INSTANT(tracer_, "fault.erase_fail", "fault");
     }
     return {er.latency, er.failed};
-}
-
-ControllerWriteResult
-FlashMemoryController::writePageReal(const PageAddress& addr,
-                                     const PageDescriptor& desc,
-                                     const std::uint8_t* data,
-                                     const OobRecord* oob)
-{
-    const auto& geom = device_->geometry();
-    wspare_.assign(geom.pageSpareBytes, 0);
-
-    // Spare layout: [0..3] CRC32 of the data, [4..] BCH parity, and
-    // (cache programs) the self-describing OOB record in the tail.
-    const std::uint32_t crc = crc32(data, geom.pageDataBytes);
-    std::memcpy(wspare_.data(), &crc, 4);
-    if (desc.eccStrength > 0) {
-        const BchCode& code = codeFor(desc.eccStrength);
-        const std::uint32_t reserved = oob ? kOobRecordBytes : 0;
-        if (4 + code.parityBytes() + reserved > geom.pageSpareBytes)
-            panic("BCH parity does not fit the spare area");
-        code.encode(data, wspare_.data() + 4);
-    }
-    if (oob)
-        packOobRecord(wspare_.data(), geom.pageSpareBytes, *oob);
-
-    const Seconds enc = timing_.encodeLatency(desc.eccStrength);
-    const auto prog = device_->programPage(addr, data, wspare_.data());
-    FC_LEAF(tracer_, "ecc.encode", "ecc", enc);
-    FC_LEAF(tracer_, "flash.program", "flash", prog.latency);
-    stats_.eccTime += enc;
-    if (demands_)
-        demands_->record(sched::ResourceKind::Ecc, 0, enc);
-    ++stats_.writes;
-    if (prog.failed) {
-        ++stats_.programFailures;
-        FC_INSTANT(tracer_, "fault.program_fail", "fault");
-    }
-    return {prog.latency + enc, prog.failed};
-}
-
-ControllerReadResult
-FlashMemoryController::readPageReal(const PageAddress& addr,
-                                    const PageDescriptor& desc,
-                                    std::uint8_t* out,
-                                    unsigned extra_bit_errors)
-{
-    const auto& geom = device_->geometry();
-    ControllerReadResult res;
-
-    const auto raw = device_->readPage(addr);
-    const Seconds ecc_lat = decodeLatency(desc.eccStrength);
-    FC_LEAF(tracer_, "flash.read", "flash", raw.latency);
-    FC_LEAF(tracer_, "ecc.decode", "ecc", ecc_lat);
-    res.latency = raw.latency + ecc_lat;
-    stats_.eccTime += ecc_lat;
-    if (demands_)
-        demands_->record(sched::ResourceKind::Ecc, 0, ecc_lat);
-    ++stats_.reads;
-
-    const PageBytes stored = device_->pageData(addr);
-    if (!stored)
-        panic("real data path requires a store_data FlashDevice");
-
-    dataBuf_.assign(stored.data, stored.data + geom.pageDataBytes);
-    spareBuf_.assign(stored.data + geom.pageDataBytes,
-                     stored.data + stored.size);
-
-    // Physically inject the medium's hard errors (plus any extra the
-    // caller wants) across the protected region: data + parity.
-    const unsigned nerr = raw.hardBitErrors + extra_bit_errors;
-    res.rawBitErrors = nerr;
-    const std::uint32_t parity_bits = desc.eccStrength > 0
-        ? codeFor(desc.eccStrength).parityBits() : 0;
-    const std::uint32_t protected_bits = geom.pageDataBytes * 8 +
-        parity_bits;
-    // Rejection sampling into a flat workspace; one RNG draw per loop
-    // iteration with duplicates re-drawn, exactly like the previous
-    // std::set-based sampler, so injection sequences are unchanged.
-    pickBuf_.clear();
-    while (pickBuf_.size() < nerr && pickBuf_.size() < protected_bits) {
-        const auto p = static_cast<std::uint32_t>(
-            injectRng_.uniformInt(protected_bits));
-        if (std::find(pickBuf_.begin(), pickBuf_.end(), p) ==
-            pickBuf_.end()) {
-            pickBuf_.push_back(p);
-        }
-    }
-    for (const std::uint32_t p : pickBuf_) {
-        if (p < geom.pageDataBytes * 8) {
-            dataBuf_[p / 8] ^= static_cast<std::uint8_t>(1u << (p % 8));
-        } else {
-            const std::uint32_t q = p - geom.pageDataBytes * 8;
-            spareBuf_[4 + q / 8] ^=
-                static_cast<std::uint8_t>(1u << (q % 8));
-        }
-    }
-
-    bool ok = true;
-    unsigned corrected = 0;
-    if (desc.eccStrength > 0) {
-        const BchCode& code = codeFor(desc.eccStrength);
-        const auto dec = code.decode(dataBuf_.data(),
-                                     spareBuf_.data() + 4);
-        ok = dec.ok;
-        corrected = dec.correctedBits;
-    } else {
-        ok = pickBuf_.empty();
-    }
-
-    std::uint32_t stored_crc;
-    std::memcpy(&stored_crc, spareBuf_.data(), 4);
-    const bool crc_ok = crc32(dataBuf_.data(), geom.pageDataBytes) ==
-        stored_crc;
-
-    std::memcpy(out, dataBuf_.data(), geom.pageDataBytes);
-    if (ok && crc_ok) {
-        if (corrected == 0 && pickBuf_.empty()) {
-            res.status = ReadStatus::Clean;
-        } else {
-            res.status = ReadStatus::Corrected;
-            res.correctedBits = corrected;
-            ++stats_.correctedReads;
-            stats_.bitsCorrected += corrected;
-        }
-    } else {
-        res.status = ReadStatus::Uncorrectable;
-        ++stats_.uncorrectableReads;
-    }
-    return res;
 }
 
 } // namespace flashcache

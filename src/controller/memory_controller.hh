@@ -8,14 +8,15 @@
  * controller runs the (modeled or real) BCH + CRC pipeline at that
  * strength.
  *
- * Two data paths share one timing/correctness contract:
- *  - Modeled (default): bit errors come as counts from the device's
- *    reliability model; correction succeeds iff count <= strength.
- *    Fast enough for billion-access trace simulation.
- *  - Real: page payloads round-trip through the actual BchCode
- *    encoder/decoder with physically injected bit flips, and CRC32
- *    verifies the result. Used by integration tests and the
- *    micro-benchmarks; requires a store_data FlashDevice.
+ * One read path and one program path serve two payload modes, which
+ * share every device op, latency, counter and demand:
+ *  - Metadata only (no payload pointer): bit errors come as counts
+ *    from the device's reliability model; correction succeeds iff
+ *    count <= strength. Fast enough for billion-access trace
+ *    simulation.
+ *  - With a payload: page bytes round-trip through the actual
+ *    BchCode encoder/decoder with physically injected bit flips, and
+ *    CRC32 verifies the result. Requires a store_data FlashDevice.
  */
 
 #ifndef FLASHCACHE_CONTROLLER_MEMORY_CONTROLLER_HH
@@ -102,10 +103,11 @@ struct ControllerStats
 
 /**
  * Self-describing out-of-band record stored in the tail of the spare
- * area by every real-path cache program. Recovery rebuilds the DRAM
- * tables (FCHT/FPST/FBST, region membership) from these records
- * alone; the CRC (which also covers the data CRC and BCH parity
- * earlier in the spare) plus a 2-byte magic rejects torn pages.
+ * area by every cache program that carries a payload. Recovery
+ * rebuilds the DRAM tables (FCHT/FPST/FBST, region membership) from
+ * these records alone; the CRC (which also covers the data CRC and
+ * BCH parity earlier in the spare) plus a 2-byte magic rejects torn
+ * pages.
  */
 struct OobRecord
 {
@@ -154,38 +156,32 @@ class FlashMemoryController
     unsigned maxEccStrength() const { return maxEcc_; }
     const EccTimingModel& timingModel() const { return timing_; }
 
-    /** Modeled-path read: error counts, no payload. */
-    ControllerReadResult readPage(const PageAddress& addr,
-                                  const PageDescriptor& desc);
-
-    /** Modeled-path program. */
+    /**
+     * Program one page at the descriptor strength. With `data`
+     * (pageDataBytes) the payload is CRC'd and BCH-encoded into the
+     * spare area and stored; `oob`, if also given, is packed into
+     * the spare tail (kOobRecordBytes) for crash recovery. Without
+     * `data` only the timing and counters are modeled.
+     */
     ControllerWriteResult writePage(const PageAddress& addr,
-                                    const PageDescriptor& desc);
+                                    const PageDescriptor& desc,
+                                    const std::uint8_t* data = nullptr,
+                                    const OobRecord* oob = nullptr);
+
+    /**
+     * Read one page; latency is charged at the descriptor strength.
+     * Without `out` the status follows the device's hard error count.
+     * With `out` (pageDataBytes) the stored payload gets those errors
+     * plus `extra_bit_errors` physically flipped, is BCH-decoded with
+     * the code recorded in the page's OOB record (else the descriptor
+     * strength) and CRC-checked, and lands in `out`.
+     */
+    ControllerReadResult readPage(const PageAddress& addr,
+                                  const PageDescriptor& desc,
+                                  std::uint8_t* out = nullptr,
+                                  unsigned extra_bit_errors = 0);
 
     ControllerEraseResult eraseBlock(std::uint32_t block);
-
-    /**
-     * Real-path program: encodes `data` (pageDataBytes) with BCH at
-     * the descriptor strength plus CRC32 into the spare area and
-     * stores it in the device. When `oob` is given the record is
-     * packed into the spare tail (kOobRecordBytes) for crash
-     * recovery. Requires a store_data device.
-     */
-    ControllerWriteResult writePageReal(const PageAddress& addr,
-                                        const PageDescriptor& desc,
-                                        const std::uint8_t* data,
-                                        const OobRecord* oob = nullptr);
-
-    /**
-     * Real-path read: fetches the stored payload, flips
-     * device-reported hard error bits plus any extra injected ones,
-     * runs the real BCH decode and CRC check, and returns the
-     * recovered payload in `out` (pageDataBytes).
-     */
-    ControllerReadResult readPageReal(const PageAddress& addr,
-                                      const PageDescriptor& desc,
-                                      std::uint8_t* out,
-                                      unsigned extra_bit_errors = 0);
 
     const ControllerStats& stats() const { return stats_; }
 
@@ -221,9 +217,8 @@ class FlashMemoryController
     std::map<unsigned, std::unique_ptr<BchCode>> codes_;
     Rng injectRng_;
 
-    /// @name Real-path workspaces, reused across calls so steady
-    /// state allocates nothing (the PR 1 BCH workspace pattern);
-    /// makes readPageReal/writePageReal non-reentrant.
+    /// @name Payload workspaces, reused across calls so steady state
+    /// allocates nothing; makes readPage/writePage non-reentrant.
     /// @{
     std::vector<std::uint8_t> dataBuf_;
     std::vector<std::uint8_t> spareBuf_;

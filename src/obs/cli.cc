@@ -1,7 +1,9 @@
 #include "obs/cli.hh"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string_view>
 
 #include "obs/metrics.hh"
@@ -10,6 +12,26 @@
 
 namespace flashcache {
 namespace obs {
+
+namespace {
+
+/** Parse a count flag's value: decimal digits only (no sign, space or
+ *  suffix), at least 1 and at most `max`; anything else is fatal. */
+std::uint64_t
+parseCount(const char* flag, std::string_view text, std::uint64_t max)
+{
+    std::uint64_t v = 0;
+    const char* const end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end || v == 0 ||
+        v > max) {
+        fatal(std::string(flag) + " expects an integer in 1.." +
+              std::to_string(max) + ", got '" + std::string(text) + "'");
+    }
+    return v;
+}
+
+} // namespace
 
 CliOptions
 CliOptions::parse(int& argc, char** argv)
@@ -28,20 +50,18 @@ CliOptions::parse(int& argc, char** argv)
         } else if (arg == "--trace-out") {
             opts.traceOut = takeValue("--trace-out");
         } else if (arg == "--trace-events") {
-            opts.traceEvents = static_cast<std::size_t>(
-                std::strtoull(takeValue("--trace-events"), nullptr, 10));
-            if (opts.traceEvents == 0)
-                fatal("--trace-events must be positive");
+            opts.traceEvents = parseCount(
+                "--trace-events", takeValue("--trace-events"),
+                std::numeric_limits<std::size_t>::max());
         } else if (arg == "--clients") {
-            opts.clients = static_cast<unsigned>(
-                std::strtoul(takeValue("--clients"), nullptr, 10));
-            if (opts.clients == 0)
-                fatal("--clients must be positive");
+            opts.clients = static_cast<unsigned>(parseCount(
+                "--clients", takeValue("--clients"),
+                std::numeric_limits<unsigned>::max()));
         } else if (arg == "--channels") {
-            opts.channels = static_cast<unsigned>(
-                std::strtoul(takeValue("--channels"), nullptr, 10));
-            if (opts.channels == 0)
-                fatal("--channels must be positive");
+            // Demands carry the channel index in 16 bits.
+            opts.channels = static_cast<unsigned>(parseCount(
+                "--channels", takeValue("--channels"),
+                std::numeric_limits<std::uint16_t>::max()));
         } else {
             argv[out++] = argv[i];
         }

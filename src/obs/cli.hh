@@ -32,7 +32,8 @@ struct CliOptions
     /**
      * Extract the flags above from argv, compacting it in place so
      * the caller's own argument handling never sees them. fatal()s
-     * on a flag with a missing value.
+     * on a flag with a missing value, and on a count that is not a
+     * plain positive decimal fitting its field (--channels <= 65535).
      */
     static CliOptions parse(int& argc, char** argv);
 

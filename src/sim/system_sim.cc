@@ -12,6 +12,14 @@ namespace flashcache {
 
 namespace {
 
+/** Fraction of DRAM available to the PDC; the remainder holds the OS,
+ *  the flash management tables (about 2% of the flash size, section
+ *  3) and network buffers. */
+constexpr double kPdcFraction = 0.85;
+
+/** Cached page size. */
+constexpr std::uint64_t kPageBytes = 2048;
+
 /** Adapts the DiskModel to the cache core's BackingStore interface. */
 class DiskBackingStore : public BackingStore
 {
@@ -33,22 +41,6 @@ class DiskBackingStore : public BackingStore
         return disk_->access(lba, false);
     }
 
-    Seconds
-    read(Lba lba, bool& failed) override
-    {
-        const auto res = disk_->accessChecked(lba, false);
-        failed = res.failed;
-        return res.latency;
-    }
-
-    Seconds
-    write(Lba lba, bool& failed) override
-    {
-        const auto res = disk_->accessChecked(lba, false);
-        failed = res.failed;
-        return res.latency;
-    }
-
   private:
     DiskModel* disk_;
 };
@@ -62,9 +54,9 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
     if (config.clients == 0)
         fatal("SystemConfig::clients must be positive");
     pdcCapacityPages_ = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(config.pdcFraction *
+        static_cast<std::uint64_t>(kPdcFraction *
                                    static_cast<double>(config.dramBytes))
-            / config.pageBytes, 16);
+            / kPageBytes, 16);
     // The OS lets dirty pages accumulate to a fraction of the page
     // cache before the flusher drains the coldest ones.
     pdcDirtyLimit_ = std::max<std::uint64_t>(config.writebackBatch,
@@ -74,11 +66,6 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
     pdcLru_.reserve(pdcCapacityPages_ + 1);
     pdcDirtyLru_.reserve(pdcDirtyLimit_ + config.writebackBatch);
 
-    if (config.faultPlan) {
-        fault_ = std::make_unique<FaultInjector>(*config.faultPlan);
-        disk_.attachFaultInjector(fault_.get());
-    }
-
     if (config.flashBytes > 0) {
         lifetime_ = std::make_unique<CellLifetimeModel>(config.wear);
         auto geom = FlashGeometry::forMlcCapacity(config.flashBytes);
@@ -86,8 +73,6 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
         flash_ = std::make_unique<FlashDevice>(geom, config.flashTiming,
                                                *lifetime_,
                                                config.seed * 31 + 5);
-        if (fault_)
-            flash_->attachFaultInjector(fault_.get());
         controller_ = std::make_unique<FlashMemoryController>(*flash_);
         diskStore_ = std::make_unique<DiskBackingStore>(disk_);
 
@@ -152,8 +137,6 @@ SystemSimulator::registerAllMetrics()
         cache_->registerMetrics(registry_);
         controller_->registerMetrics(registry_);
     }
-    if (fault_)
-        fault_->registerMetrics(registry_);
 
     sched_->registerMetrics(registry_);
 
@@ -225,7 +208,7 @@ SystemSimulator::serve(const TraceRecord& r, Seconds& compute)
     if (!r.isWrite) {
         if (pdcLru_.contains(r.lba)) {
             pdcLru_.touch(r.lba);
-            const Seconds hit = dram_.read(config_.pageBytes);
+            const Seconds hit = dram_.read(kPageBytes);
             FC_LEAF(tracer_.get(), "dram.read", "dram", hit);
             stats_.pdcReads.hit();
         } else {
@@ -234,13 +217,13 @@ SystemSimulator::serve(const TraceRecord& r, Seconds& compute)
             while (pdcLru_.size() >= pdcCapacityPages_)
                 evictPdcPage();
             readBelow(r.lba);
-            const Seconds fill = dram_.write(config_.pageBytes);
+            const Seconds fill = dram_.write(kPageBytes);
             FC_LEAF(tracer_.get(), "dram.write", "dram", fill);
             pdcLru_.touch(r.lba);
         }
     } else {
         // Writes complete at DRAM speed; dirty data drains later.
-        const Seconds write = dram_.write(config_.pageBytes);
+        const Seconds write = dram_.write(kPageBytes);
         FC_LEAF(tracer_.get(), "dram.write", "dram", write);
         if (!pdcLru_.contains(r.lba)) {
             while (pdcLru_.size() >= pdcCapacityPages_)

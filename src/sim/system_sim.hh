@@ -28,7 +28,6 @@
 #include "core/lru.hh"
 #include "devices/disk.hh"
 #include "devices/dram.hh"
-#include "fault/fault_injector.hh"
 #include "obs/metrics.hh"
 #include "sched/scheduler.hh"
 #include "sim/power_report.hh"
@@ -70,14 +69,6 @@ struct SystemConfig
     /** Flash size; 0 = DRAM-only baseline. Table 3: 256 MB - 2 GB. */
     std::uint64_t flashBytes = 0;
 
-    /** Fraction of DRAM available to the PDC; the remainder holds
-     *  the OS, the flash management tables (about 2% of the flash
-     *  size, section 3) and network buffers. */
-    double pdcFraction = 0.85;
-
-    /** Cached page size. */
-    std::uint64_t pageBytes = 2048;
-
     /** Dirty PDC pages are written back in batches of this many. */
     unsigned writebackBatch = 16;
 
@@ -94,10 +85,6 @@ struct SystemConfig
     FlashTiming flashTiming;
     DramSpec dramSpec;
     DiskSpec diskSpec;
-
-    /** Fault plan; when set an injector is created and attached to
-     *  the flash device and the disk (fault.* metrics register). */
-    std::optional<FaultPlan> faultPlan;
 
     std::uint64_t seed = 1;
 };
@@ -178,9 +165,6 @@ class SystemSimulator
     const FlashCache* flashCache() const { return cache_.get(); }
     FlashCache* flashCache() { return cache_.get(); }
 
-    /** The fault injector, or nullptr when no plan was configured. */
-    FaultInjector* faultInjector() const { return fault_.get(); }
-
     /// @name Flash-stack snapshots (<prefix>.dev + <prefix>.cache),
     /// written atomically (temp file + rename) so an interrupted save
     /// never corrupts the previous snapshot. Requires flashBytes > 0.
@@ -228,9 +212,6 @@ class SystemSimulator
     KeyedLru<Lba> pdcDirtyLru_;
     std::uint64_t pdcCapacityPages_;
     std::uint64_t pdcDirtyLimit_;
-
-    /** Fault injection (optional, shared by flash and disk). */
-    std::unique_ptr<FaultInjector> fault_;
 
     /** Flash stack (optional). */
     std::unique_ptr<CellLifetimeModel> lifetime_;

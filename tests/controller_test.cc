@@ -1,8 +1,8 @@
 /**
  * @file
- * Programmable flash memory controller tests: modeled and real data
- * paths, descriptor-driven ECC strength, and the section 5.2
- * reconfiguration policy heuristics.
+ * Programmable flash memory controller tests: reads and programs
+ * with and without payloads, descriptor-driven ECC strength, and the
+ * section 5.2 reconfiguration policy heuristics.
  */
 
 #include <gtest/gtest.h>
@@ -126,10 +126,10 @@ TEST(ControllerRealPathTest, RoundTripNoErrors)
     std::vector<std::uint8_t> data(2048);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<std::uint8_t>(i * 7);
-    ctrl.writePageReal({0, 0, 0}, desc, data.data());
+    ctrl.writePage({0, 0, 0}, desc, data.data());
 
     std::vector<std::uint8_t> out(2048, 0);
-    const auto r = ctrl.readPageReal({0, 0, 0}, desc, out.data());
+    const auto r = ctrl.readPage({0, 0, 0}, desc, out.data());
     EXPECT_EQ(r.status, ReadStatus::Clean);
     EXPECT_EQ(out, data);
 }
@@ -147,10 +147,10 @@ TEST(ControllerRealPathTest, CorrectsInjectedErrorsUpToStrength)
         for (std::size_t i = 0; i < data.size(); ++i)
             data[i] = static_cast<std::uint8_t>(i + t);
         const PageAddress addr{0, 0, 0};
-        ctrl.writePageReal(addr, desc, data.data());
+        ctrl.writePage(addr, desc, data.data());
 
         std::vector<std::uint8_t> out(2048, 0);
-        const auto r = ctrl.readPageReal(addr, desc, out.data(), t);
+        const auto r = ctrl.readPage(addr, desc, out.data(), t);
         EXPECT_EQ(r.status, ReadStatus::Corrected) << t;
         EXPECT_EQ(out, data) << t;
         dev.eraseBlock(0);
@@ -165,10 +165,64 @@ TEST(ControllerRealPathTest, FlagsBeyondStrengthViaCrc)
     PageDescriptor desc{2, DensityMode::MLC};
 
     std::vector<std::uint8_t> data(2048, 0x5A);
-    ctrl.writePageReal({1, 0, 0}, desc, data.data());
+    ctrl.writePage({1, 0, 0}, desc, data.data());
     std::vector<std::uint8_t> out(2048, 0);
-    const auto r = ctrl.readPageReal({1, 0, 0}, desc, out.data(), 9);
+    const auto r = ctrl.readPage({1, 0, 0}, desc, out.data(), 9);
     EXPECT_EQ(r.status, ReadStatus::Uncorrectable);
+}
+
+TEST(ControllerRealPathTest, DecodesWithTheStrengthThePageWasWrittenAt)
+{
+    // The cache may raise a valid page's strength in place. The
+    // parity on the medium is still the old code, which the page's
+    // OOB record names; the read must decode with it, while latency
+    // is charged at the descriptor strength.
+    CellLifetimeModel m;
+    FlashDevice dev(tinyGeom(), FlashTiming(), m, 5, 0.0, true);
+    FlashMemoryController ctrl(dev);
+
+    std::vector<std::uint8_t> data(2048);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 13);
+    OobRecord oob;
+    oob.lba = 3;
+    oob.seq = 1;
+    oob.eccStrength = 1;
+    ctrl.writePage({0, 0, 0}, {1, DensityMode::MLC}, data.data(), &oob);
+
+    const PageDescriptor raised{2, DensityMode::MLC};
+    std::vector<std::uint8_t> out(2048, 0);
+    const auto r = ctrl.readPage({0, 0, 0}, raised, out.data(), 1);
+    EXPECT_EQ(r.status, ReadStatus::Corrected);
+    EXPECT_EQ(r.correctedBits, 1u);
+    EXPECT_EQ(out, data);
+    EXPECT_EQ(r.latency, ctrl.readPage({0, 0, 0}, raised).latency);
+}
+
+TEST(ControllerRealPathTest, RecordStrengthPastTheHardwareLimitIsIgnored)
+{
+    // A spare tail whose record claims a code the hardware cannot
+    // run (medium input) falls back to the descriptor strength.
+    CellLifetimeModel m;
+    FlashDevice dev(tinyGeom(), FlashTiming(), m, 5, 0.0, true);
+    FlashMemoryController ctrl(dev);
+    const PageDescriptor desc{2, DensityMode::MLC};
+
+    std::vector<std::uint8_t> data(2048, 0x3C);
+    ctrl.writePage({0, 0, 0}, desc, data.data());
+    const PageBytes stored = dev.pageData({0, 0, 0});
+    std::vector<std::uint8_t> spare(stored.data + 2048,
+                                    stored.data + stored.size);
+    OobRecord oob;
+    oob.eccStrength = 200;
+    packOobRecord(spare.data(), static_cast<std::uint32_t>(spare.size()),
+                  oob);
+    dev.programPage({1, 0, 0}, data.data(), spare.data());
+
+    std::vector<std::uint8_t> out(2048, 0);
+    const auto r = ctrl.readPage({1, 0, 0}, desc, out.data(), 2);
+    EXPECT_EQ(r.status, ReadStatus::Corrected);
+    EXPECT_EQ(out, data);
 }
 
 TEST(ReconfigPolicyTest, ColdPageUnderLongTailPrefersEcc)

@@ -330,6 +330,56 @@ TEST(FaultInjectorTest, DiskFillFailureIsServedAsMissNeverStale)
     cache.checkInvariants();
 }
 
+TEST(FaultInjectorTest, FailedFlushKeepsTheReadableDirtyPage)
+{
+    // A payload store whose tagged (flush) writes always fail: the
+    // dirty page's only good copy is in flash, so flushAll must keep
+    // it valid and dirty rather than drop it and let the next read
+    // serve the disk's stale bytes.
+    class FailingFlushDisk : public MemoryDisk
+    {
+      public:
+        Seconds
+        writeTagged(Lba, const std::uint8_t*, std::uint64_t,
+                    bool& failed) override
+        {
+            failed = true;
+            return milliseconds(4.2);
+        }
+    };
+
+    WearParams no_wear;
+    no_wear.nominalCycles = 1e9;
+    CellLifetimeModel lifetime(no_wear);
+    FlashGeometry g;
+    g.numBlocks = 8;
+    g.framesPerBlock = 4;
+    FlashDevice dev(g, FlashTiming(), lifetime, 7, 0.0, true);
+    FlashMemoryController ctrl(dev);
+    FailingFlushDisk disk;
+    FlashCacheConfig cfg;
+    cfg.realData = true;
+    FlashCache cache(ctrl, disk, cfg);
+
+    const auto content = pageContent(42, 1);
+    cache.writeData(42, content.data());
+    cache.flushAll();
+    EXPECT_EQ(cache.stats().diskFlushFailures, 1u);
+    EXPECT_EQ(cache.stats().dataLossPages, 0u);
+    EXPECT_EQ(cache.validPages(), 1u);
+    EXPECT_FALSE(disk.pages_.count(42));
+
+    std::vector<std::uint8_t> out(kPage, 0);
+    const auto r = cache.readData(42, out.data());
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(out, content);
+
+    // Still dirty: the next flush tries the disk again.
+    cache.flushAll();
+    EXPECT_EQ(cache.stats().diskFlushFailures, 2u);
+    cache.checkInvariants();
+}
+
 TEST(FaultInjectorTest, MetricsRegisterUnderFaultPrefix)
 {
     FaultPlan plan;

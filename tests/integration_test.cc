@@ -55,9 +55,8 @@ TEST(RealPathAgingTest, DataSurvivesUntilEccExhausted)
         last_raw = raw;
         if (raw > 12)
             break;
-        ctrl.writePageReal({0, 0, 0}, strong, data.data());
-        const auto res = ctrl.readPageReal({0, 0, 0}, strong,
-                                           out.data());
+        ctrl.writePage({0, 0, 0}, strong, data.data());
+        const auto res = ctrl.readPage({0, 0, 0}, strong, out.data());
         ASSERT_NE(res.status, ReadStatus::Uncorrectable)
             << "raw=" << raw;
         ASSERT_EQ(out, data) << "corrupted data at raw=" << raw;
@@ -67,8 +66,8 @@ TEST(RealPathAgingTest, DataSurvivesUntilEccExhausted)
     EXPECT_GT(last_raw, 12u) << "frame never exceeded the max code";
 
     // Past the strength limit, the failure must be *flagged*.
-    ctrl.writePageReal({0, 0, 0}, strong, data.data());
-    const auto res = ctrl.readPageReal({0, 0, 0}, strong, out.data());
+    ctrl.writePage({0, 0, 0}, strong, data.data());
+    const auto res = ctrl.readPage({0, 0, 0}, strong, out.data());
     EXPECT_EQ(res.status, ReadStatus::Uncorrectable);
 }
 
@@ -89,9 +88,9 @@ TEST(RealPathAgingTest, StrongerDescriptorOutlivesWeaker)
         const PageDescriptor desc{t, DensityMode::MLC};
         for (int age = 1; age < 60000; ++age) {
             dev.eraseBlock(1);
-            ctrl.writePageReal({1, 0, 0}, desc, data.data());
-            const auto res = ctrl.readPageReal({1, 0, 0}, desc,
-                                               out.data());
+            ctrl.writePage({1, 0, 0}, desc, data.data());
+            const auto res = ctrl.readPage({1, 0, 0}, desc,
+                                           out.data());
             if (res.status == ReadStatus::Uncorrectable)
                 return age;
         }

@@ -374,6 +374,40 @@ TEST(CliOptionsTest, DefaultsAreOff)
     EXPECT_EQ(argc, 1);
 }
 
+/** Parse one flag and its value (fatal()s on a bad value). */
+CliOptions
+parseOne(const char* flag, const char* value)
+{
+    std::string f = flag, v = value;
+    char prog[] = "tool";
+    char* argv[] = {prog, f.data(), v.data()};
+    int argc = 3;
+    return CliOptions::parse(argc, argv);
+}
+
+TEST(CliOptionsTest, CountFlagsAcceptTheirFullRange)
+{
+    EXPECT_EQ(parseOne("--trace-events", "1").traceEvents, 1u);
+    EXPECT_EQ(parseOne("--clients", "4294967295").clients, 4294967295u);
+    EXPECT_EQ(parseOne("--channels", "65535").channels, 65535u);
+}
+
+TEST(CliOptionsDeathTest, CountFlagsParseStrictly)
+{
+    EXPECT_DEATH(parseOne("--clients", "-1"), "--clients");
+    EXPECT_DEATH(parseOne("--clients", "+3"), "--clients");
+    EXPECT_DEATH(parseOne("--clients", " 3"), "--clients");
+    EXPECT_DEATH(parseOne("--clients", ""), "--clients");
+    EXPECT_DEATH(parseOne("--clients", "0"), "--clients");
+    EXPECT_DEATH(parseOne("--clients", "4294967296"), "--clients");
+    EXPECT_DEATH(parseOne("--trace-events", "12abc"), "--trace-events");
+    EXPECT_DEATH(parseOne("--trace-events", "0x10"), "--trace-events");
+    EXPECT_DEATH(parseOne("--trace-events",
+                          "99999999999999999999999"), "--trace-events");
+    EXPECT_DEATH(parseOne("--channels", "65536"), "--channels");
+    EXPECT_DEATH(parseOne("--channels", "2.5"), "--channels");
+}
+
 // -------------------------------------- Uncorrectable-read accounting
 
 /**

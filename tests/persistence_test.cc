@@ -155,7 +155,7 @@ TEST(PersistenceTest, RealDataPayloadsSurviveRestart)
                            true);
         FlashMemoryController ctrl(device);
         PageDescriptor desc{4, DensityMode::MLC};
-        ctrl.writePageReal({0, 0, 0}, desc, content.data());
+        ctrl.writePage({0, 0, 0}, desc, content.data());
         device.saveState(dev_state);
     }
 
@@ -164,7 +164,7 @@ TEST(PersistenceTest, RealDataPayloadsSurviveRestart)
     device.loadState(dev_state);
     std::vector<std::uint8_t> out(2048);
     PageDescriptor desc{4, DensityMode::MLC};
-    const auto res = ctrl.readPageReal({0, 0, 0}, desc, out.data());
+    const auto res = ctrl.readPage({0, 0, 0}, desc, out.data());
     EXPECT_NE(res.status, ReadStatus::Uncorrectable);
     EXPECT_EQ(out, content);
 }
@@ -182,7 +182,7 @@ TEST(PersistenceTest, OversizedPayloadLengthIsFatal)
         FlashMemoryController ctrl(device);
         const std::vector<std::uint8_t> content(2048, 0x5A);
         PageDescriptor desc{4, DensityMode::MLC};
-        ctrl.writePageReal({0, 0, 0}, desc, content.data());
+        ctrl.writePage({0, 0, 0}, desc, content.data());
         device.saveState(dev_state);
     }
     const std::string full = dev_state.str();
