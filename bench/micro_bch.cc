@@ -5,9 +5,10 @@
  * section 4.1.1 software-vs-accelerator argument rests on.
  *
  * Each hot-path benchmark reports bytes/second over the 2 KB page so
- * runs are comparable across machines, and the retained bit-serial
- * reference implementations are benchmarked alongside the
- * word-parallel paths to keep the speedup measurable in one run.
+ * runs are comparable across machines. The dispatched paths (the
+ * PCLMULQDQ fold where the host has it) run beside the slicing-by-8
+ * table kernels and the retained bit-serial reference
+ * implementations, so one run shows every kernel.
  * End-to-end host cost is measured by `python3 perfbench/run.py`.
  */
 
@@ -68,10 +69,24 @@ BM_Crc32Page(benchmark::State& state)
 BENCHMARK(BM_Crc32Page);
 
 void
+BM_Crc32PageTable(benchmark::State& state)
+{
+    // The slicing-by-8 kernel, the dispatched path on hosts without
+    // PCLMULQDQ.
+    const auto page = randomPage(2);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            crc32UpdateTable(0, page.data(), page.size()));
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * kPageBytes);
+}
+BENCHMARK(BM_Crc32PageTable);
+
+void
 BM_Crc32PageBytewise(benchmark::State& state)
 {
     // One-table reference: the seed implementation, for comparison
-    // against the slicing-by-8 path above.
+    // against the kernels above.
     const auto page = randomPage(2);
     for (auto _ : state)
         benchmark::DoNotOptimize(crc32Bytewise(page.data(), page.size()));
@@ -90,11 +105,31 @@ BM_BchEncodePage(benchmark::State& state)
     for (auto _ : state) {
         code.encode(data.data(), parity.data());
         benchmark::DoNotOptimize(parity.data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * kPageBytes);
 }
 BENCHMARK(BM_BchEncodePage)->Arg(1)->Arg(4)->Arg(8)->Arg(12);
+
+void
+BM_BchEncodePageTable(benchmark::State& state)
+{
+    // The slicing-by-8 kernel, the dispatched path on hosts without
+    // PCLMULQDQ and for codes with r > 64.
+    const auto t = static_cast<unsigned>(state.range(0));
+    BchCode code(15, t, kPageBytes * 8);
+    const auto data = randomPage(3);
+    std::vector<std::uint8_t> parity(code.parityBytes());
+    for (auto _ : state) {
+        code.encodeTable(data.data(), parity.data());
+        benchmark::DoNotOptimize(parity.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * kPageBytes);
+}
+BENCHMARK(BM_BchEncodePageTable)->Arg(4);
 
 void
 BM_BchEncodePageReference(benchmark::State& state)
@@ -175,6 +210,29 @@ BM_BchDecodePageOneError(benchmark::State& state)
         static_cast<std::int64_t>(state.iterations()) * kPageBytes);
 }
 BENCHMARK(BM_BchDecodePageOneError)->Arg(4)->Arg(8);
+
+void
+BM_BchDecodePageTwoErrors(benchmark::State& state)
+{
+    // Two bit errors: the closed-form degree-2 locator (m = 15 is odd)
+    // instead of a Chien sweep.
+    const auto t = static_cast<unsigned>(state.range(0));
+    BchCode code(15, t, kPageBytes * 8);
+    auto data = randomPage(6);
+    std::vector<std::uint8_t> parity(code.parityBytes());
+    code.encode(data.data(), parity.data());
+    for (auto _ : state) {
+        data[kPageBytes / 3] ^= 8;
+        data[kPageBytes / 2] ^= 1;
+        const auto res = code.decode(data.data(), parity.data());
+        benchmark::DoNotOptimize(res);
+        if (!res.ok || res.correctedBits != 2)
+            state.SkipWithError("decode failed");
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * kPageBytes);
+}
+BENCHMARK(BM_BchDecodePageTwoErrors)->Arg(4);
 
 void
 BM_BchDecodePageReference(benchmark::State& state)

@@ -137,7 +137,7 @@ FlashMemoryController::readPage(const PageAddress& addr,
         const PageBytes stored = device_->pageData(addr);
         if (!stored)
             panic("a payload read requires a store_data FlashDevice");
-        dataBuf_.assign(stored.data, stored.data + geom.pageDataBytes);
+        std::memcpy(out, stored.data, geom.pageDataBytes);
         spareBuf_.assign(stored.data + geom.pageDataBytes,
                          stored.data + stored.size);
 
@@ -175,7 +175,7 @@ FlashMemoryController::readPage(const PageAddress& addr,
         }
         for (const std::uint32_t p : pickBuf_) {
             if (p < data_bits) {
-                dataBuf_[p / 8] ^= static_cast<std::uint8_t>(1u << (p % 8));
+                out[p / 8] ^= static_cast<std::uint8_t>(1u << (p % 8));
             } else {
                 const std::uint32_t q = p - data_bits;
                 spareBuf_[4 + q / 8] ^=
@@ -184,8 +184,7 @@ FlashMemoryController::readPage(const PageAddress& addr,
         }
 
         if (t > 0) {
-            const auto dec = codeFor(t).decode(dataBuf_.data(),
-                                               spareBuf_.data() + 4);
+            const auto dec = codeFor(t).decode(out, spareBuf_.data() + 4);
             ok = dec.ok;
             corrected = dec.correctedBits;
         } else {
@@ -193,8 +192,7 @@ FlashMemoryController::readPage(const PageAddress& addr,
         }
         std::uint32_t stored_crc;
         std::memcpy(&stored_crc, spareBuf_.data(), 4);
-        ok = ok && crc32(dataBuf_.data(), geom.pageDataBytes) == stored_crc;
-        std::memcpy(out, dataBuf_.data(), geom.pageDataBytes);
+        ok = ok && crc32(out, geom.pageDataBytes) == stored_crc;
     }
 
     if (!ok) {

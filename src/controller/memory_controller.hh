@@ -220,7 +220,6 @@ class FlashMemoryController
     /// @name Payload workspaces, reused across calls so steady state
     /// allocates nothing; makes readPage/writePage non-reentrant.
     /// @{
-    std::vector<std::uint8_t> dataBuf_;
     std::vector<std::uint8_t> spareBuf_;
     std::vector<std::uint8_t> wspare_;
     std::vector<std::uint32_t> pickBuf_;

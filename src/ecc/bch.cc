@@ -4,6 +4,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "ecc/clmul.hh"
 #include "util/log.hh"
 
 namespace flashcache {
@@ -22,6 +23,80 @@ cosetLeader(std::uint64_t e, std::uint64_t n)
     }
     return leader;
 }
+
+/** Coefficients 0..63 of p as a word. */
+std::uint64_t
+low64(const Gf2Poly& p)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 64; ++i) {
+        if (p.coeff(i))
+            v |= 1ull << i;
+    }
+    return v;
+}
+
+#if FLASHCACHE_HAVE_CLMUL_KERNELS
+/**
+ * data(x) x^64 mod G for a monic degree-64 G, through PCLMULQDQ
+ * folds; nbytes is a nonzero multiple of 16 and keys are
+ * BchCode::foldKeys_. Lanes are read from the data's top (highest
+ * degree) down.
+ */
+FLASHCACHE_CLMUL_TARGET std::uint64_t
+foldRemainder(const std::uint8_t* data, std::uint32_t nbytes,
+              const std::uint64_t* keys)
+{
+    using clmul::fold;
+    using clmul::load;
+    long long key[6];
+    std::memcpy(key, keys, sizeof(key));
+    const __m128i k512 = _mm_set_epi64x(key[1], key[0]);
+    const __m128i k128 = _mm_set_epi64x(key[3], key[2]);
+    const __m128i k64 = _mm_set_epi64x(key[2], key[4]);
+    const __m128i mu_g = _mm_set_epi64x(key[4], key[5]);
+
+    const std::uint8_t* p = data + nbytes;
+    __m128i x;
+    if (nbytes >= 64) {
+        p -= 64;
+        __m128i x0 = load(p);
+        __m128i x1 = load(p + 16);
+        __m128i x2 = load(p + 32);
+        __m128i x3 = load(p + 48);
+        while (p - data >= 64) {
+            p -= 64;
+            x0 = _mm_xor_si128(fold(x0, k512), load(p));
+            x1 = _mm_xor_si128(fold(x1, k512), load(p + 16));
+            x2 = _mm_xor_si128(fold(x2, k512), load(p + 32));
+            x3 = _mm_xor_si128(fold(x3, k512), load(p + 48));
+        }
+        x = _mm_xor_si128(fold(x3, k128), x2);
+        x = _mm_xor_si128(fold(x, k128), x1);
+        x = _mm_xor_si128(fold(x, k128), x0);
+    } else {
+        p -= 16;
+        x = load(p);
+    }
+    while (p != data) {
+        p -= 16;
+        x = _mm_xor_si128(fold(x, k128), load(p));
+    }
+
+    // y = x * x^64 mod G, < 128 bits. Barrett: q = floor(y / G) =
+    // y_hi ^ hi64(y_hi * mu'), and y mod G = y_lo ^ lo64(q * G').
+    const __m128i y = fold(x, k64);
+    const auto y_lo = static_cast<std::uint64_t>(_mm_cvtsi128_si64(y));
+    const auto y_hi = static_cast<std::uint64_t>(_mm_extract_epi64(y, 1));
+    const __m128i qmu = _mm_clmulepi64_si128(
+        _mm_cvtsi64_si128(static_cast<long long>(y_hi)), mu_g, 0x00);
+    const std::uint64_t q =
+        y_hi ^ static_cast<std::uint64_t>(_mm_extract_epi64(qmu, 1));
+    const __m128i qg = _mm_clmulepi64_si128(
+        _mm_cvtsi64_si128(static_cast<long long>(q)), mu_g, 0x10);
+    return y_lo ^ static_cast<std::uint64_t>(_mm_cvtsi128_si64(qg));
+}
+#endif
 
 } // namespace
 
@@ -89,6 +164,25 @@ BchCode::BchCode(unsigned m, unsigned t, std::uint32_t data_bits)
             for (std::uint32_t w = 0; w < W; ++w)
                 tbl[byte * W + w] = tbl[low * W + w] ^ basis[bit * W + w];
         }
+    }
+
+    // ---- CLMUL folding constants, modulo G = g(x) x^(64 - r) ----
+    const std::uint32_t nbytes = dataBits_ / 8;
+    clmulFold_ = r <= 64 && nbytes >= 16 && nbytes % 16 == 0;
+    if (clmulFold_) {
+        const Gf2Poly big_g = gen_ * Gf2Poly::monomial(64 - r);
+        const unsigned exps[5] = {512, 576, 128, 192, 64};
+        for (unsigned k = 0; k < 5; ++k)
+            foldKeys_[k] = low64(Gf2Poly::monomial(exps[k]).mod(big_g));
+        // mu = floor(x^128 / G) by long division.
+        Gf2Poly rem = Gf2Poly::monomial(128);
+        Gf2Poly mu;
+        for (long d = rem.degree(); d >= 64; d = rem.degree()) {
+            mu.setCoeff(static_cast<std::size_t>(d - 64), true);
+            rem = rem + big_g * Gf2Poly::monomial(
+                static_cast<std::size_t>(d - 64));
+        }
+        foldKeys_[5] = low64(mu);
     }
 
     // ---- syndrome byte-evaluation tables (odd exponents only) ----
@@ -193,6 +287,33 @@ BchCode::remainderWords(const std::uint8_t* data, std::uint8_t* out) const
 
 void
 BchCode::encode(const std::uint8_t* data, std::uint8_t* parity) const
+{
+    if (haveClmul())
+        encodeClmul(data, parity);
+    else
+        encodeTable(data, parity);
+}
+
+void
+BchCode::encodeClmul(const std::uint8_t* data, std::uint8_t* parity) const
+{
+#if FLASHCACHE_HAVE_CLMUL_KERNELS
+    if (clmulFold_) {
+        // data(x) x^64 mod G = (data(x) x^r mod g) x^(64 - r).
+        const std::uint64_t rem =
+            foldRemainder(data, dataBits_ / 8, foldKeys_) >>
+            (64 - parityBits_);
+        const std::uint32_t pbytes = parityBytes();
+        for (std::uint32_t i = 0; i < pbytes; ++i)
+            parity[i] = static_cast<std::uint8_t>(rem >> (8 * i));
+        return;
+    }
+#endif
+    encodeTable(data, parity);
+}
+
+void
+BchCode::encodeTable(const std::uint8_t* data, std::uint8_t* parity) const
 {
     switch (parityWords_) {
       case 1: remainderWords<1>(data, parity); break;
@@ -402,6 +523,37 @@ BchCode::decode(std::uint8_t* data, std::uint8_t* parity) const
         const std::uint32_t p = gf_.logAlpha(sigma[1]);
         if (p < total)
             positions[nfound++] = p;
+    } else if (deg == 2 && gf_.m() % 2 == 1) {
+        // sigma(x) = 1 + s1 x + s2 x^2 with x = (s1/s2) y becomes
+        // y^2 + y = c, c = s2/s1^2. For odd m the half-trace
+        // y = sum_{i <= (m-1)/2} c^(4^i) solves it when Tr(c) = 0;
+        // otherwise y^2 + y = c + 1 and there is no root. The roots
+        // are x = (s1/s2) y and (s1/s2)(y + 1), at p = (n - log x)
+        // mod n. s1 = 0 is a double root: not two distinct errors.
+        if (sigma[1] != 0) {
+            const GaloisField::Elem c =
+                gf_.div(sigma[2], gf_.square(sigma[1]));
+            GaloisField::Elem y = 0;
+            GaloisField::Elem c4i = c;
+            for (unsigned i = 0; i <= (gf_.m() - 1) / 2; ++i) {
+                y ^= c4i;
+                c4i = gf_.square(gf_.square(c4i));
+            }
+            if ((gf_.square(y) ^ y) == c) {
+                const std::uint32_t nmod = gf_.groupOrder();
+                const GaloisField::Elem scale = gf_.div(sigma[1], sigma[2]);
+                std::uint32_t p0 =
+                    (nmod - gf_.logAlpha(gf_.mul(scale, y))) % nmod;
+                std::uint32_t p1 =
+                    (nmod - gf_.logAlpha(gf_.mul(scale, y ^ 1))) % nmod;
+                if (p0 > p1)
+                    std::swap(p0, p1);
+                if (p1 < total) {
+                    positions[nfound++] = p0;
+                    positions[nfound++] = p1;
+                }
+            }
+        }
     } else {
         // Chien search over the shortened positions: sigma has a root
         // at alpha^{-p} exactly when an error sits at codeword

@@ -13,15 +13,29 @@
  * the error locator polynomial, Chien search to find its roots, and
  * in-place bit flips (binary code, so error magnitude is always 1).
  *
- * The hot paths share one allocation-free kernel, the remainder
- * data(x) * x^r mod g(x), computed slicing-by-8 (the structure of
- * crc32Update): the parity state is kept left-aligned in W = ceil(r/64)
- * 64-bit words, and each step folds 8 data bytes through eight
- * constructor-built 256-entry tables T_k[b] = b(x) x^(8k) x^r mod g,
- *     R' = (R_lo << 64) ^ XOR_k T_k[byte_k(R_hi ^ D)],
- * compiled for W = 1..4 (r <= 256; wider codes run the same kernel
- * with a runtime word count). A byte LFSR on the same state covers
- * the dataBits/8 mod 8 tail bytes.
+ * The hot paths share one allocation-free O(n) pass, the remainder
+ * data(x) * x^r mod g(x), with two kernels chosen at run time:
+ *  - PCLMULQDQ fold (x86-64 hosts where haveClmul(), codes with
+ *    r <= 64 and a data length that is a nonzero multiple of 16
+ *    bytes; hasClmulFold()). It reduces modulo G = g(x) x^(64-r), a
+ *    monic degree-64 polynomial, so every folding constant fits one
+ *    64-bit half-lane. Little-endian 64-bit words are already in
+ *    coefficient order, so the data is read from its highest-degree
+ *    end with no bit reflection: four 128-bit lanes fold 512 bits per
+ *    step (x^512, x^576 mod G), merge into one (x^128, x^192 mod G),
+ *    which folds 128 bits per step; the lane is multiplied by x^64
+ *    (x^64, x^128 mod G), Barrett-reduced with mu = floor(x^128 / G)
+ *    and shifted down by 64 - r. The constructor derives every
+ *    constant from g(x).
+ *  - Slicing-by-8 (every other code or host; the structure of
+ *    crc32Update's table path): the parity state is kept left-aligned
+ *    in W = ceil(r/64) 64-bit words, and each step folds 8 data bytes
+ *    through eight constructor-built 256-entry tables
+ *    T_k[b] = b(x) x^(8k) x^r mod g,
+ *        R' = (R_lo << 64) ^ XOR_k T_k[byte_k(R_hi ^ D)],
+ *    compiled for W = 1..4 (r <= 256; wider codes run the same kernel
+ *    with a runtime word count). A byte LFSR on the same state covers
+ *    the dataBits/8 mod 8 tail bytes.
  *  - encode() is that remainder.
  *  - decode() and isCodewordClean() compute encode(data) ^ parity,
  *    the received word mod g. A zero result is a clean page and ends
@@ -30,9 +44,12 @@
  *    because g(alpha^j) = 0 for j = 1..2t; even syndromes follow from
  *    S_2j = S_j^2.
  *  - A degree-1 locator 1 + sigma_1 x is solved in closed form
- *    (p = log sigma_1; p outside the shortened word is uncorrectable);
- *    larger locators go to a Chien search that steps each coefficient
- *    in the log domain and exits once all roots are found.
+ *    (p = log sigma_1; p outside the shortened word is uncorrectable).
+ *    So is a degree-2 locator over a field of odd degree m: x =
+ *    (sigma_1/sigma_2) y turns it into y^2 + y = sigma_2/sigma_1^2,
+ *    solved by the half-trace. Larger locators, and degree 2 when m is
+ *    even, go to a Chien search that steps each coefficient in the
+ *    log domain and exits once all roots are found.
  *  - Berlekamp-Massey and Chien scratch live in a per-code workspace
  *    sized at construction, so steady-state encode/decode perform no
  *    heap allocation.
@@ -118,13 +135,31 @@ class BchCode
     const Gf2Poly& generator() const { return gen_; }
 
     /**
-     * Systematic encode: parity = data(x) x^r mod g(x), slicing-by-8,
-     * no allocation.
+     * Systematic encode: parity = data(x) x^r mod g(x) through the
+     * CLMUL fold when the host has it (encodeClmul), else slicing-by-8
+     * (encodeTable); no allocation.
      *
      * @param data   dataBits()/8 bytes of payload.
      * @param parity Out: parityBytes() bytes of check bits.
      */
     void encode(const std::uint8_t* data, std::uint8_t* parity) const;
+
+    /** encode() through the slicing-by-8 kernel, on any host. */
+    void encodeTable(const std::uint8_t* data, std::uint8_t* parity) const;
+
+    /**
+     * encode() through the PCLMULQDQ fold when hasClmulFold(), else
+     * through encodeTable(). @pre haveClmul(); a build without the
+     * CLMUL kernels always runs encodeTable().
+     */
+    void encodeClmul(const std::uint8_t* data, std::uint8_t* parity) const;
+
+    /**
+     * True when the code's shape admits the CLMUL fold: r <= 64 and a
+     * data length that is a nonzero multiple of 16 bytes. Says nothing
+     * about the host; see haveClmul().
+     */
+    bool hasClmulFold() const { return clmulFold_; }
 
     /**
      * Decode and correct in place (remainder-first syndromes,
@@ -224,6 +259,15 @@ class BchCode
      * 64 * parityWords_ - r bits), for k = 0..7.
      */
     std::vector<std::uint64_t> sliceTable_;
+    /** hasClmulFold(). */
+    bool clmulFold_ = false;
+    /**
+     * CLMUL folding constants modulo G = g(x) x^(64 - r), when
+     * hasClmulFold(): x^512, x^576, x^128, x^192 and x^64 mod G, then
+     * the low 64 bits of mu = floor(x^128 / G) (its x^64 term is
+     * implicit). x^64 mod G is also G's low 64 bits.
+     */
+    std::uint64_t foldKeys_[6] = {};
     /**
      * byteEval_[k * 256 + b] = b(alpha^j) for the k-th odd syndrome
      * exponent j = 2k + 1, b interpreted as a degree-7 polynomial.

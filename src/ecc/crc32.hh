@@ -7,10 +7,14 @@
  * and the CRC catches those false positives. 4 of the page's 64 spare
  * bytes hold this checksum.
  *
- * The default implementation uses slicing-by-8 (eight 256-entry
- * tables, 8 input bytes folded per step); the classic one-table
- * byte-wise version is kept as crc32Bytewise for differential tests
- * and benchmark comparison.
+ * crc32/crc32Update pick a kernel at run time. On an x86-64 host with
+ * PCLMULQDQ (haveClmul() in ecc/clmul.hh) every run of 16 bytes or
+ * more is folded with carry-less multiplies, 64 bytes per step, and
+ * the < 16-byte tail goes through slicing-by-8; any other host runs
+ * slicing-by-8 (eight 256-entry tables, 8 input bytes folded per
+ * step) throughout. Both kernels are callable directly for the
+ * differential tests and micro_bch, and the classic one-table
+ * byte-wise version is kept as crc32Bytewise, the tests' oracle.
  */
 
 #ifndef FLASHCACHE_ECC_CRC32_HH
@@ -27,6 +31,18 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
 /** Incrementally extend a CRC-32 with more data. */
 std::uint32_t crc32Update(std::uint32_t crc, const std::uint8_t* data,
                           std::size_t len);
+
+/** crc32Update through slicing-by-8 only, on any host. */
+std::uint32_t crc32UpdateTable(std::uint32_t crc, const std::uint8_t* data,
+                               std::size_t len);
+
+/**
+ * crc32Update through the PCLMULQDQ fold (slicing-by-8 for the
+ * < 16-byte tail). @pre haveClmul(); a build without the CLMUL
+ * kernels runs crc32UpdateTable instead.
+ */
+std::uint32_t crc32UpdateClmul(std::uint32_t crc, const std::uint8_t* data,
+                               std::size_t len);
 
 /** One-table byte-at-a-time reference implementation. */
 std::uint32_t crc32Bytewise(const std::uint8_t* data, std::size_t len);

@@ -9,20 +9,25 @@
  * detect or miscorrect identically. Edge cases of the slicing-by-8
  * remainder kernel (byte tails, r = 64, four state words) and of the
  * closed-form single-error locator are checked against the same
- * oracle. Also enforces the "no heap
- * allocation in steady-state encode/decode" contract by counting
- * global operator new calls around the hot path.
+ * oracle, as are both remainder kernels (PCLMULQDQ fold and
+ * slicing-by-8) called directly, and the closed-form degree-2 locator
+ * on random error pairs. Also enforces the "no heap allocation in
+ * steady-state encode/decode" contract by counting global operator
+ * new calls around the hot path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "ecc/bch.hh"
+#include "ecc/clmul.hh"
 #include "ecc/crc32.hh"
 #include "util/rng.hh"
 
@@ -97,6 +102,25 @@ injectErrors(Rng& rng, std::vector<std::uint8_t>& data,
         picks.insert(static_cast<std::uint32_t>(rng.uniformInt(total)));
     for (std::uint32_t p : picks)
         flipCodewordBit(data, parity, parity_bits, p);
+}
+
+/**
+ * Zero data with parity = errors(x) mod g(x): a received word
+ * congruent to errors at the set coefficients of errors(x), which may
+ * lie past the shortened word.
+ */
+void
+wordCongruentTo(const BchCode& code, const Gf2Poly& errors,
+                std::vector<std::uint8_t>& data,
+                std::vector<std::uint8_t>& parity)
+{
+    const Gf2Poly rem = errors.mod(code.generator());
+    data.assign(code.dataBits() / 8, 0);
+    parity.assign(code.parityBytes(), 0);
+    for (std::uint32_t i = 0; i < code.parityBits(); ++i) {
+        if (rem.coeff(i))
+            parity[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    }
 }
 
 /**
@@ -262,6 +286,64 @@ TEST(BchDifferentialTest, KernelEdgeCodesMatchReference)
     }
 }
 
+/** An encoder kernel: encodeTable or encodeClmul. */
+using EncodeKernel = void (BchCode::*)(const std::uint8_t*,
+                                       std::uint8_t*) const;
+
+/**
+ * The kernel agrees with encodeReference on codes the CLMUL fold
+ * takes: every m = 15 page code with t <= 4, the r = 64 and r = 63
+ * edges, and m = 15, t = 4 at lengths that exercise one lane only
+ * (16, 48 bytes), four lanes with no step (64) and four lanes plus
+ * one-lane steps (112).
+ */
+void
+expectKernelMatchesReference(EncodeKernel kernel)
+{
+    const struct {
+        unsigned m, t;
+        std::uint32_t bytes, r;
+    } params[] = {
+        {15, 1, 2048, 15}, {15, 2, 2048, 30}, {15, 3, 2048, 45},
+        {15, 4, 2048, 60}, {16, 4, 2048, 64}, {9, 7, 48, 63},
+        {15, 4, 16, 60},   {15, 4, 48, 60},   {15, 4, 64, 60},
+        {15, 4, 112, 60},
+    };
+    Rng rng(91);
+    for (const auto& pr : params) {
+        BchCode code(pr.m, pr.t, pr.bytes * 8);
+        SCOPED_TRACE(::testing::Message() << "m=" << pr.m << " t=" << pr.t
+                                          << " bytes=" << pr.bytes);
+        ASSERT_EQ(code.parityBits(), pr.r);
+        ASSERT_TRUE(code.hasClmulFold());
+        std::vector<std::vector<std::uint8_t>> pages = {
+            std::vector<std::uint8_t>(pr.bytes, 0xFF),
+            std::vector<std::uint8_t>(pr.bytes, 0)};
+        pages.back().back() = 0x80; // only the top coefficient set
+        for (int trial = 0; trial < 20; ++trial)
+            pages.push_back(randomBytes(rng, pr.bytes));
+        for (const auto& data : pages) {
+            std::vector<std::uint8_t> fast(code.parityBytes(), 0xAA);
+            std::vector<std::uint8_t> ref(code.parityBytes(), 0x55);
+            (code.*kernel)(data.data(), fast.data());
+            code.encodeReference(data.data(), ref.data());
+            ASSERT_EQ(fast, ref);
+        }
+    }
+}
+
+TEST(BchDifferentialTest, TableKernelMatchesReferenceOnFoldCodes)
+{
+    expectKernelMatchesReference(&BchCode::encodeTable);
+}
+
+TEST(BchDifferentialTest, ClmulKernelMatchesReferenceOnFoldCodes)
+{
+    if (!haveClmul())
+        GTEST_SKIP() << "host has no PCLMULQDQ";
+    expectKernelMatchesReference(&BchCode::encodeClmul);
+}
+
 TEST(BchDifferentialTest, SingleRootOutsideShortenedWordIsUncorrectable)
 {
     // Zero data with parity = x^p mod g(x) is congruent to a single
@@ -272,19 +354,96 @@ TEST(BchDifferentialTest, SingleRootOutsideShortenedWordIsUncorrectable)
     const std::uint32_t n = code.field().groupOrder();
     for (const std::uint32_t p : {code.codewordBits(),
                                   code.codewordBits() + 1, n - 1}) {
-        const Gf2Poly rem = Gf2Poly::monomial(p).mod(code.generator());
-        std::vector<std::uint8_t> data(code.dataBits() / 8, 0);
-        std::vector<std::uint8_t> parity(code.parityBytes(), 0);
-        for (std::uint32_t i = 0; i < code.parityBits(); ++i) {
-            if (rem.coeff(i))
-                parity[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-        }
+        std::vector<std::uint8_t> data;
+        std::vector<std::uint8_t> parity;
+        wordCongruentTo(code, Gf2Poly::monomial(p), data, parity);
         const auto data_in = data;
         const auto parity_in = parity;
         const auto res = decodeBothAndCompare(code, data, parity);
         EXPECT_FALSE(res.ok) << "p=" << p;
         EXPECT_EQ(data, data_in) << "p=" << p;
         EXPECT_EQ(parity, parity_in) << "p=" << p;
+    }
+}
+
+TEST(BchDifferentialTest, ErrorPairsOnPageCodeMatchReference)
+{
+    // m = 15 is odd, so two errors take the closed-form half-trace
+    // solve; positions come back ascending, as the Chien sweep gives.
+    Rng rng(88);
+    BchCode code(15, 4, 2048 * 8);
+    const auto orig = randomBytes(rng, 2048);
+    std::vector<std::uint8_t> orig_parity(code.parityBytes(), 0);
+    code.encode(orig.data(), orig_parity.data());
+    const std::uint32_t total = code.codewordBits();
+    for (int trial = 0; trial < 300; ++trial) {
+        auto data = orig;
+        auto parity = orig_parity;
+        std::uint32_t a = static_cast<std::uint32_t>(rng.uniformInt(total));
+        std::uint32_t b = static_cast<std::uint32_t>(rng.uniformInt(total));
+        if (trial == 0) {
+            a = 0;
+            b = total - 1;
+        }
+        if (a == b)
+            continue;
+        flipCodewordBit(data, parity, code.parityBits(), a);
+        flipCodewordBit(data, parity, code.parityBits(), b);
+        const auto res = decodeBothAndCompare(code, data, parity);
+        ASSERT_TRUE(res.ok) << "a=" << a << " b=" << b;
+        ASSERT_EQ(res.correctedBits, 2u);
+        EXPECT_EQ(res.positions[0], std::min(a, b));
+        EXPECT_EQ(res.positions[1], std::max(a, b));
+        EXPECT_EQ(data, orig);
+        EXPECT_EQ(parity, orig_parity);
+    }
+}
+
+TEST(BchDifferentialTest, PairWithRootPastShortenedWordIsUncorrectable)
+{
+    // One locator root inside the word and one past it: both decoders
+    // must refuse and leave the buffers untouched.
+    BchCode code(15, 4, 2048 * 8);
+    const std::uint32_t total = code.codewordBits();
+    const std::uint32_t n = code.field().groupOrder();
+    const std::pair<std::uint32_t, std::uint32_t> pairs[] = {
+        {0, total}, {total - 1, n - 1}, {12345, total + 7},
+        {total, n - 1}};
+    for (const auto& [a, b] : pairs) {
+        std::vector<std::uint8_t> data;
+        std::vector<std::uint8_t> parity;
+        wordCongruentTo(code, Gf2Poly::monomial(a) + Gf2Poly::monomial(b),
+                        data, parity);
+        const auto data_in = data;
+        const auto parity_in = parity;
+        const auto res = decodeBothAndCompare(code, data, parity);
+        EXPECT_FALSE(res.ok) << "a=" << a << " b=" << b;
+        EXPECT_EQ(data, data_in);
+        EXPECT_EQ(parity, parity_in);
+    }
+}
+
+TEST(BchDifferentialTest, EvenFieldErrorPairsMatchReference)
+{
+    // Even m has no half-trace solve; two errors keep the Chien sweep.
+    Rng rng(89);
+    const struct { unsigned m, t; std::uint32_t bytes; } params[] = {
+        {10, 3, 64}, {16, 4, 2048}};
+    for (const auto& pr : params) {
+        BchCode code(pr.m, pr.t, pr.bytes * 8);
+        const auto orig = randomBytes(rng, pr.bytes);
+        std::vector<std::uint8_t> orig_parity(code.parityBytes(), 0);
+        code.encode(orig.data(), orig_parity.data());
+        for (int trial = 0; trial < 40; ++trial) {
+            auto data = orig;
+            auto parity = orig_parity;
+            injectErrors(rng, data, parity, code.parityBits(), 2);
+            const auto res = decodeBothAndCompare(code, data, parity);
+            ASSERT_TRUE(res.ok) << "m=" << pr.m;
+            ASSERT_EQ(res.correctedBits, 2u);
+            EXPECT_LT(res.positions[0], res.positions[1]);
+            EXPECT_EQ(data, orig);
+        }
     }
 }
 
@@ -383,41 +542,48 @@ TEST(BchDifferentialTest, SteadyStateEncodeDecodeDoNotAllocate)
 {
     // The acceptance contract of the word-parallel rewrite: after
     // construction, encode and decode (clean, corrected and overflow
-    // paths) never touch the heap.
+    // paths) never touch the heap. t = 4 takes the CLMUL fold (on a
+    // host with it) and the closed-form two-error locator; t = 12 the
+    // multiword table kernel and the Chien sweep.
     Rng rng(75);
-    BchCode code(15, 12, 2048 * 8);
-    auto data = randomBytes(rng, 2048);
-    std::vector<std::uint8_t> parity(code.parityBytes(), 0);
+    for (const unsigned t : {4u, 12u}) {
+        SCOPED_TRACE(::testing::Message() << "t=" << t);
+        BchCode code(15, t, 2048 * 8);
+        auto data = randomBytes(rng, 2048);
+        std::vector<std::uint8_t> parity(code.parityBytes(), 0);
 
-    // Warm up every path once (lazy CRC-style statics, etc.).
-    code.encode(data.data(), parity.data());
-    (void)code.decode(data.data(), parity.data());
+        // Warm up every path once (lazy CRC-style statics, etc.).
+        code.encode(data.data(), parity.data());
+        (void)code.decode(data.data(), parity.data());
 
-    const std::uint64_t before = g_allocations.load();
+        const std::uint64_t before = g_allocations.load();
 
-    code.encode(data.data(), parity.data());
+        code.encode(data.data(), parity.data());
 
-    // Clean decode.
-    auto res = code.decode(data.data(), parity.data());
-    EXPECT_TRUE(res.ok);
+        // Clean decode.
+        auto res = code.decode(data.data(), parity.data());
+        EXPECT_TRUE(res.ok);
 
-    // Decode with t correctable errors.
-    for (unsigned e = 0; e < 12; ++e)
-        data[100 * e + 3] ^= 4;
-    res = code.decode(data.data(), parity.data());
-    EXPECT_TRUE(res.ok);
-    EXPECT_EQ(res.correctedBits, 12u);
+        // Decode with two errors, then with t correctable errors.
+        for (const unsigned nerr : {2u, t}) {
+            for (unsigned e = 0; e < nerr; ++e)
+                data[100 * e + 3] ^= 4;
+            res = code.decode(data.data(), parity.data());
+            EXPECT_TRUE(res.ok);
+            EXPECT_EQ(res.correctedBits, nerr);
+        }
 
-    // isCodewordClean rides the same syndrome path.
-    EXPECT_TRUE(code.isCodewordClean(data.data(), parity.data()));
+        // isCodewordClean rides the same syndrome path.
+        EXPECT_TRUE(code.isCodewordClean(data.data(), parity.data()));
 
-    // Overflow (detected or miscorrected): still allocation-free.
-    for (unsigned e = 0; e < 14; ++e)
-        data[50 * e + 7] ^= 0x20;
-    (void)code.decode(data.data(), parity.data());
+        // Overflow (detected or miscorrected): still allocation-free.
+        for (unsigned e = 0; e < t + 2; ++e)
+            data[50 * e + 7] ^= 0x20;
+        (void)code.decode(data.data(), parity.data());
 
-    EXPECT_EQ(g_allocations.load(), before)
-        << "steady-state encode/decode touched the heap";
+        EXPECT_EQ(g_allocations.load(), before)
+            << "steady-state encode/decode touched the heap";
+    }
 }
 
 } // namespace

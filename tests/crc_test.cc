@@ -1,6 +1,8 @@
 /**
  * @file
- * CRC32 tests: known vectors and detection properties.
+ * CRC32 tests: known vectors, detection properties, and both
+ * kernels (PCLMULQDQ fold and slicing-by-8) against the byte-wise
+ * reference.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "ecc/clmul.hh"
 #include "ecc/crc32.hh"
 #include "util/rng.hh"
 
@@ -61,6 +64,48 @@ TEST(Crc32Test, SliceBy8MatchesBytewiseReference)
     b = crc32BytewiseUpdate(b, buf.data(), 1024);
     b = crc32BytewiseUpdate(b, buf.data() + 1024, 1024);
     EXPECT_EQ(a, b);
+}
+
+using Crc32Kernel = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
+                                      std::size_t);
+
+/**
+ * A kernel agrees with crc32BytewiseUpdate from a nonzero chained CRC
+ * at lengths 0..300 (every 4-lane/1-lane/tail split of the fold) and
+ * at 2047, 2048 and 4096 bytes, each at start offsets 0..15.
+ */
+void
+expectKernelMatchesBytewise(Crc32Kernel kernel)
+{
+    Rng rng(11);
+    std::vector<std::uint8_t> buf(4096 + 16);
+    for (auto& b : buf)
+        b = static_cast<std::uint8_t>(rng.uniformInt(256));
+    const std::uint32_t chained = crc32Bytewise(buf.data(), 9);
+    std::vector<std::size_t> lens;
+    for (std::size_t len = 0; len <= 300; ++len)
+        lens.push_back(len);
+    for (std::size_t len : {2047u, 2048u, 4096u})
+        lens.push_back(len);
+    for (std::size_t off = 0; off < 16; ++off) {
+        for (std::size_t len : lens) {
+            ASSERT_EQ(kernel(chained, buf.data() + off, len),
+                      crc32BytewiseUpdate(chained, buf.data() + off, len))
+                << "offset " << off << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32Test, TableKernelMatchesBytewiseReference)
+{
+    expectKernelMatchesBytewise(crc32UpdateTable);
+}
+
+TEST(Crc32Test, ClmulKernelMatchesBytewiseReference)
+{
+    if (!haveClmul())
+        GTEST_SKIP() << "host has no PCLMULQDQ";
+    expectKernelMatchesBytewise(crc32UpdateClmul);
 }
 
 TEST(Crc32Test, DetectsSingleBitFlips)
