@@ -1,0 +1,94 @@
+/**
+ * @file
+ * google-benchmark microbenchmark for the virtual-time event engine
+ * (sched::ClosedLoop) alone, on a scripted Financial1-shaped source:
+ * 8 closed-loop clients, each request one foreground DRAM stage plus
+ * on average one background disk op, with the disk held near
+ * saturation as in the write-heavy Table 4 trace. No device model
+ * runs, so the reported time_per_req is the engine's own cost per
+ * simulated request. End-to-end host cost is measured by
+ * `python3 perfbench/run.py`.
+ */
+
+#include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "sched/demand.hh"
+#include "sched/scheduler.hh"
+#include "util/rng.hh"
+
+using namespace flashcache;
+
+namespace {
+
+constexpr std::uint32_t kClients = 8;
+constexpr Seconds kCompute = 1.5e-3;
+constexpr Seconds kDramService = 1e-6;
+/** Mean per-request offered disk time: 95% of the disk's capacity
+ *  at the clients' request rate, so its queue stays busy but bounded. */
+constexpr Seconds kDiskPerRequest = 0.95 * kCompute / kClients;
+
+struct Request
+{
+    Seconds compute;
+    std::uint32_t bgOps; ///< 0, 1 or 2 background disk ops
+    Seconds bgService;
+};
+
+/** A fixed ring of jittered requests, replayed in order. */
+std::vector<Request>
+makeScript(std::size_t n)
+{
+    Rng rng(7);
+    std::vector<Request> script(n);
+    for (Request& r : script) {
+        r.compute = kCompute * rng.uniform(0.5, 1.5);
+        r.bgOps = static_cast<std::uint32_t>(rng.uniformInt(3));
+        r.bgService = kDiskPerRequest * rng.uniform(0.5, 1.5);
+    }
+    return script;
+}
+
+void
+BM_ClosedLoopFinancial1Shape(benchmark::State& state)
+{
+    const auto requests = static_cast<std::uint64_t>(state.range(0));
+    const std::vector<Request> script = makeScript(4096);
+    sched::SchedConfig cfg;
+    cfg.clients = kClients;
+    cfg.flashChannels = 4;
+    for (auto _ : state) {
+        sched::DemandSink sink;
+        sched::ClosedLoop loop(cfg, sink);
+        std::uint64_t issued = 0;
+        loop.run(
+            [&](Seconds& compute) {
+                if (issued == requests)
+                    return false;
+                const Request& r = script[issued++ % script.size()];
+                compute = r.compute;
+                sink.record(sched::ResourceKind::DramPort, 0,
+                            kDramService);
+                const sched::BackgroundScope bg(&sink);
+                for (std::uint32_t i = 0; i < r.bgOps; ++i)
+                    sink.record(sched::ResourceKind::Disk, 0,
+                                r.bgService);
+                return true;
+            },
+            [](Seconds, Seconds, Seconds) {});
+        benchmark::DoNotOptimize(loop.wallClock());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * requests));
+    state.counters["time_per_req"] = benchmark::Counter(
+        static_cast<double>(requests),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ClosedLoopFinancial1Shape)->Arg(100000);
+
+} // namespace
+
+BENCHMARK_MAIN();

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "obs/metrics.hh"
+#include "util/log.hh"
 
 namespace flashcache {
 namespace sched {
@@ -57,58 +58,39 @@ LogHistogram::merge(const LogHistogram& other)
 ClosedLoop::ClosedLoop(const SchedConfig& cfg, DemandSink& sink)
     : config_(cfg), sink_(sink)
 {
-    assert(config_.clients > 0 && config_.flashChannels > 0 &&
-           config_.dramPorts > 0);
-    resources_.reserve(config_.flashChannels + 3);
-    for (std::uint32_t c = 0; c < config_.flashChannels; ++c) {
-        Resource r;
-        r.group = Group::Flash;
-        r.servers = 1;
-        resources_.push_back(std::move(r));
-    }
-    {
-        Resource disk;
-        disk.group = Group::Disk;
-        disk.servers = 1;
-        resources_.push_back(std::move(disk));
-    }
-    {
-        Resource ecc;
-        ecc.group = Group::Ecc;
-        ecc.servers = config_.resolvedEccUnits();
-        resources_.push_back(std::move(ecc));
-    }
-    {
-        Resource dram;
-        dram.group = Group::Dram;
-        dram.servers = config_.dramPorts;
-        resources_.push_back(std::move(dram));
-    }
+    if (config_.clients == 0)
+        fatal("SchedConfig::clients must be positive");
+    if (config_.flashChannels == 0)
+        fatal("SchedConfig::flashChannels must be positive");
+    if (config_.dramPorts == 0)
+        fatal("SchedConfig::dramPorts must be positive");
+    resources_.resize(config_.flashChannels + 3);
+    const auto setGroup = [this](std::uint32_t res, Group g,
+                                 std::uint32_t servers) {
+        resources_[res].group = g;
+        resources_[res].servers = servers;
+    };
+    for (std::uint32_t c = 0; c < config_.flashChannels; ++c)
+        setGroup(c, Group::Flash, 1);
+    setGroup(config_.flashChannels, Group::Disk, 1);
+    setGroup(config_.flashChannels + 1, Group::Ecc,
+             config_.resolvedEccUnits());
+    setGroup(config_.flashChannels + 2, Group::Dram, config_.dramPorts);
     jobs_.resize(config_.clients);
 }
 
-bool
-ClosedLoop::later(const Event& a, const Event& b)
-{
-    // Min-heap on (time, insertion sequence): "a sorts after b".
-    if (a.t != b.t)
-        return a.t > b.t;
-    return a.seq > b.seq;
-}
-
 void
-ClosedLoop::push(Seconds t, EventKind kind, std::uint32_t res,
-                 std::uint32_t job, Seconds service)
+ClosedLoop::push(Seconds t, EventKind kind, std::uint32_t id)
 {
     assert(t >= now_);
-    heap_.push_back({t, nextSeq_++, kind, res, job, service});
-    std::push_heap(heap_.begin(), heap_.end(), later);
+    heap_.push_back({t, nextSeq_++, kind, id});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 ClosedLoop::Event
 ClosedLoop::pop()
 {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Event ev = heap_.back();
     heap_.pop_back();
     return ev;
@@ -151,133 +133,168 @@ ClosedLoop::dispatch(std::uint32_t res, Seconds t)
     // preemption of ops already in service).
     while (r.busyServers < r.servers &&
            (!r.fg.empty() || !r.bg.empty())) {
+        ++r.busyServers;
         if (!r.fg.empty()) {
-            const FgWait w = r.fg.front();
+            const std::uint32_t job = r.fg.front();
             r.fg.pop_front();
-            ++r.busyServers;
-            const Job& j = jobs_[w.job];
-            push(t + j.stages[j.cursor].service, EventKind::FgDone, res,
-                 w.job);
+            const Job& j = jobs_[job];
+            push(t + j.ops[j.cursor].service, EventKind::FgDone, job);
         } else {
-            const BgOp op = r.bg.front();
+            const Seconds service = r.bg.front();
             r.bg.pop_front();
-            ++r.busyServers;
-            push(t + op.service, EventKind::BgDone, res, 0);
+            push(t + service, EventKind::BgDone, res);
         }
     }
     r.maxQueue = std::max(
         r.maxQueue, static_cast<std::uint64_t>(r.fg.size() + r.bg.size()));
 }
 
-void
-ClosedLoop::onClientReady(const Event& ev, const Source& source,
+bool
+ClosedLoop::onClientReady(Event& ev, const Source& source,
                           const DoneFn& done)
 {
+    const std::uint32_t job = ev.id;
     sink_.clear();
     Seconds compute = 0;
     if (!source(compute))
-        return; // workload exhausted: this client retires
-    Job& j = jobs_[ev.job];
+        return false; // workload exhausted: this client retires
+    Job& j = jobs_[job];
     j.compute = compute;
-    j.issue = ev.t + compute;
-    j.stages.clear();
+    j.issue = now_ + compute;
+    j.ops.clear();
     j.cursor = 0;
-    for (const Demand& d : sink_.demands()) {
-        if (d.background) {
-            push(j.issue, EventKind::BgArrive, resourceOf(d), 0,
-                 d.service);
-            ++bgSubmitted_;
-        } else {
-            j.stages.push_back({resourceOf(d), d.service});
-        }
+    const std::vector<Demand>& demands = sink_.demands();
+    for (const Demand& d : demands) {
+        if (!d.background)
+            j.ops.push_back({resourceOf(d), d.service});
     }
-    if (j.stages.empty()) {
+    j.stages = static_cast<std::uint32_t>(j.ops.size());
+    for (const Demand& d : demands) {
+        if (d.background)
+            j.ops.push_back({resourceOf(d), d.service});
+    }
+    bgSubmitted_ += j.ops.size() - j.stages;
+    if (j.stages == 0) {
         ++fgCompleted_;
         done(j.compute, j.issue, j.issue);
-        push(j.issue, EventKind::ClientReady, 0, ev.job);
-    } else {
-        push(j.issue, EventKind::StageArrive, j.stages[0].resource,
-             ev.job);
     }
+    ev = {j.issue, 0, EventKind::Issue, job};
+    return true;
 }
 
-void
-ClosedLoop::onStageArrive(const Event& ev)
+bool
+ClosedLoop::onIssue(Event& ev, const Source& source, const DoneFn& done)
 {
-    Resource& r = resources_[ev.res];
-    advance(r, ev.t);
-    jobs_[ev.job].arrival = ev.t;
-    r.fg.push_back({ev.job, ev.t});
-    dispatch(ev.res, ev.t);
+    // One event stands for what would otherwise be one arrival event
+    // per background op, then the stage-0 arrival (or, with no
+    // stages, the next draw): they would carry consecutive sequence
+    // numbers at this instant, so nothing could run between them.
+    const Job& j = jobs_[ev.id];
+    for (std::size_t k = j.stages; k < j.ops.size(); ++k) {
+        const Stage& op = j.ops[k];
+        Resource& r = resources_[op.resource];
+        advance(r, now_);
+        r.bg.push_back(op.service);
+        dispatch(op.resource, now_);
+    }
+    if (j.stages == 0)
+        return onClientReady(ev, source, done);
+    return onStageArrive(ev);
 }
 
-void
-ClosedLoop::onBgArrive(const Event& ev)
+bool
+ClosedLoop::onStageArrive(Event& ev)
 {
-    Resource& r = resources_[ev.res];
-    advance(r, ev.t);
-    r.bg.push_back({ev.service, ev.t});
-    dispatch(ev.res, ev.t);
+    const std::uint32_t job = ev.id;
+    Job& j = jobs_[job];
+    const Stage& st = j.ops[j.cursor];
+    Resource& r = resources_[st.resource];
+    advance(r, now_);
+    j.arrival = now_;
+    if (r.busyServers < r.servers) {
+        // dispatch() leaves no server idle while work waits, so the
+        // queues are empty and the stage goes straight into service.
+        assert(r.fg.empty() && r.bg.empty());
+        ++r.busyServers;
+        ev = {now_ + st.service, 0, EventKind::FgDone, job};
+        return true;
+    }
+    r.fg.push_back(job);
+    r.maxQueue = std::max(
+        r.maxQueue, static_cast<std::uint64_t>(r.fg.size() + r.bg.size()));
+    return false;
 }
 
-void
-ClosedLoop::onFgDone(const Event& ev, const DoneFn& done)
+bool
+ClosedLoop::onFgDone(Event& ev, const DoneFn& done)
 {
-    Resource& r = resources_[ev.res];
-    advance(r, ev.t);
+    const std::uint32_t job = ev.id;
+    Job& j = jobs_[job];
+    const std::uint32_t res = j.ops[j.cursor].resource;
+    Resource& r = resources_[res];
+    advance(r, now_);
     assert(r.busyServers > 0);
     --r.busyServers;
     ++r.fgServed;
-    Job& j = jobs_[ev.job];
-    r.sojourn.record(ev.t - j.arrival);
-    dispatch(ev.res, ev.t);
-    ++j.cursor;
-    if (j.cursor < j.stages.size()) {
-        push(ev.t, EventKind::StageArrive, j.stages[j.cursor].resource,
-             ev.job);
-    } else {
-        ++fgCompleted_;
-        done(j.compute, j.issue, ev.t);
-        push(ev.t, EventKind::ClientReady, 0, ev.job);
+    r.sojourn.record(now_ - j.arrival);
+    dispatch(res, now_);
+    if (++j.cursor < j.stages) {
+        ev = {now_, 0, EventKind::StageArrive, job};
+        return true;
     }
+    ++fgCompleted_;
+    done(j.compute, j.issue, now_);
+    ev = {now_, 0, EventKind::ClientReady, job};
+    return true;
 }
 
 void
 ClosedLoop::onBgDone(const Event& ev)
 {
-    Resource& r = resources_[ev.res];
-    advance(r, ev.t);
+    Resource& r = resources_[ev.id];
+    advance(r, now_);
     assert(r.busyServers > 0);
     --r.busyServers;
     ++r.bgServed;
-    dispatch(ev.res, ev.t);
+    dispatch(ev.id, now_);
 }
 
 void
 ClosedLoop::run(const Source& source, const DoneFn& done)
 {
     for (std::uint32_t c = 0; c < config_.clients; ++c)
-        push(now_, EventKind::ClientReady, 0, c);
+        push(now_, EventKind::ClientReady, c);
     while (!heap_.empty()) {
-        const Event ev = pop();
-        assert(ev.t >= now_);
-        now_ = ev.t;
-        switch (ev.kind) {
-          case EventKind::ClientReady:
-            onClientReady(ev, source, done);
-            break;
-          case EventKind::StageArrive:
-            onStageArrive(ev);
-            break;
-          case EventKind::BgArrive:
-            onBgArrive(ev);
-            break;
-          case EventKind::FgDone:
-            onFgDone(ev, done);
-            break;
-          case EventKind::BgDone:
-            onBgDone(ev);
-            break;
+        Event ev = pop();
+        bool follow = true;
+        while (follow) {
+            assert(ev.t >= now_);
+            now_ = ev.t;
+            switch (ev.kind) {
+              case EventKind::ClientReady:
+                follow = onClientReady(ev, source, done);
+                break;
+              case EventKind::Issue:
+                follow = onIssue(ev, source, done);
+                break;
+              case EventKind::StageArrive:
+                follow = onStageArrive(ev);
+                break;
+              case EventKind::FgDone:
+                follow = onFgDone(ev, done);
+                break;
+              case EventKind::BgDone:
+                onBgDone(ev);
+                follow = false;
+                break;
+            }
+            // Pushed, the follow-up would take the newest sequence
+            // number, so it is popped next exactly when it sorts
+            // strictly before the heap top: then run it directly.
+            if (follow && !heap_.empty() && heap_.front().t <= ev.t) {
+                push(ev.t, ev.kind, ev.id);
+                follow = false;
+            }
         }
     }
     // Close every resource's integrals out to the final event time

@@ -18,6 +18,17 @@
  * think time, then issues; client count therefore sets the offered
  * concurrency. Everything is ordered by (virtual time, insertion
  * sequence), so runs are bit-deterministic for a fixed seed.
+ *
+ * A request costs about two heap events. Its issue is one event that
+ * enqueues all of its background ops and then arrives at its first
+ * stage. Beyond that, a handler whose last act would be to push one
+ * follow-up event — the next stage or the client's next draw after a
+ * completion, the completion of a stage that found a server free,
+ * the issue after a draw — runs that event directly when it sorts
+ * strictly before the heap top. A pushed follow-up would carry the
+ * newest sequence number, so it would have been the very next event
+ * popped: the shortcut changes no order and no result. On a tie it
+ * goes through the heap.
  */
 
 #ifndef FLASHCACHE_SCHED_SCHEDULER_HH
@@ -144,11 +155,17 @@ class ClosedLoop
     void registerMetrics(obs::MetricRegistry& reg);
 
   private:
+    /**
+     * Event kinds. A handler may leave one follow-up event as its
+     * last act: ClientReady leaves the Issue, Issue and StageArrive
+     * leave the FgDone of a stage that found a server free, FgDone
+     * leaves the next StageArrive or ClientReady.
+     */
     enum class EventKind : std::uint8_t
     {
         ClientReady, ///< client draws + computes its next request
-        StageArrive, ///< fg job joins a resource queue
-        BgArrive,    ///< background op joins a resource queue
+        Issue,       ///< think time over: bg ops enqueue, then stage 0
+        StageArrive, ///< fg job joins its next stage's resource queue
         FgDone,      ///< server finished a fg stage
         BgDone,      ///< server finished a bg op
     };
@@ -158,9 +175,7 @@ class ClosedLoop
         Seconds t;
         std::uint64_t seq; ///< insertion order; deterministic ties
         EventKind kind;
-        std::uint32_t res;  ///< resource index (arrive/done)
-        std::uint32_t job;  ///< client == job index (one in flight)
-        Seconds service;    ///< bg op service time (BgArrive)
+        std::uint32_t id; ///< resource for BgDone, else client == job
     };
 
     struct Stage
@@ -174,20 +189,11 @@ class ClosedLoop
         Seconds compute = 0; ///< think time before issue
         Seconds issue = 0;   ///< post-think; latency baseline
         Seconds arrival = 0; ///< arrival at the current resource
-        std::vector<Stage> stages;
-        std::size_t cursor = 0;
-    };
-
-    struct FgWait
-    {
-        std::uint32_t job;
-        Seconds arrival;
-    };
-
-    struct BgOp
-    {
-        Seconds service;
-        Seconds arrival;
+        /** The fg stages in chain order, then the bg ops in demand
+         *  order; reused across the client's requests. */
+        std::vector<Stage> ops;
+        std::uint32_t stages = 0; ///< fg prefix length of ops
+        std::uint32_t cursor = 0; ///< current fg stage
     };
 
     struct Resource
@@ -195,8 +201,8 @@ class ClosedLoop
         Group group;
         std::uint32_t servers = 1;
         std::uint32_t busyServers = 0;
-        std::deque<FgWait> fg;
-        std::deque<BgOp> bg;
+        std::deque<std::uint32_t> fg; ///< waiting jobs
+        std::deque<Seconds> bg;       ///< waiting bg service times
 
         Seconds lastT = 0;
         Seconds busy = 0;      ///< integral of busyServers dt
@@ -207,21 +213,37 @@ class ClosedLoop
         LogHistogram sojourn; ///< fg wait+service per visit
     };
 
-    void push(Seconds t, EventKind kind, std::uint32_t res,
-              std::uint32_t job, Seconds service = 0);
+    /** Min-heap order on (time, insertion sequence): "a sorts after
+     *  b". A function object, so the heap algorithms inline it. */
+    struct Later
+    {
+        bool
+        operator()(const Event& a, const Event& b) const
+        {
+            if (a.t != b.t)
+                return a.t > b.t;
+            return a.seq > b.seq;
+        }
+    };
+
+    void push(Seconds t, EventKind kind, std::uint32_t id);
     Event pop();
-    static bool later(const Event& a, const Event& b);
 
     void advance(Resource& r, Seconds t);
     void dispatch(std::uint32_t res, Seconds t);
     std::uint32_t resourceOf(const Demand& d) const;
 
-    void onClientReady(const Event& ev, const Source& source,
+    /// @name Event handlers at virtual time now_.
+    /// Each returns true when it leaves a follow-up event in `ev`,
+    /// which run() then executes directly or pushes.
+    /// @{
+    bool onClientReady(Event& ev, const Source& source,
                        const DoneFn& done);
-    void onStageArrive(const Event& ev);
-    void onBgArrive(const Event& ev);
-    void onFgDone(const Event& ev, const DoneFn& done);
+    bool onIssue(Event& ev, const Source& source, const DoneFn& done);
+    bool onStageArrive(Event& ev);
+    bool onFgDone(Event& ev, const DoneFn& done);
     void onBgDone(const Event& ev);
+    /// @}
 
     template <typename Fn>
     void forGroup(Group g, Fn&& fn) const;

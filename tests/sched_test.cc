@@ -3,9 +3,9 @@
  * Event-scheduler tests: exact virtual-time ordering on scripted
  * demand chains, background two-level scheduling, determinism,
  * queue/utilization invariants under seeded multi-client fuzz,
- * flash-channel scaling of a flash-bound system run, and the identity
+ * flash-channel scaling of a flash-bound system run, the identity
  * between the scheduler's per-group busy time and the device models'
- * own busy counters.
+ * own busy counters, and the fatal configuration checks.
  */
 
 #include <gtest/gtest.h>
@@ -290,6 +290,39 @@ TEST(ClosedLoopTest, ScriptedChannelScaling)
     EXPECT_GE(wall1 / wall4, 3.0);
 }
 
+SchedConfig
+withZero(std::uint32_t SchedConfig::*field)
+{
+    SchedConfig cfg;
+    cfg.*field = 0;
+    return cfg;
+}
+
+// Release builds drop asserts: a zero flash-channel count would divide
+// by zero in resourceOf and zero DRAM ports would strand every request
+// that touches DRAM, so each is a configuration error.
+TEST(ClosedLoopDeathTest, ZeroClientsIsFatal)
+{
+    DemandSink sink;
+    EXPECT_DEATH((ClosedLoop{withZero(&SchedConfig::clients), sink}),
+                 "clients must be positive");
+}
+
+TEST(ClosedLoopDeathTest, ZeroFlashChannelsIsFatal)
+{
+    DemandSink sink;
+    EXPECT_DEATH(
+        (ClosedLoop{withZero(&SchedConfig::flashChannels), sink}),
+        "flashChannels must be positive");
+}
+
+TEST(ClosedLoopDeathTest, ZeroDramPortsIsFatal)
+{
+    DemandSink sink;
+    EXPECT_DEATH((ClosedLoop{withZero(&SchedConfig::dramPorts), sink}),
+                 "dramPorts must be positive");
+}
+
 /** Seeded random closed-loop run; returns a full result fingerprint. */
 struct FuzzResult
 {
@@ -442,33 +475,58 @@ TEST(SystemSchedTest, SchedulerBusyMatchesDeviceBusy)
     // with exactly one DemandSink::record, and the scheduler serves
     // every recorded demand once, so each group's server-seconds equal
     // the owning model's busy counter whatever the client count.
-    for (const unsigned clients : {1u, 8u}) {
-        SystemConfig cfg;
-        cfg.dramBytes = mib(32);
-        cfg.flashBytes = mib(64);
-        cfg.computeTime = milliseconds(1.5);
-        cfg.clients = clients;
-        cfg.seed = 13;
-        SystemSimulator sim(cfg);
-        auto gen = makeMacro(macroConfig("dbt2", 0.05));
-        sim.run(*gen, 20000);
+    struct Shape
+    {
+        const char* macro;
+        double scale;
+        std::uint64_t dramMib;
+        std::uint64_t flashMib;
+        std::uint64_t requests;
+        bool writeHeavy; ///< GC and write-back batches must run
+    };
+    // dbt2 is PDC-hit dominated. Financial1 is write-heavy on a small
+    // flash, so GC relocations and PDC flushes put large background
+    // batches into single requests.
+    static constexpr Shape kShapes[] = {
+        {"dbt2", 0.05, 32, 64, 20000, false},
+        {"Financial1", 0.02, 4, 4, 40000, true},
+    };
+    for (const Shape& shape : kShapes) {
+        for (const unsigned clients : {1u, 8u}) {
+            SystemConfig cfg;
+            cfg.dramBytes = mib(shape.dramMib);
+            cfg.flashBytes = mib(shape.flashMib);
+            cfg.computeTime = milliseconds(1.5);
+            cfg.clients = clients;
+            cfg.seed = 13;
+            SystemSimulator sim(cfg);
+            auto gen = makeMacro(macroConfig(shape.macro, shape.scale));
+            sim.run(*gen, shape.requests);
 
-        const obs::MetricRegistry& m = sim.metrics();
-        const auto expectSame = [&](const char* what, double sched,
-                                    double device) {
-            ASSERT_GT(device, 0.0) << what << ", clients " << clients;
-            EXPECT_LE(std::abs(sched - device), 1e-9 * device)
-                << what << ", clients " << clients << ": sched "
-                << sched << " vs device " << device;
-        };
-        expectSame("disk", m.value("sched.disk.busy"),
-                   sim.disk().busyTime());
-        expectSame("dram", m.value("sched.dram.busy"),
-                   sim.dram().readBusyTime() +
-                       sim.dram().writeBusyTime());
-        expectSame("flash", m.value("sched.flash.busy"),
-                   m.value("flash.busy"));
-        expectSame("ecc", m.value("sched.ecc.busy"), m.value("ecc.busy"));
+            const obs::MetricRegistry& m = sim.metrics();
+            const std::string where = std::string(shape.macro) +
+                ", clients " + std::to_string(clients);
+            if (shape.writeHeavy) {
+                ASSERT_GT(m.value("cache.gc_runs"), 0.0) << where;
+                ASSERT_GT(m.value("sched.bg_jobs"), 0.0) << where;
+            }
+            const auto expectSame = [&](const char* what, double sched,
+                                        double device) {
+                ASSERT_GT(device, 0.0) << what << ", " << where;
+                EXPECT_LE(std::abs(sched - device), 1e-9 * device)
+                    << what << ", " << where << ": sched " << sched
+                    << " vs device " << device;
+            };
+            expectSame("disk", m.value("sched.disk.busy"),
+                       sim.disk().busyTime());
+            expectSame("dram", m.value("sched.dram.busy"),
+                       sim.dram().readBusyTime() +
+                           sim.dram().writeBusyTime());
+            expectSame("flash", m.value("sched.flash.busy"),
+                       m.value("flash.busy"));
+            expectSame("ecc", m.value("sched.ecc.busy"),
+                       m.value("ecc.busy"));
+        }
     }
 }
 
