@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sched/demand.hh"
@@ -61,20 +62,23 @@ BM_ClosedLoopFinancial1Shape(benchmark::State& state)
     cfg.flashChannels = 4;
     for (auto _ : state) {
         sched::DemandSink sink;
-        sched::ClosedLoop loop(cfg, sink);
+        sched::ClosedLoop loop(cfg);
         std::uint64_t issued = 0;
         loop.run(
-            [&](Seconds& compute) {
+            [&](Seconds& compute,
+                std::span<const sched::Demand>& demands) {
                 if (issued == requests)
                     return false;
                 const Request& r = script[issued++ % script.size()];
                 compute = r.compute;
+                sink.clear();
                 sink.record(sched::ResourceKind::DramPort, 0,
                             kDramService);
                 const sched::BackgroundScope bg(&sink);
                 for (std::uint32_t i = 0; i < r.bgOps; ++i)
                     sink.record(sched::ResourceKind::Disk, 0,
                                 r.bgService);
+                demands = sink.demands();
                 return true;
             },
             [](Seconds, Seconds, Seconds) {});

@@ -18,16 +18,6 @@ Gf2Poly::monomial(std::size_t deg)
 }
 
 Gf2Poly
-Gf2Poly::fromCoeffs(const std::vector<int>& coeffs)
-{
-    Gf2Poly p;
-    for (std::size_t i = 0; i < coeffs.size(); ++i)
-        if (coeffs[i])
-            p.setCoeff(i, true);
-    return p;
-}
-
-Gf2Poly
 Gf2Poly::fromMask(std::uint64_t mask)
 {
     Gf2Poly p;

@@ -32,9 +32,6 @@ class Gf2Poly
     /** Monomial x^deg (or zero when bit set to false). */
     static Gf2Poly monomial(std::size_t deg);
 
-    /** Build from low-order-first coefficient bits. */
-    static Gf2Poly fromCoeffs(const std::vector<int>& coeffs);
-
     /** Build from a mask: bit i of the integer is coefficient i. */
     static Gf2Poly fromMask(std::uint64_t mask);
 

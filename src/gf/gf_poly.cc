@@ -1,7 +1,5 @@
 #include "gf/gf_poly.hh"
 
-#include <sstream>
-
 #include "util/log.hh"
 
 namespace flashcache {
@@ -34,29 +32,6 @@ GfPoly::Elem
 GfPoly::coeff(std::size_t i) const
 {
     return i < coeffs_.size() ? coeffs_[i] : 0;
-}
-
-void
-GfPoly::setCoeff(std::size_t i, Elem v)
-{
-    if (i >= coeffs_.size()) {
-        if (v == 0)
-            return;
-        coeffs_.resize(i + 1, 0);
-    }
-    coeffs_[i] = v;
-    trim();
-}
-
-GfPoly
-GfPoly::operator+(const GfPoly& o) const
-{
-    if (gf_ != o.gf_)
-        panic("GfPoly operands from different fields");
-    std::vector<Elem> out(std::max(coeffs_.size(), o.coeffs_.size()), 0);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = GaloisField::add(coeff(i), o.coeff(i));
-    return GfPoly(*gf_, std::move(out));
 }
 
 GfPoly
@@ -117,33 +92,6 @@ GfPoly::derivative() const
     for (std::size_t i = 1; i < coeffs_.size(); i += 2)
         out[i - 1] = coeffs_[i];
     return GfPoly(*gf_, std::move(out));
-}
-
-std::string
-GfPoly::toString() const
-{
-    if (isZero())
-        return "0";
-    std::ostringstream os;
-    bool first = true;
-    for (long i = degree(); i >= 0; --i) {
-        const Elem c = coeff(static_cast<std::size_t>(i));
-        if (c == 0)
-            continue;
-        if (!first)
-            os << " + ";
-        first = false;
-        if (i == 0) {
-            os << c;
-        } else {
-            if (c != 1)
-                os << c << "*";
-            os << "x";
-            if (i > 1)
-                os << "^" << i;
-        }
-    }
-    return os.str();
 }
 
 } // namespace flashcache

@@ -11,7 +11,6 @@
 #define FLASHCACHE_GF_GF_POLY_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "gf/gf2m.hh"
@@ -45,10 +44,6 @@ class GfPoly
     /** Coefficient of x^i (0 beyond the stored degree). */
     Elem coeff(std::size_t i) const;
 
-    /** Set coefficient of x^i, growing storage as needed. */
-    void setCoeff(std::size_t i, Elem v);
-
-    GfPoly operator+(const GfPoly& o) const;
     GfPoly operator*(const GfPoly& o) const;
 
     /** Multiply every coefficient by the scalar s. */
@@ -67,9 +62,6 @@ class GfPoly
     GfPoly derivative() const;
 
     bool operator==(const GfPoly& o) const { return coeffs_ == o.coeffs_; }
-
-    /** Render as e.g. "3*x^2 + 1". */
-    std::string toString() const;
 
   private:
     void trim();

@@ -81,18 +81,6 @@ MetricRegistry::ratio(const std::string& prefix, const std::string& desc,
           [r] { return r->hitRate(); });
 }
 
-void
-MetricRegistry::runningStat(const std::string& prefix,
-                            const std::string& desc, const RunningStat* s)
-{
-    gauge(prefix + "_count", desc + " (samples)",
-          [s] { return static_cast<double>(s->count()); });
-    gauge(prefix + "_mean", desc + " (mean)",
-          [s] { return s->mean(); });
-    gauge(prefix + "_min", desc + " (min)", [s] { return s->min(); });
-    gauge(prefix + "_max", desc + " (max)", [s] { return s->max(); });
-}
-
 bool
 MetricRegistry::has(std::string_view name) const
 {
@@ -126,16 +114,6 @@ MetricRegistry::visitScalars(
             continue;
         fn(e.meta, e.scalar());
     }
-}
-
-std::vector<MetricDesc>
-MetricRegistry::descriptors() const
-{
-    std::vector<MetricDesc> out;
-    out.reserve(entries_.size());
-    for (const Entry& e : entries_)
-        out.push_back(e.meta);
-    return out;
 }
 
 void

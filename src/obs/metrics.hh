@@ -80,10 +80,6 @@ class MetricRegistry
      *  gauge. */
     void ratio(const std::string& prefix, const std::string& desc,
                const RatioStat* r);
-
-    /** Expands to `<prefix>_count`, `_mean`, `_min`, `_max`. */
-    void runningStat(const std::string& prefix, const std::string& desc,
-                     const RunningStat* s);
     /// @}
 
     std::size_t size() const { return entries_.size(); }
@@ -97,9 +93,6 @@ class MetricRegistry
      *  order. */
     void visitScalars(
         const std::function<void(const MetricDesc&, double)>& fn) const;
-
-    /** Metric descriptors in registration order (all kinds). */
-    std::vector<MetricDesc> descriptors() const;
 
     /**
      * JSON snapshot with stable key order (= registration order):

@@ -55,8 +55,8 @@ LogHistogram::merge(const LogHistogram& other)
 
 // --------------------------------------------------------------- closed loop
 
-ClosedLoop::ClosedLoop(const SchedConfig& cfg, DemandSink& sink)
-    : config_(cfg), sink_(sink)
+ClosedLoop::ClosedLoop(const SchedConfig& cfg)
+    : config_(cfg)
 {
     if (config_.clients == 0)
         fatal("SchedConfig::clients must be positive");
@@ -154,16 +154,15 @@ ClosedLoop::onClientReady(Event& ev, const Source& source,
                           const DoneFn& done)
 {
     const std::uint32_t job = ev.id;
-    sink_.clear();
     Seconds compute = 0;
-    if (!source(compute))
+    std::span<const Demand> demands;
+    if (!source(compute, demands))
         return false; // workload exhausted: this client retires
     Job& j = jobs_[job];
     j.compute = compute;
     j.issue = now_ + compute;
     j.ops.clear();
     j.cursor = 0;
-    const std::vector<Demand>& demands = sink_.demands();
     for (const Demand& d : demands) {
         if (!d.background)
             j.ops.push_back({resourceOf(d), d.service});

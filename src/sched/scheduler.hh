@@ -17,7 +17,11 @@
  * the moment the previous one completes, computes for the request's
  * think time, then issues; client count therefore sets the offered
  * concurrency. Everything is ordered by (virtual time, insertion
- * sequence), so runs are bit-deterministic for a fixed seed.
+ * sequence), so runs are bit-deterministic for a fixed seed. A draw
+ * takes the request's compute time and demand list from the source
+ * as a span; the source never learns the virtual time, so the model
+ * behind it may run ahead on another thread (SystemSimulator runs
+ * this engine on its own thread, fed through a RequestChannel).
  *
  * A request costs about two heap events. Its issue is one event that
  * enqueues all of its background ops and then arrives at its first
@@ -38,6 +42,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,12 +119,15 @@ class ClosedLoop
 {
   public:
     /**
-     * The source runs the functional model for one request at the
-     * current virtual time, leaves its resource demands in the sink,
-     * and returns the request's compute (think) time through
-     * `compute`. Returning false means the workload is exhausted.
+     * The source hands over the next request: its compute (think)
+     * time through `compute` and its recorded resource demands
+     * through `demands`, which must stay valid until the next call.
+     * Returning false means the workload is exhausted. The engine
+     * calls it in virtual-time order but never tells it the time, so
+     * the functional model behind it may run ahead on another thread.
      */
-    using Source = std::function<bool(Seconds& compute)>;
+    using Source = std::function<bool(Seconds& compute,
+                                      std::span<const Demand>& demands)>;
 
     /** Called at each foreground completion with the request's
      *  compute (think) time, issue time (post-think) and completion
@@ -127,7 +135,7 @@ class ClosedLoop
     using DoneFn = std::function<void(Seconds compute, Seconds issue,
                                       Seconds completion)>;
 
-    ClosedLoop(const SchedConfig& cfg, DemandSink& sink);
+    explicit ClosedLoop(const SchedConfig& cfg);
 
     /** Drive the source to exhaustion and drain all queues. */
     void run(const Source& source, const DoneFn& done);
@@ -249,7 +257,6 @@ class ClosedLoop
     void forGroup(Group g, Fn&& fn) const;
 
     SchedConfig config_;
-    DemandSink& sink_;
     std::vector<Resource> resources_;
     std::vector<Job> jobs_; ///< indexed by client
     std::vector<Event> heap_;

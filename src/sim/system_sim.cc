@@ -89,8 +89,10 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
     }
 
     // Every device model below the PDC records its service demands
-    // into the shared sink; the closed loop replays them through
-    // per-resource queues to produce the event-driven wall clock.
+    // into the shared sink; runLoop() hands each request's demands
+    // through the channel to the closed loop, which replays them
+    // through per-resource queues to produce the event-driven wall
+    // clock.
     dram_.attachDemandSink(&sink_);
     disk_.attachDemandSink(&sink_);
     if (cache_) {
@@ -103,7 +105,7 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
     sc.flashChannels = std::max(1u, config.flashChannels);
     sc.eccUnits = config.eccUnits;
     sc.dramPorts = std::max(1u, config.dramPorts);
-    sched_ = std::make_unique<sched::ClosedLoop>(sc, sink_);
+    sched_ = std::make_unique<sched::ClosedLoop>(sc);
 
     registerAllMetrics();
 }
@@ -249,23 +251,37 @@ SystemSimulator::serve(const TraceRecord& r, Seconds& compute)
 void
 SystemSimulator::runLoop(const std::function<bool(TraceRecord&)>& next)
 {
-    const auto source = [&](Seconds& compute) {
+    // Calling thread: the functional model, in request order.
+    const auto produce = [&] {
         TraceRecord r;
-        if (!next(r))
-            return false;
-        serve(r, compute);
-        ++stats_.requests;
-        return true;
+        while (next(r)) {
+            sink_.clear();
+            Seconds compute = 0;
+            serve(r, compute);
+            ++stats_.requests;
+            if (!channel_.push(compute, sink_.demands()))
+                return;
+        }
     };
-    const auto done = [this](Seconds compute, Seconds issue,
-                             Seconds completion) {
-        // Storage latency as observed: service plus queueing delay.
-        stats_.requestLatency.add(compute + (completion - issue));
+    // Engine thread: replays the k-th request's demands at its k-th
+    // draw, the order a serial loop would use.
+    const auto consume = [&] {
+        const auto source = [this](Seconds& compute,
+                                   std::span<const sched::Demand>& d) {
+            return channel_.pop(compute, d);
+        };
+        const auto done = [this](Seconds compute, Seconds issue,
+                                 Seconds completion) {
+            // Storage latency as observed: service plus queueing.
+            stats_.requestLatency.add(compute + (completion - issue));
+        };
+        sched_->run(source, done);
+        // The scheduler's virtual time after the last event
+        // (foreground completions plus background runoff) is the
+        // run's wall clock.
+        stats_.wallClock = sched_->wallClock();
     };
-    sched_->run(source, done);
-    // The scheduler's virtual time after the last event (foreground
-    // completions plus background runoff) is the run's wall clock.
-    stats_.wallClock = sched_->wallClock();
+    channel_.run(produce, consume);
 }
 
 void

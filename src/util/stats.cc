@@ -81,13 +81,6 @@ Histogram::add(double x)
     ++total_;
 }
 
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
-}
-
 double
 Histogram::percentile(double p) const
 {

@@ -83,7 +83,6 @@ class Histogram
     Histogram(double lo, double hi, std::size_t bins);
 
     void add(double x);
-    void reset();
 
     std::size_t bins() const { return counts_.size(); }
     std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }

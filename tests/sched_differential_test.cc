@@ -82,7 +82,7 @@ play(const SchedConfig& cfg, const std::vector<Request>& script,
      std::size_t runs)
 {
     DemandSink sink;
-    Engine loop(cfg, sink);
+    Engine loop(cfg);
     Outcome out;
     std::size_t next = 0;
     // Each run() drains a slice of the script; later runs continue the
@@ -90,7 +90,7 @@ play(const SchedConfig& cfg, const std::vector<Request>& script,
     for (std::size_t run = 1; run <= runs; ++run) {
         const std::size_t end = script.size() * run / runs;
         loop.run(
-            [&](Seconds& compute) {
+            oracle::sinkSource(sink, [&](Seconds& compute) {
                 if (next >= end)
                     return false;
                 const Request& req = script[next++];
@@ -103,7 +103,7 @@ play(const SchedConfig& cfg, const std::vector<Request>& script,
                         sink.popBackground();
                 }
                 return true;
-            },
+            }),
             [&](Seconds compute, Seconds issue, Seconds completion) {
                 for (const Seconds v : {compute, issue, completion})
                     out.done.push_back(std::bit_cast<std::uint64_t>(v));

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "sched/demand.hh"
@@ -27,15 +28,32 @@ namespace flashcache {
 namespace sched {
 namespace oracle {
 
+/**
+ * Engine source over a scripted draw that records into `sink`: the
+ * sink is cleared before each draw and its demands handed over.
+ */
+inline ClosedLoop::Source
+sinkSource(DemandSink& sink, std::function<bool(Seconds& compute)> draw)
+{
+    return [&sink, draw = std::move(draw)](
+               Seconds& compute, std::span<const Demand>& demands) {
+        sink.clear();
+        if (!draw(compute))
+            return false;
+        demands = sink.demands();
+        return true;
+    };
+}
+
 class HeapOnlyLoop
 {
   public:
-    using Source = std::function<bool(Seconds& compute)>;
+    using Source = ClosedLoop::Source;
     using DoneFn = std::function<void(Seconds compute, Seconds issue,
                                       Seconds completion)>;
 
-    HeapOnlyLoop(const SchedConfig& cfg, DemandSink& sink)
-        : config_(cfg), sink_(sink)
+    explicit HeapOnlyLoop(const SchedConfig& cfg)
+        : config_(cfg)
     {
         const auto add = [this](Group g, std::uint32_t servers) {
             resources_.emplace_back();
@@ -279,16 +297,16 @@ class HeapOnlyLoop
     onClientReady(const Event& ev, const Source& source,
                   const DoneFn& done)
     {
-        sink_.clear();
         Seconds compute = 0;
-        if (!source(compute))
+        std::span<const Demand> demands;
+        if (!source(compute, demands))
             return;
         Job& j = jobs_[ev.job];
         j.compute = compute;
         j.issue = ev.t + compute;
         j.stages.clear();
         j.cursor = 0;
-        for (const Demand& d : sink_.demands()) {
+        for (const Demand& d : demands) {
             if (d.background) {
                 push(j.issue, EventKind::BgArrive, resourceOf(d), 0,
                      d.service);
@@ -369,7 +387,6 @@ class HeapOnlyLoop
     }
 
     SchedConfig config_;
-    DemandSink& sink_;
     std::vector<Resource> resources_;
     std::vector<Job> jobs_;
     std::vector<Event> heap_;

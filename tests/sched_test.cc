@@ -20,6 +20,7 @@
 
 #include "sched/demand.hh"
 #include "sched/scheduler.hh"
+#include "sched_oracle.hh"
 #include "sim/system_sim.hh"
 #include "util/rng.hh"
 #include "workload/macro.hh"
@@ -73,17 +74,17 @@ TEST(ClosedLoopTest, TwoClientsShareOneDiskExactTimes)
     cfg.eccUnits = 1;
     cfg.dramPorts = 1;
     DemandSink sink;
-    ClosedLoop loop(cfg, sink);
+    ClosedLoop loop(cfg);
 
     int issued = 0;
-    const auto source = [&](Seconds& compute) {
+    const auto source = oracle::sinkSource(sink, [&](Seconds& compute) {
         if (issued >= 2)
             return false;
         ++issued;
         compute = 0.001;
         sink.record(ResourceKind::Disk, 0, 0.002);
         return true;
-    };
+    });
     std::vector<Completion> done;
     loop.run(source, [&](Seconds c, Seconds i, Seconds t) {
         done.push_back({c, i, t});
@@ -112,7 +113,7 @@ TEST(ClosedLoopTest, OneClientWalksStagesSerially)
     cfg.clients = 1;
     cfg.flashChannels = 2;
     DemandSink sink;
-    ClosedLoop loop(cfg, sink);
+    ClosedLoop loop(cfg);
 
     // Three requests over every resource class; with one client there
     // is never contention, so the wall clock is the plain serial sum.
@@ -131,7 +132,7 @@ TEST(ClosedLoopTest, OneClientWalksStagesSerially)
           {ResourceKind::FlashChannel, 1, 60e-6, false}}},
     };
     std::size_t next = 0;
-    const auto source = [&](Seconds& compute) {
+    const auto source = oracle::sinkSource(sink, [&](Seconds& compute) {
         if (next >= script.size())
             return false;
         compute = script[next].compute;
@@ -139,7 +140,7 @@ TEST(ClosedLoopTest, OneClientWalksStagesSerially)
             sink.record(d.kind, d.channel, d.service);
         ++next;
         return true;
-    };
+    });
     Seconds expected = 0;
     for (const Req& r : script) {
         expected += r.compute;
@@ -158,15 +159,15 @@ TEST(ClosedLoopTest, ComputeOnlyRequestCompletesAtIssue)
     SchedConfig cfg;
     cfg.clients = 1;
     DemandSink sink;
-    ClosedLoop loop(cfg, sink);
+    ClosedLoop loop(cfg);
     int issued = 0;
-    const auto source = [&](Seconds& compute) {
+    const auto source = oracle::sinkSource(sink, [&](Seconds& compute) {
         if (issued >= 2)
             return false;
         compute = issued == 0 ? 0.001 : 0.002;
         ++issued;
         return true; // PDC hit served above the device models
-    };
+    });
     std::vector<Completion> done;
     loop.run(source, [&](Seconds c, Seconds i, Seconds t) {
         done.push_back({c, i, t});
@@ -182,13 +183,13 @@ TEST(ClosedLoopTest, BackgroundFillsIdleTimeAndExtendsTheWall)
     SchedConfig cfg;
     cfg.clients = 1;
     DemandSink sink;
-    ClosedLoop loop(cfg, sink);
+    ClosedLoop loop(cfg);
 
     // Request 1 is compute-only but kicks off a 5 ms background disk
     // write-back; request 2 needs the disk in the foreground and must
     // wait behind the non-preemptible background op.
     int issued = 0;
-    const auto source = [&](Seconds& compute) {
+    const auto source = oracle::sinkSource(sink, [&](Seconds& compute) {
         if (issued == 0) {
             compute = 0.001;
             sink.pushBackground();
@@ -202,7 +203,7 @@ TEST(ClosedLoopTest, BackgroundFillsIdleTimeAndExtendsTheWall)
         }
         ++issued;
         return true;
-    };
+    });
     std::vector<Completion> done;
     loop.run(source, [&](Seconds c, Seconds i, Seconds t) {
         done.push_back({c, i, t});
@@ -224,14 +225,14 @@ TEST(ClosedLoopTest, FreedServerPrefersForegroundOverQueuedBackground)
     SchedConfig cfg;
     cfg.clients = 1;
     DemandSink sink;
-    ClosedLoop loop(cfg, sink);
+    ClosedLoop loop(cfg);
 
     // One request records two 5 ms background ops and a 2 ms
     // foreground stage. The first bg op reaches the idle disk first
     // (same timestamp, earlier submission); when it finishes at 6 ms
     // the foreground stage must be taken before the second bg op.
     int issued = 0;
-    const auto source = [&](Seconds& compute) {
+    const auto source = oracle::sinkSource(sink, [&](Seconds& compute) {
         if (issued >= 1)
             return false;
         ++issued;
@@ -244,7 +245,7 @@ TEST(ClosedLoopTest, FreedServerPrefersForegroundOverQueuedBackground)
         sink.record(ResourceKind::Disk, 0, 0.005);
         sink.popBackground();
         return true;
-    };
+    });
     std::vector<Completion> done;
     loop.run(source, [&](Seconds c, Seconds i, Seconds t) {
         done.push_back({c, i, t});
@@ -269,9 +270,9 @@ TEST(ClosedLoopTest, ScriptedChannelScaling)
         cfg.clients = 8;
         cfg.flashChannels = channels;
         DemandSink sink;
-        ClosedLoop loop(cfg, sink);
+        ClosedLoop loop(cfg);
         int issued = 0;
-        const auto source = [&](Seconds& compute) {
+        const auto source = oracle::sinkSource(sink, [&](Seconds& compute) {
             if (issued >= 400)
                 return false;
             compute = 0;
@@ -279,7 +280,7 @@ TEST(ClosedLoopTest, ScriptedChannelScaling)
                         static_cast<std::uint16_t>(issued % 4), 100e-6);
             ++issued;
             return true;
-        };
+        });
         loop.run(source, [](Seconds, Seconds, Seconds) {});
         return loop.wallClock();
     };
@@ -303,23 +304,19 @@ withZero(std::uint32_t SchedConfig::*field)
 // that touches DRAM, so each is a configuration error.
 TEST(ClosedLoopDeathTest, ZeroClientsIsFatal)
 {
-    DemandSink sink;
-    EXPECT_DEATH((ClosedLoop{withZero(&SchedConfig::clients), sink}),
+    EXPECT_DEATH((ClosedLoop{withZero(&SchedConfig::clients)}),
                  "clients must be positive");
 }
 
 TEST(ClosedLoopDeathTest, ZeroFlashChannelsIsFatal)
 {
-    DemandSink sink;
-    EXPECT_DEATH(
-        (ClosedLoop{withZero(&SchedConfig::flashChannels), sink}),
+    EXPECT_DEATH((ClosedLoop{withZero(&SchedConfig::flashChannels)}),
         "flashChannels must be positive");
 }
 
 TEST(ClosedLoopDeathTest, ZeroDramPortsIsFatal)
 {
-    DemandSink sink;
-    EXPECT_DEATH((ClosedLoop{withZero(&SchedConfig::dramPorts), sink}),
+    EXPECT_DEATH((ClosedLoop{withZero(&SchedConfig::dramPorts)}),
                  "dramPorts must be positive");
 }
 
@@ -353,11 +350,11 @@ fuzzRun(std::uint64_t seed, std::uint64_t requests)
     cfg.eccUnits = 2;
     cfg.dramPorts = 2;
     DemandSink sink;
-    ClosedLoop loop(cfg, sink);
+    ClosedLoop loop(cfg);
     Rng rng(seed);
     std::uint64_t issued = 0;
     std::uint64_t demands = 0;
-    const auto source = [&](Seconds& compute) {
+    const auto source = oracle::sinkSource(sink, [&](Seconds& compute) {
         if (issued >= requests)
             return false;
         ++issued;
@@ -377,7 +374,7 @@ fuzzRun(std::uint64_t seed, std::uint64_t requests)
             ++demands;
         }
         return true;
-    };
+    });
     FuzzResult res;
     loop.run(source, [&](Seconds c, Seconds i, Seconds t) {
         res.completions.push_back({c, i, t});
@@ -411,11 +408,11 @@ TEST(ClosedLoopTest, FuzzInvariantsHold)
     cfg.eccUnits = 2;
     cfg.dramPorts = 2;
     DemandSink sink;
-    ClosedLoop loop(cfg, sink);
+    ClosedLoop loop(cfg);
     Rng rng(2026);
     std::uint64_t issued = 0;
     std::uint64_t byGroup[4] = {0, 0, 0, 0};
-    const auto source = [&](Seconds& compute) {
+    const auto source = oracle::sinkSource(sink, [&](Seconds& compute) {
         if (issued >= 1000)
             return false;
         ++issued;
@@ -434,7 +431,7 @@ TEST(ClosedLoopTest, FuzzInvariantsHold)
             ++byGroup[kind];
         }
         return true;
-    };
+    });
     Seconds last_completion = 0;
     loop.run(source, [&](Seconds, Seconds issue, Seconds t) {
         EXPECT_GE(t, issue);
