@@ -6,17 +6,21 @@
  *
  * Each hot-path benchmark reports bytes/second over the 2 KB page so
  * runs are comparable across machines. The dispatched paths (the
- * PCLMULQDQ fold where the host has it) run beside the slicing-by-8
- * table kernels and the retained bit-serial reference
- * implementations, so one run shows every kernel.
+ * widest CLMUL fold the host has) run beside each kernel tier called
+ * directly (*Wide: 512-bit VPCLMULQDQ, *Clmul: 128-bit PCLMULQDQ,
+ * *Table: slicing-by-8) and the retained bit-serial reference
+ * implementations, so one run shows every kernel. A tier the host
+ * lacks reports an error instead of a time.
  * End-to-end host cost is measured by `python3 perfbench/run.py`.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <vector>
 
 #include "ecc/bch.hh"
+#include "ecc/clmul.hh"
 #include "ecc/crc32.hh"
 #include "gf/gf2m.hh"
 #include "util/rng.hh"
@@ -68,17 +72,47 @@ BM_Crc32Page(benchmark::State& state)
 }
 BENCHMARK(BM_Crc32Page);
 
+/** One CRC kernel over a page. */
+void
+crcPageWith(benchmark::State& state,
+            std::uint32_t (*kernel)(std::uint32_t, const std::uint8_t*,
+                                    std::size_t))
+{
+    const auto page = randomPage(2);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(kernel(0, page.data(), page.size()));
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * kPageBytes);
+}
+
+void
+BM_Crc32PageWide(benchmark::State& state)
+{
+    if (!haveWideClmul()) {
+        state.SkipWithError("host has no AVX-512F and VPCLMULQDQ");
+        return;
+    }
+    crcPageWith(state, crc32UpdateWide);
+}
+BENCHMARK(BM_Crc32PageWide);
+
+void
+BM_Crc32PageClmul(benchmark::State& state)
+{
+    if (!haveClmul()) {
+        state.SkipWithError("host has no PCLMULQDQ");
+        return;
+    }
+    crcPageWith(state, crc32UpdateClmul);
+}
+BENCHMARK(BM_Crc32PageClmul);
+
 void
 BM_Crc32PageTable(benchmark::State& state)
 {
     // The slicing-by-8 kernel, the dispatched path on hosts without
     // PCLMULQDQ.
-    const auto page = randomPage(2);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            crc32UpdateTable(0, page.data(), page.size()));
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kPageBytes);
+    crcPageWith(state, crc32UpdateTable);
 }
 BENCHMARK(BM_Crc32PageTable);
 
@@ -112,22 +146,53 @@ BM_BchEncodePage(benchmark::State& state)
 }
 BENCHMARK(BM_BchEncodePage)->Arg(1)->Arg(4)->Arg(8)->Arg(12);
 
+/** One encoder kernel over a page at strength state.range(0). */
 void
-BM_BchEncodePageTable(benchmark::State& state)
+encodePageWith(benchmark::State& state,
+               void (BchCode::*kernel)(const std::uint8_t*, std::uint8_t*)
+                   const)
 {
-    // The slicing-by-8 kernel, the dispatched path on hosts without
-    // PCLMULQDQ and for codes with r > 64.
     const auto t = static_cast<unsigned>(state.range(0));
     BchCode code(15, t, kPageBytes * 8);
     const auto data = randomPage(3);
     std::vector<std::uint8_t> parity(code.parityBytes());
     for (auto _ : state) {
-        code.encodeTable(data.data(), parity.data());
+        (code.*kernel)(data.data(), parity.data());
         benchmark::DoNotOptimize(parity.data());
         benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * kPageBytes);
+}
+
+void
+BM_BchEncodePageWide(benchmark::State& state)
+{
+    if (!haveWideClmul()) {
+        state.SkipWithError("host has no AVX-512F and VPCLMULQDQ");
+        return;
+    }
+    encodePageWith(state, &BchCode::encodeWide);
+}
+BENCHMARK(BM_BchEncodePageWide)->Arg(4);
+
+void
+BM_BchEncodePageClmul(benchmark::State& state)
+{
+    if (!haveClmul()) {
+        state.SkipWithError("host has no PCLMULQDQ");
+        return;
+    }
+    encodePageWith(state, &BchCode::encodeClmul);
+}
+BENCHMARK(BM_BchEncodePageClmul)->Arg(4);
+
+void
+BM_BchEncodePageTable(benchmark::State& state)
+{
+    // The slicing-by-8 kernel, the dispatched path on hosts without
+    // PCLMULQDQ and for codes with r > 64.
+    encodePageWith(state, &BchCode::encodeTable);
 }
 BENCHMARK(BM_BchEncodePageTable)->Arg(4);
 
@@ -210,6 +275,49 @@ BM_BchDecodePageOneError(benchmark::State& state)
         static_cast<std::int64_t>(state.iterations()) * kPageBytes);
 }
 BENCHMARK(BM_BchDecodePageOneError)->Arg(4)->Arg(8);
+
+void
+BM_BchDecodePageOneErrorCold(benchmark::State& state)
+{
+    // BM_BchDecodePageOneError as the simulator meets it: between
+    // reads, payload traffic evicts the codec's tables from cache.
+    // Each iteration first streams an 8 MiB buffer and then reads the
+    // page back in, as the controller's copy-out does (both untimed),
+    // then times one single-error decode. The untimed sweep dominates
+    // the wall time, so the iteration count is fixed rather than grown
+    // to --benchmark_min_time of decode time.
+    const auto t = static_cast<unsigned>(state.range(0));
+    BchCode code(15, t, kPageBytes * 8);
+    auto data = randomPage(6);
+    std::vector<std::uint8_t> parity(code.parityBytes());
+    code.encode(data.data(), parity.data());
+    std::vector<std::uint64_t> sweep((8u << 20) / sizeof(std::uint64_t));
+    std::uint64_t stamp = 0;
+    for (auto _ : state) {
+        for (auto& w : sweep)
+            w += ++stamp;
+        std::uint64_t touch = 0;
+        for (const std::uint8_t b : data)
+            touch += b;
+        benchmark::DoNotOptimize(touch);
+        benchmark::ClobberMemory();
+        data[kPageBytes / 2] ^= 8;
+        const auto start = std::chrono::steady_clock::now();
+        const auto res = code.decode(data.data(), parity.data());
+        benchmark::DoNotOptimize(res);
+        const auto stop = std::chrono::steady_clock::now();
+        state.SetIterationTime(
+            std::chrono::duration<double>(stop - start).count());
+        if (!res.ok || res.correctedBits != 1)
+            state.SkipWithError("decode failed");
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * kPageBytes);
+}
+BENCHMARK(BM_BchDecodePageOneErrorCold)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Iterations(2000);
 
 void
 BM_BchDecodePageTwoErrors(benchmark::State& state)

@@ -16,6 +16,8 @@ namespace {
  *  unparseable even in the vanishing case of a colliding CRC. */
 constexpr std::uint8_t kOobMagic0 = 0xF1;
 constexpr std::uint8_t kOobMagic1 = 0x0C;
+/** Offset of the ECC strength byte in the OOB record. */
+constexpr std::uint32_t kOobEccOffset = 17;
 
 } // namespace
 
@@ -30,7 +32,7 @@ packOobRecord(std::uint8_t* spare, std::uint32_t spare_bytes,
     std::memcpy(tail + 8, &rec.seq, 8);
     tail[16] = static_cast<std::uint8_t>((rec.dirty ? 1 : 0) |
                                          ((rec.region & 1) << 1));
-    tail[17] = rec.eccStrength;
+    tail[kOobEccOffset] = rec.eccStrength;
     tail[18] = kOobMagic0;
     tail[19] = kOobMagic1;
     // The OOB CRC covers everything before it: data CRC, BCH parity,
@@ -56,7 +58,7 @@ parseOobRecord(const std::uint8_t* spare, std::uint32_t spare_bytes,
     std::memcpy(&rec.seq, tail + 8, 8);
     rec.dirty = (tail[16] & 1) != 0;
     rec.region = (tail[16] >> 1) & 1;
-    rec.eccStrength = tail[17];
+    rec.eccStrength = tail[kOobEccOffset];
     return true;
 }
 
@@ -66,6 +68,11 @@ FlashMemoryController::FlashMemoryController(FlashDevice& device,
     : device_(&device), timing_(timing), maxEcc_(max_ecc),
       injectRng_(0xC0FFEE)
 {
+    // One past the limit too: the cache prices a raise by one level.
+    for (unsigned t = 0; t <= maxEcc_ + 1; ++t) {
+        decodeLat_.push_back(modelDecode(t));
+        encodeLat_.push_back(timing_.encodeLatency(t));
+    }
 }
 
 void
@@ -104,12 +111,13 @@ FlashMemoryController::registerMetrics(obs::MetricRegistry& reg) const
 const BchCode&
 FlashMemoryController::codeFor(unsigned t)
 {
-    auto it = codes_.find(t);
-    if (it == codes_.end()) {
-        it = codes_.emplace(t, std::make_unique<BchCode>(
-            15, t, device_->geometry().pageDataBytes * 8)).first;
+    if (t >= codes_.size())
+        codes_.resize(t + 1);
+    if (!codes_[t]) {
+        codes_[t] = std::make_unique<BchCode>(
+            15, t, device_->geometry().pageDataBytes * 8);
     }
-    return *it->second;
+    return *codes_[t];
 }
 
 ControllerReadResult
@@ -144,12 +152,17 @@ FlashMemoryController::readPage(const PageAddress& addr,
         // Decode with the code the page was written with: its OOB
         // record says which (the descriptor may have been raised
         // since). A strength past the hardware limit comes from a
-        // damaged medium and counts as no record.
+        // damaged medium and counts as no record. A strength byte
+        // equal to the descriptor's gives the same t whether or not
+        // the record is valid, so its CRC is checked only otherwise.
         unsigned t = desc.eccStrength;
+        const auto spare_bytes =
+            static_cast<std::uint32_t>(spareBuf_.size());
         OobRecord rec;
-        if (parseOobRecord(spareBuf_.data(),
-                           static_cast<std::uint32_t>(spareBuf_.size()),
-                           rec) &&
+        if (spare_bytes >= kOobRecordBytes &&
+            spareBuf_[spare_bytes - kOobRecordBytes + kOobEccOffset] !=
+                desc.eccStrength &&
+            parseOobRecord(spareBuf_.data(), spare_bytes, rec) &&
             rec.eccStrength <= maxEcc_) {
             t = rec.eccStrength;
         }
@@ -234,7 +247,7 @@ FlashMemoryController::writePage(const PageAddress& addr,
             packOobRecord(wspare_.data(), geom.pageSpareBytes, *oob);
     }
 
-    const Seconds enc = timing_.encodeLatency(desc.eccStrength);
+    const Seconds enc = encodeLatency(desc.eccStrength);
     const auto prog = device_->programPage(addr, data,
                                            data ? wspare_.data() : nullptr);
     FC_LEAF(tracer_, "ecc.encode", "ecc", enc);

@@ -23,7 +23,6 @@
 #define FLASHCACHE_CONTROLLER_MEMORY_CONTROLLER_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -202,10 +201,24 @@ class FlashMemoryController
     Seconds
     decodeLatency(unsigned t) const
     {
-        return timing_.decodeLatency(t).total() + timing_.crcLatency();
+        return t < decodeLat_.size() ? decodeLat_[t] : modelDecode(t);
     }
 
   private:
+    /** Encode latency the pipeline charges at a strength. */
+    Seconds
+    encodeLatency(unsigned t) const
+    {
+        return t < encodeLat_.size() ? encodeLat_[t]
+                                     : timing_.encodeLatency(t);
+    }
+
+    Seconds
+    modelDecode(unsigned t) const
+    {
+        return timing_.decodeLatency(t).total() + timing_.crcLatency();
+    }
+
     const BchCode& codeFor(unsigned t);
 
     FlashDevice* device_;
@@ -214,7 +227,11 @@ class FlashMemoryController
     ControllerStats stats_;
     obs::Tracer* tracer_ = nullptr;
     sched::DemandSink* demands_ = nullptr;
-    std::map<unsigned, std::unique_ptr<BchCode>> codes_;
+    /** codes_[t]: the page code of strength t, built on first use. */
+    std::vector<std::unique_ptr<BchCode>> codes_;
+    /** decodeLatency()/encodeLatency() for t = 0..maxEcc + 1. */
+    std::vector<Seconds> decodeLat_;
+    std::vector<Seconds> encodeLat_;
     Rng injectRng_;
 
     /// @name Payload workspaces, reused across calls so steady state

@@ -36,7 +36,52 @@ low64(const Gf2Poly& p)
     return v;
 }
 
+/**
+ * Emit the r parity bytes of data(x) x^64 mod G = (data(x) x^r mod g)
+ * x^(64 - r), the folds' result.
+ */
+void
+storeFoldedRemainder(std::uint64_t folded, std::uint32_t r,
+                     std::uint8_t* out)
+{
+    const std::uint64_t rem = folded >> (64 - r);
+    for (std::uint32_t i = 0; i < (r + 7) / 8; ++i)
+        out[i] = static_cast<std::uint8_t>(rem >> (8 * i));
+}
+
 #if FLASHCACHE_HAVE_CLMUL_KERNELS
+/**
+ * The 128-bit tier's tail: fold the 16-byte blocks in [data, p) into
+ * lane x, 128 bits per step, then reduce x * x^64 mod G.
+ */
+FLASHCACHE_CLMUL_TARGET inline std::uint64_t
+foldRemainderTail(__m128i x, const std::uint8_t* data,
+                  const std::uint8_t* p, const long long* key)
+{
+    using clmul::fold;
+    using clmul::load;
+    const __m128i k128 = _mm_set_epi64x(key[3], key[2]);
+    const __m128i k64 = _mm_set_epi64x(key[2], key[4]);
+    const __m128i mu_g = _mm_set_epi64x(key[4], key[5]);
+    while (p != data) {
+        p -= 16;
+        x = _mm_xor_si128(fold(x, k128), load(p));
+    }
+
+    // y = x * x^64 mod G, < 128 bits. Barrett: q = floor(y / G) =
+    // y_hi ^ hi64(y_hi * mu'), and y mod G = y_lo ^ lo64(q * G').
+    const __m128i y = fold(x, k64);
+    const auto y_lo = static_cast<std::uint64_t>(_mm_cvtsi128_si64(y));
+    const auto y_hi = static_cast<std::uint64_t>(_mm_extract_epi64(y, 1));
+    const __m128i qmu = _mm_clmulepi64_si128(
+        _mm_cvtsi64_si128(static_cast<long long>(y_hi)), mu_g, 0x00);
+    const std::uint64_t q =
+        y_hi ^ static_cast<std::uint64_t>(_mm_extract_epi64(qmu, 1));
+    const __m128i qg = _mm_clmulepi64_si128(
+        _mm_cvtsi64_si128(static_cast<long long>(q)), mu_g, 0x10);
+    return y_lo ^ static_cast<std::uint64_t>(_mm_cvtsi128_si64(qg));
+}
+
 /**
  * data(x) x^64 mod G for a monic degree-64 G, through PCLMULQDQ
  * folds; nbytes is a nonzero multiple of 16 and keys are
@@ -53,8 +98,6 @@ foldRemainder(const std::uint8_t* data, std::uint32_t nbytes,
     std::memcpy(key, keys, sizeof(key));
     const __m128i k512 = _mm_set_epi64x(key[1], key[0]);
     const __m128i k128 = _mm_set_epi64x(key[3], key[2]);
-    const __m128i k64 = _mm_set_epi64x(key[2], key[4]);
-    const __m128i mu_g = _mm_set_epi64x(key[4], key[5]);
 
     const std::uint8_t* p = data + nbytes;
     __m128i x;
@@ -78,23 +121,53 @@ foldRemainder(const std::uint8_t* data, std::uint32_t nbytes,
         p -= 16;
         x = load(p);
     }
-    while (p != data) {
-        p -= 16;
-        x = _mm_xor_si128(fold(x, k128), load(p));
-    }
+    return foldRemainderTail(x, data, p, key);
+}
 
-    // y = x * x^64 mod G, < 128 bits. Barrett: q = floor(y / G) =
-    // y_hi ^ hi64(y_hi * mu'), and y mod G = y_lo ^ lo64(q * G').
-    const __m128i y = fold(x, k64);
-    const auto y_lo = static_cast<std::uint64_t>(_mm_cvtsi128_si64(y));
-    const auto y_hi = static_cast<std::uint64_t>(_mm_extract_epi64(y, 1));
-    const __m128i qmu = _mm_clmulepi64_si128(
-        _mm_cvtsi64_si128(static_cast<long long>(y_hi)), mu_g, 0x00);
-    const std::uint64_t q =
-        y_hi ^ static_cast<std::uint64_t>(_mm_extract_epi64(qmu, 1));
-    const __m128i qg = _mm_clmulepi64_si128(
-        _mm_cvtsi64_si128(static_cast<long long>(q)), mu_g, 0x10);
-    return y_lo ^ static_cast<std::uint64_t>(_mm_cvtsi128_si64(qg));
+/**
+ * foldRemainder through VPCLMULQDQ, nbytes a multiple of 16 and at
+ * least 256; wide_keys are BchCode::wideKeys_. Four zmm accumulators
+ * (16 lanes) fold 2048 bits per step, merge into one zmm with 512-bit
+ * folds, which keeps folding 512 bits per step; lanes 1..3 of it then
+ * move 128, 256 and 384 bits down onto lane 0 (the lowest degree),
+ * which goes to foldRemainderTail.
+ */
+FLASHCACHE_WIDE_CLMUL_TARGET std::uint64_t
+foldRemainderWide(const std::uint8_t* data, std::uint32_t nbytes,
+                  const std::uint64_t* keys, const std::uint64_t* wide_keys)
+{
+    using clmul::fold4;
+    using clmul::key4;
+    using clmul::load4;
+    long long key[6];
+    std::memcpy(key, keys, sizeof(key));
+    long long wide[6];
+    std::memcpy(wide, wide_keys, sizeof(wide));
+    const __m512i k2048 = key4(wide[0], wide[1]);
+    const __m512i k512 = key4(key[0], key[1]);
+    const __m512i klanes = _mm512_set_epi64(
+        wide[5], wide[4], wide[3], wide[2], key[3], key[2], 0, 0);
+
+    const std::uint8_t* p = data + nbytes - 256;
+    __m512i x0 = load4(p);
+    __m512i x1 = load4(p + 64);
+    __m512i x2 = load4(p + 128);
+    __m512i x3 = load4(p + 192);
+    while (p - data >= 256) {
+        p -= 256;
+        x0 = fold4(x0, k2048, load4(p));
+        x1 = fold4(x1, k2048, load4(p + 64));
+        x2 = fold4(x2, k2048, load4(p + 128));
+        x3 = fold4(x3, k2048, load4(p + 192));
+    }
+    __m512i x = fold4(x3, k512, x2);
+    x = fold4(x, k512, x1);
+    x = fold4(x, k512, x0);
+    while (p - data >= 64) {
+        p -= 64;
+        x = fold4(x, k512, load4(p));
+    }
+    return foldRemainderTail(clmul::foldLanes(x, klanes, 0), data, p, key);
 }
 #endif
 
@@ -183,28 +256,36 @@ BchCode::BchCode(unsigned m, unsigned t, std::uint32_t data_bits)
                 static_cast<std::size_t>(d - 64));
         }
         foldKeys_[5] = low64(mu);
+        const unsigned wide_exps[6] = {2048, 2112, 256, 320, 384, 448};
+        for (unsigned k = 0; k < 6; ++k)
+            wideKeys_[k] =
+                low64(Gf2Poly::monomial(wide_exps[k]).mod(big_g));
     }
 
-    // ---- syndrome byte-evaluation tables (odd exponents only) ----
-    // byteEval_[k][b] = b(alpha^j), j = 2k + 1. Even syndromes follow
-    // from S_2j = S_j^2 at decode time, halving the table set and the
-    // per-byte work.
-    byteEval_.assign(static_cast<std::size_t>(t_) * 256, 0);
-    stepLog8_.resize(t_);
-    for (unsigned k = 0; k < t_; ++k) {
-        const std::uint64_t j = 2ull * k + 1;
-        stepLog8_[k] = static_cast<std::uint32_t>((8 * j) % n);
-        GaloisField::Elem bit[8];
-        for (unsigned bpos = 0; bpos < 8; ++bpos)
-            bit[bpos] = gf_.alphaPow(static_cast<std::int64_t>(
-                (bpos * j) % n));
-        GaloisField::Elem* tbl = &byteEval_[static_cast<std::size_t>(k) *
-            256];
-        for (unsigned b = 1; b < 256; ++b) {
-            const unsigned low = b & (b - 1);
-            const unsigned bpos = static_cast<unsigned>(
-                __builtin_ctz(b));
-            tbl[b] = tbl[low] ^ bit[bpos];
+    // ---- odd-syndrome tables, one row per remainder byte ----
+    // synTable_[(i * 256 + b) * t + k] = b(alpha^j) alpha^(8ij),
+    // j = 2k + 1: what byte b at position i of the remainder adds to
+    // S_j. The t entries of one (i, b) sit together, so a decode reads
+    // one cache line per remainder byte. Even syndromes follow from
+    // S_2j = S_j^2 at decode time, halving the table set.
+    const std::uint32_t pbytes = parityBytes();
+    synTable_.assign(static_cast<std::size_t>(pbytes) * 256 * t_, 0);
+    for (std::uint32_t i = 0; i < pbytes; ++i) {
+        std::uint16_t* row =
+            &synTable_[static_cast<std::size_t>(i) * 256 * t_];
+        for (unsigned k = 0; k < t_; ++k) {
+            const std::uint64_t j = 2ull * k + 1;
+            GaloisField::Elem bit[8];
+            for (unsigned bpos = 0; bpos < 8; ++bpos)
+                bit[bpos] = gf_.alphaPow(static_cast<std::int64_t>(
+                    ((8 * i + bpos) * j) % n));
+            for (unsigned b = 1; b < 256; ++b) {
+                const unsigned low = b & (b - 1);
+                const unsigned bpos = static_cast<unsigned>(
+                    __builtin_ctz(b));
+                row[b * t_ + k] =
+                    static_cast<std::uint16_t>(row[low * t_ + k] ^ bit[bpos]);
+            }
         }
     }
 
@@ -288,10 +369,26 @@ BchCode::remainderWords(const std::uint8_t* data, std::uint8_t* out) const
 void
 BchCode::encode(const std::uint8_t* data, std::uint8_t* parity) const
 {
-    if (haveClmul())
+    if (haveWideClmul())
+        encodeWide(data, parity);
+    else if (haveClmul())
         encodeClmul(data, parity);
     else
         encodeTable(data, parity);
+}
+
+void
+BchCode::encodeWide(const std::uint8_t* data, std::uint8_t* parity) const
+{
+#if FLASHCACHE_HAVE_CLMUL_KERNELS
+    if (clmulFold_ && dataBits_ / 8 >= 256) {
+        storeFoldedRemainder(
+            foldRemainderWide(data, dataBits_ / 8, foldKeys_, wideKeys_),
+            parityBits_, parity);
+        return;
+    }
+#endif
+    encodeClmul(data, parity);
 }
 
 void
@@ -299,13 +396,8 @@ BchCode::encodeClmul(const std::uint8_t* data, std::uint8_t* parity) const
 {
 #if FLASHCACHE_HAVE_CLMUL_KERNELS
     if (clmulFold_) {
-        // data(x) x^64 mod G = (data(x) x^r mod g) x^(64 - r).
-        const std::uint64_t rem =
-            foldRemainder(data, dataBits_ / 8, foldKeys_) >>
-            (64 - parityBits_);
-        const std::uint32_t pbytes = parityBytes();
-        for (std::uint32_t i = 0; i < pbytes; ++i)
-            parity[i] = static_cast<std::uint8_t>(rem >> (8 * i));
+        storeFoldedRemainder(foldRemainder(data, dataBits_ / 8, foldKeys_),
+                             parityBits_, parity);
         return;
     }
 #endif
@@ -372,34 +464,28 @@ BchCode::reduceWord(const std::uint8_t* data,
 }
 
 void
-BchCode::computeSyndromes() const
+BchCode::oddSyndromes() const
 {
-    // Odd syndromes S_j, j = 1, 3, .., 2t-1, byte-wise over rem: byte
-    // B at position i contributes B(alpha^j) * alpha^(8ij), with the
-    // position power kept as a running discrete log. Even syndromes
-    // are Frobenius squares: S_2j = S_j^2.
-    const std::uint32_t nmod = gf_.groupOrder();
+    // S_j, j = 1, 3, .., 2t-1: byte B at position i of rem contributes
+    // B(alpha^j) * alpha^(8ij), one synTable_ entry.
     const std::uint32_t pbytes = parityBytes();
     const std::uint8_t* rb = ws_.remBytes.data();
     GaloisField::Elem* synd = ws_.synd.data();
-    for (unsigned k = 0; k < t_; ++k) {
-        const GaloisField::Elem* tbl =
-            &byteEval_[static_cast<std::size_t>(k) * 256];
-        const std::uint32_t step = stepLog8_[k];
-        GaloisField::Elem s = 0;
-        std::uint32_t lp = 0;
-        for (std::uint32_t i = 0; i < pbytes; ++i) {
-            if (rb[i]) {
-                const GaloisField::Elem v = tbl[rb[i]];
-                if (v)
-                    s ^= gf_.alphaPowUnreduced(gf_.logAlpha(v) + lp);
-            }
-            lp += step;
-            if (lp >= nmod)
-                lp -= nmod;
-        }
-        synd[2 * k] = s;
+    for (unsigned k = 0; k < t_; ++k)
+        synd[2 * k] = 0;
+    for (std::uint32_t i = 0; i < pbytes; ++i) {
+        const std::uint16_t* e =
+            &synTable_[(static_cast<std::size_t>(i) * 256 + rb[i]) * t_];
+        for (unsigned k = 0; k < t_; ++k)
+            synd[2 * k] ^= e[k];
     }
+}
+
+void
+BchCode::evenSyndromes() const
+{
+    // Frobenius squares: S_2j = S_j^2.
+    GaloisField::Elem* synd = ws_.synd.data();
     for (unsigned j = 2; j <= 2 * t_; j += 2)
         synd[j - 1] = gf_.square(synd[j / 2 - 1]);
 }
@@ -504,10 +590,30 @@ BchCode::decode(std::uint8_t* data, std::uint8_t* parity) const
         res.ok = true;
         return res;
     }
-    computeSyndromes();
+    oddSyndromes();
 
-    const unsigned sigma_len = berlekampMassey();
-    const unsigned deg = sigma_len == 0 ? 0 : sigma_len - 1;
+    // One error at p gives S_j = alpha^(pj) = S_1^j for every j: the
+    // sequence whose shortest LFSR is 1 + S_1 x, which is what
+    // Berlekamp-Massey would return. The odd j decide it (the even
+    // syndromes are squares of odd ones). The check multiplies without
+    // the GF tables, so a one-error read looks up only log S_1 below.
+    GaloisField::Elem* sigma = ws_.sigma.data();
+    const GaloisField::Elem* synd = ws_.synd.data();
+    bool single = synd[0] != 0;
+    const GaloisField::Elem s1_squared = gf_.mulCarryless(synd[0], synd[0]);
+    GaloisField::Elem s1_power = synd[0];
+    for (unsigned k = 1; single && k < t_; ++k) {
+        s1_power = gf_.mulCarryless(s1_power, s1_squared);
+        single = synd[2 * k] == s1_power;
+    }
+    unsigned deg = 1;
+    if (single) {
+        sigma[1] = synd[0];
+    } else {
+        evenSyndromes();
+        const unsigned sigma_len = berlekampMassey();
+        deg = sigma_len == 0 ? 0 : sigma_len - 1;
+    }
     if (deg == 0 || deg > t_) {
         res.ok = false;
         return res;
@@ -516,7 +622,6 @@ BchCode::decode(std::uint8_t* data, std::uint8_t* parity) const
     std::uint32_t* positions = ws_.positions.data();
     unsigned nfound = 0;
     const std::uint32_t total = codewordBits();
-    const GaloisField::Elem* sigma = ws_.sigma.data();
     if (deg == 1) {
         // sigma(x) = 1 + sigma_1 x has its one root at alpha^-p with
         // p = log sigma_1; the error lies in the word only if p does.

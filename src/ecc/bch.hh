@@ -14,7 +14,7 @@
  * in-place bit flips (binary code, so error magnitude is always 1).
  *
  * The hot paths share one allocation-free O(n) pass, the remainder
- * data(x) * x^r mod g(x), with two kernels chosen at run time:
+ * data(x) * x^r mod g(x), with kernels chosen at run time:
  *  - PCLMULQDQ fold (x86-64 hosts where haveClmul(), codes with
  *    r <= 64 and a data length that is a nonzero multiple of 16
  *    bytes; hasClmulFold()). It reduces modulo G = g(x) x^(64-r), a
@@ -27,6 +27,11 @@
  *    (x^64, x^128 mod G), Barrett-reduced with mu = floor(x^128 / G)
  *    and shifted down by 64 - r. The constructor derives every
  *    constant from g(x).
+ *  - The same fold 512 bits wide (hosts where haveWideClmul(), data
+ *    of 256 bytes or more): four zmm accumulators fold 2048 bits per
+ *    step (x^2048, x^2112 mod G), merge into one zmm with 512-bit
+ *    folds, and one per-lane fold (x^128 .. x^448 mod G) moves the
+ *    upper three lanes onto the lowest, which finishes as above.
  *  - Slicing-by-8 (every other code or host; the structure of
  *    crc32Update's table path): the parity state is kept left-aligned
  *    in W = ceil(r/64) 64-bit words, and each step folds 8 data bytes
@@ -41,13 +46,17 @@
  *    the received word mod g. A zero result is a clean page and ends
  *    the decode after one O(n) pass. Otherwise the t odd syndromes
  *    are evaluated over the <= r-bit remainder only, which is exact
- *    because g(alpha^j) = 0 for j = 1..2t; even syndromes follow from
- *    S_2j = S_j^2.
- *  - A degree-1 locator 1 + sigma_1 x is solved in closed form
- *    (p = log sigma_1; p outside the shortened word is uncorrectable).
- *    So is a degree-2 locator over a field of odd degree m: x =
- *    (sigma_1/sigma_2) y turns it into y^2 + y = sigma_2/sigma_1^2,
- *    solved by the half-trace. Larger locators, and degree 2 when m is
+ *    because g(alpha^j) = 0 for j = 1..2t, one table row per
+ *    remainder byte.
+ *  - A single error (S_1 != 0 and S_j = S_1^j for the odd j, checked
+ *    with table-free multiplies) is located at p = log S_1 without
+ *    Berlekamp-Massey; p outside the shortened word is uncorrectable.
+ *    This is exactly the degree-1 locator 1 + S_1 x that
+ *    Berlekamp-Massey would return. Otherwise the even syndromes
+ *    follow from S_2j = S_j^2 and Berlekamp-Massey runs.
+ *  - A degree-2 locator over a field of odd degree m is solved in
+ *    closed form: x = (sigma_1/sigma_2) y turns it into
+ *    y^2 + y = sigma_2/sigma_1^2, solved by the half-trace. Larger locators, and degree 2 when m is
  *    even, go to a Chien search that steps each coefficient in the
  *    log domain and exits once all roots are found.
  *  - Berlekamp-Massey and Chien scratch live in a per-code workspace
@@ -136,8 +145,8 @@ class BchCode
 
     /**
      * Systematic encode: parity = data(x) x^r mod g(x) through the
-     * CLMUL fold when the host has it (encodeClmul), else slicing-by-8
-     * (encodeTable); no allocation.
+     * widest CLMUL fold the host has (encodeWide, encodeClmul), else
+     * slicing-by-8 (encodeTable); no allocation.
      *
      * @param data   dataBits()/8 bytes of payload.
      * @param parity Out: parityBytes() bytes of check bits.
@@ -148,11 +157,19 @@ class BchCode
     void encodeTable(const std::uint8_t* data, std::uint8_t* parity) const;
 
     /**
-     * encode() through the PCLMULQDQ fold when hasClmulFold(), else
-     * through encodeTable(). @pre haveClmul(); a build without the
-     * CLMUL kernels always runs encodeTable().
+     * encode() through the 128-bit PCLMULQDQ fold when hasClmulFold(),
+     * else through encodeTable(). @pre haveClmul(); a build without
+     * the CLMUL kernels always runs encodeTable().
      */
     void encodeClmul(const std::uint8_t* data, std::uint8_t* parity) const;
+
+    /**
+     * encode() through the 512-bit VPCLMULQDQ fold when hasClmulFold()
+     * and the data is at least 256 bytes, else through encodeClmul().
+     * @pre haveWideClmul(); a build without the CLMUL kernels always
+     * runs encodeTable().
+     */
+    void encodeWide(const std::uint8_t* data, std::uint8_t* parity) const;
 
     /**
      * True when the code's shape admits the CLMUL fold: r <= 64 and a
@@ -227,8 +244,11 @@ class BchCode
     bool reduceWord(const std::uint8_t* data,
                     const std::uint8_t* parity) const;
 
-    /** The 2t syndromes of ws_.remBytes into ws_.synd. */
-    void computeSyndromes() const;
+    /** The t odd syndromes of ws_.remBytes into ws_.synd. */
+    void oddSyndromes() const;
+
+    /** The t even syndromes, squares of the odd ones, into ws_.synd. */
+    void evenSyndromes() const;
 
     /** Bit-serial reference syndromes (allocates; oracle only). */
     std::vector<GaloisField::Elem>
@@ -269,12 +289,17 @@ class BchCode
      */
     std::uint64_t foldKeys_[6] = {};
     /**
-     * byteEval_[k * 256 + b] = b(alpha^j) for the k-th odd syndrome
-     * exponent j = 2k + 1, b interpreted as a degree-7 polynomial.
+     * The wide tier's further constants modulo G, when hasClmulFold():
+     * x^2048, x^2112, x^256, x^320, x^384 and x^448 mod G.
      */
-    std::vector<GaloisField::Elem> byteEval_;
-    /** (8 * j) mod n per odd j: log-domain step for one byte. */
-    std::vector<std::uint32_t> stepLog8_;
+    std::uint64_t wideKeys_[6] = {};
+    /**
+     * synTable_[(i * 256 + b) * t + k] = b(alpha^j) * alpha^(8ij) for
+     * the k-th odd syndrome exponent j = 2k + 1: the contribution of
+     * byte b at remainder byte i to S_j, b read as a degree-7
+     * polynomial. m <= 16, so every element fits 16 bits.
+     */
+    std::vector<std::uint16_t> synTable_;
     /** (n - j) mod n for j = 0..t: Chien per-position step. */
     std::vector<std::uint32_t> chienStepLog_;
 

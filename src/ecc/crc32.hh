@@ -8,13 +8,16 @@
  * bytes hold this checksum.
  *
  * crc32/crc32Update pick a kernel at run time. On an x86-64 host with
- * PCLMULQDQ (haveClmul() in ecc/clmul.hh) every run of 16 bytes or
- * more is folded with carry-less multiplies, 64 bytes per step, and
- * the < 16-byte tail goes through slicing-by-8; any other host runs
+ * AVX-512F and VPCLMULQDQ (haveWideClmul() in ecc/clmul.hh) a run of
+ * 256 bytes or more is folded 256 bytes per step in zmm registers. On
+ * a host with PCLMULQDQ (haveClmul()), and for shorter runs there,
+ * every run of 16 bytes or more is folded with 128-bit carry-less
+ * multiplies, 64 bytes per step. The < 16-byte tail goes through
  * slicing-by-8 (eight 256-entry tables, 8 input bytes folded per
- * step) throughout. Both kernels are callable directly for the
- * differential tests and micro_bch, and the classic one-table
- * byte-wise version is kept as crc32Bytewise, the tests' oracle.
+ * step), which any other host runs throughout. Every tier is callable
+ * directly for the differential tests and micro_bch, and the classic
+ * one-table byte-wise version is kept as crc32Bytewise, the tests'
+ * oracle.
  */
 
 #ifndef FLASHCACHE_ECC_CRC32_HH
@@ -43,6 +46,14 @@ std::uint32_t crc32UpdateTable(std::uint32_t crc, const std::uint8_t* data,
  */
 std::uint32_t crc32UpdateClmul(std::uint32_t crc, const std::uint8_t* data,
                                std::size_t len);
+
+/**
+ * crc32Update through the VPCLMULQDQ fold for len >= 256, else
+ * through crc32UpdateClmul. @pre haveWideClmul(); a build without the
+ * CLMUL kernels runs crc32UpdateTable instead.
+ */
+std::uint32_t crc32UpdateWide(std::uint32_t crc, const std::uint8_t* data,
+                              std::size_t len);
 
 /** One-table byte-at-a-time reference implementation. */
 std::uint32_t crc32Bytewise(const std::uint8_t* data, std::size_t len);

@@ -32,7 +32,8 @@ defaultPrimitivePoly(unsigned m)
 }
 
 GaloisField::GaloisField(unsigned m, std::uint32_t poly)
-    : m_(m), q_(1u << m), poly_(poly ? poly : defaultPrimitivePoly(m))
+    : m_(m), q_(1u << m), poly_(poly ? poly : defaultPrimitivePoly(m)),
+      polyLow_(poly_ & (q_ - 1))
 {
     if (m < 2 || m > 16)
         fatal("GaloisField degree out of range [2,16]");

@@ -61,6 +61,26 @@ class GaloisField
         return exp_[log_[a] + log_[b]];
     }
 
+    /**
+     * mul() by shift-and-add and reduction, touching neither table:
+     * for code that runs too rarely to find the tables in cache.
+     */
+    Elem
+    mulCarryless(Elem a, Elem b) const
+    {
+        Elem prod = 0;
+        for (unsigned i = 0; i < m_; ++i)
+            prod ^= (a << i) & (0u - ((b >> i) & 1u));
+        // x^m = polyLow_: fold the bits above x^m down until none
+        // remain; each pass lowers the top degree.
+        for (Elem hi = prod >> m_; hi != 0; hi = prod >> m_) {
+            prod &= q_ - 1;
+            for (Elem bits = polyLow_; bits != 0; bits &= bits - 1)
+                prod ^= hi << __builtin_ctz(bits);
+        }
+        return prod;
+    }
+
     /** Multiplicative inverse. @pre a != 0 */
     Elem inv(Elem a) const;
 
@@ -114,6 +134,7 @@ class GaloisField
     unsigned m_;
     Elem q_;
     std::uint32_t poly_;
+    Elem polyLow_; ///< poly_ without its x^m term
     std::vector<Elem> exp_; ///< alpha^i, doubled to skip a mod.
     std::vector<unsigned> log_;
 };

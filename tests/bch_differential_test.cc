@@ -286,7 +286,7 @@ TEST(BchDifferentialTest, KernelEdgeCodesMatchReference)
     }
 }
 
-/** An encoder kernel: encodeTable or encodeClmul. */
+/** An encoder kernel: encodeTable, encodeClmul or encodeWide. */
 using EncodeKernel = void (BchCode::*)(const std::uint8_t*,
                                        std::uint8_t*) const;
 
@@ -294,8 +294,10 @@ using EncodeKernel = void (BchCode::*)(const std::uint8_t*,
  * The kernel agrees with encodeReference on codes the CLMUL fold
  * takes: every m = 15 page code with t <= 4, the r = 64 and r = 63
  * edges, and m = 15, t = 4 at lengths that exercise one lane only
- * (16, 48 bytes), four lanes with no step (64) and four lanes plus
- * one-lane steps (112).
+ * (16, 48 bytes), four lanes with no step (64), four lanes plus
+ * one-lane steps (112), and for the wide tier one 256-byte block
+ * (256), a block plus one zmm step (320), three blocks plus three zmm
+ * and three xmm steps (1008) and four blocks plus one xmm step (1040).
  */
 void
 expectKernelMatchesReference(EncodeKernel kernel)
@@ -307,7 +309,8 @@ expectKernelMatchesReference(EncodeKernel kernel)
         {15, 1, 2048, 15}, {15, 2, 2048, 30}, {15, 3, 2048, 45},
         {15, 4, 2048, 60}, {16, 4, 2048, 64}, {9, 7, 48, 63},
         {15, 4, 16, 60},   {15, 4, 48, 60},   {15, 4, 64, 60},
-        {15, 4, 112, 60},
+        {15, 4, 112, 60},  {15, 4, 256, 60},  {15, 4, 320, 60},
+        {15, 4, 1008, 60}, {15, 4, 1040, 60},
     };
     Rng rng(91);
     for (const auto& pr : params) {
@@ -344,25 +347,35 @@ TEST(BchDifferentialTest, ClmulKernelMatchesReferenceOnFoldCodes)
     expectKernelMatchesReference(&BchCode::encodeClmul);
 }
 
+TEST(BchDifferentialTest, WideKernelMatchesReferenceOnFoldCodes)
+{
+    if (!haveWideClmul())
+        GTEST_SKIP() << "host has no AVX-512F and VPCLMULQDQ";
+    expectKernelMatchesReference(&BchCode::encodeWide);
+}
+
 TEST(BchDifferentialTest, SingleRootOutsideShortenedWordIsUncorrectable)
 {
     // Zero data with parity = x^p mod g(x) is congruent to a single
     // error at p. For p past the shortened word the degree-1 locator's
     // root lies outside it: both decoders must refuse and leave the
-    // buffers untouched.
-    BchCode code(15, 4, 2048 * 8);
-    const std::uint32_t n = code.field().groupOrder();
-    for (const std::uint32_t p : {code.codewordBits(),
-                                  code.codewordBits() + 1, n - 1}) {
-        std::vector<std::uint8_t> data;
-        std::vector<std::uint8_t> parity;
-        wordCongruentTo(code, Gf2Poly::monomial(p), data, parity);
-        const auto data_in = data;
-        const auto parity_in = parity;
-        const auto res = decodeBothAndCompare(code, data, parity);
-        EXPECT_FALSE(res.ok) << "p=" << p;
-        EXPECT_EQ(data, data_in) << "p=" << p;
-        EXPECT_EQ(parity, parity_in) << "p=" << p;
+    // buffers untouched. Every page code with r <= 64 takes the
+    // single-error check ahead of Berlekamp-Massey here.
+    for (unsigned t = 1; t <= 4; ++t) {
+        BchCode code(15, t, 2048 * 8);
+        const std::uint32_t n = code.field().groupOrder();
+        for (const std::uint32_t p : {code.codewordBits(),
+                                      code.codewordBits() + 1, n - 1}) {
+            std::vector<std::uint8_t> data;
+            std::vector<std::uint8_t> parity;
+            wordCongruentTo(code, Gf2Poly::monomial(p), data, parity);
+            const auto data_in = data;
+            const auto parity_in = parity;
+            const auto res = decodeBothAndCompare(code, data, parity);
+            EXPECT_FALSE(res.ok) << "t=" << t << " p=" << p;
+            EXPECT_EQ(data, data_in) << "t=" << t << " p=" << p;
+            EXPECT_EQ(parity, parity_in) << "t=" << t << " p=" << p;
+        }
     }
 }
 
@@ -498,6 +511,87 @@ TEST(BchDifferentialTest, SingleErrorsOnPageCode)
     }
 }
 
+TEST(BchDifferentialTest, SingleErrorAtEveryPositionOfPageCodes)
+{
+    // The single-error check ahead of Berlekamp-Massey, at every data
+    // and parity position of the t = 1..4 page codes. Every decode
+    // must restore the page and report p; at every parity position,
+    // the last one and every 127th data position it must also match
+    // decodeReference bit for bit. (decodeReference at all 65,700
+    // positions takes ~40 s, too long for this tier.)
+    Rng rng(86);
+    for (unsigned t = 1; t <= 4; ++t) {
+        SCOPED_TRACE(::testing::Message() << "t=" << t);
+        BchCode code(15, t, 2048 * 8);
+        const auto orig = randomBytes(rng, 2048);
+        std::vector<std::uint8_t> orig_parity(code.parityBytes(), 0);
+        code.encode(orig.data(), orig_parity.data());
+        auto data = orig;
+        auto parity = orig_parity;
+        const std::uint32_t r = code.parityBits();
+        const std::uint32_t total = code.codewordBits();
+        for (std::uint32_t p = 0; p < total; ++p) {
+            flipCodewordBit(data, parity, r, p);
+            const bool oracle = p <= r || p + 1 == total ||
+                                (p - r) % 127 == 0;
+            const auto res = oracle
+                ? decodeBothAndCompare(code, data, parity)
+                : code.decode(data.data(), parity.data());
+            ASSERT_TRUE(res.ok) << "p=" << p;
+            ASSERT_EQ(res.correctedBits, 1u);
+            ASSERT_EQ(res.positions[0], p);
+            ASSERT_EQ(data, orig) << "p=" << p;
+            ASSERT_EQ(parity, orig_parity) << "p=" << p;
+        }
+    }
+}
+
+TEST(BchDifferentialTest, FourErrorsWithSingleErrorS3AreNotOneError)
+{
+    // Four errors whose S_3 happens to equal S_1^3, as one error's
+    // would, but whose S_5 does not: the single-error check must look
+    // past S_3 and leave the word to Berlekamp-Massey, which corrects
+    // all four. About one 4-error pattern in 2^15 qualifies.
+    Rng rng(90);
+    BchCode code(15, 4, 2048 * 8);
+    const GaloisField& gf = code.field();
+    const std::uint32_t total = code.codewordBits();
+    const std::uint32_t n = gf.groupOrder();
+    auto syndrome = [&](const std::set<std::uint32_t>& errs, unsigned j) {
+        GaloisField::Elem s = 0;
+        for (const std::uint32_t p : errs)
+            s ^= gf.alphaPow(static_cast<std::int64_t>(
+                static_cast<std::uint64_t>(p) * j % n));
+        return s;
+    };
+    std::set<std::uint32_t> errs;
+    for (int trial = 0; trial < 2000000; ++trial) {
+        errs.clear();
+        while (errs.size() < 4)
+            errs.insert(static_cast<std::uint32_t>(rng.uniformInt(total)));
+        const GaloisField::Elem s1 = syndrome(errs, 1);
+        if (s1 != 0 && syndrome(errs, 3) == gf.pow(s1, 3) &&
+            syndrome(errs, 5) != gf.pow(s1, 5)) {
+            break;
+        }
+        errs.clear();
+    }
+    ASSERT_EQ(errs.size(), 4u) << "no qualifying pattern found";
+
+    const auto orig = randomBytes(rng, 2048);
+    std::vector<std::uint8_t> orig_parity(code.parityBytes(), 0);
+    code.encode(orig.data(), orig_parity.data());
+    auto data = orig;
+    auto parity = orig_parity;
+    for (const std::uint32_t p : errs)
+        flipCodewordBit(data, parity, code.parityBits(), p);
+    const auto res = decodeBothAndCompare(code, data, parity);
+    EXPECT_TRUE(res.ok);
+    EXPECT_EQ(res.correctedBits, 4u);
+    EXPECT_EQ(data, orig);
+    EXPECT_EQ(parity, orig_parity);
+}
+
 TEST(BchDifferentialTest, CleanlinessCheckMatchesDecode)
 {
     Rng rng(74);
@@ -543,8 +637,9 @@ TEST(BchDifferentialTest, SteadyStateEncodeDecodeDoNotAllocate)
     // The acceptance contract of the word-parallel rewrite: after
     // construction, encode and decode (clean, corrected and overflow
     // paths) never touch the heap. t = 4 takes the CLMUL fold (on a
-    // host with it) and the closed-form two-error locator; t = 12 the
-    // multiword table kernel and the Chien sweep.
+    // host with it), the single-error check and the closed-form
+    // two-error locator; t = 12 the multiword table kernel and the
+    // Chien sweep.
     Rng rng(75);
     for (const unsigned t : {4u, 12u}) {
         SCOPED_TRACE(::testing::Message() << "t=" << t);
@@ -564,8 +659,8 @@ TEST(BchDifferentialTest, SteadyStateEncodeDecodeDoNotAllocate)
         auto res = code.decode(data.data(), parity.data());
         EXPECT_TRUE(res.ok);
 
-        // Decode with two errors, then with t correctable errors.
-        for (const unsigned nerr : {2u, t}) {
+        // Decode with one error, two, then t correctable errors.
+        for (const unsigned nerr : {1u, 2u, t}) {
             for (unsigned e = 0; e < nerr; ++e)
                 data[100 * e + 3] ^= 4;
             res = code.decode(data.data(), parity.data());

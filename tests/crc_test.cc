@@ -1,8 +1,8 @@
 /**
  * @file
- * CRC32 tests: known vectors, detection properties, and both
- * kernels (PCLMULQDQ fold and slicing-by-8) against the byte-wise
- * reference.
+ * CRC32 tests: known vectors, detection properties, and every
+ * kernel (the 512-bit VPCLMULQDQ and 128-bit PCLMULQDQ folds and
+ * slicing-by-8) against the byte-wise reference.
  */
 
 #include <gtest/gtest.h>
@@ -70,27 +70,30 @@ using Crc32Kernel = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
                                       std::size_t);
 
 /**
- * A kernel agrees with crc32BytewiseUpdate from a nonzero chained CRC
- * at lengths 0..300 (every 4-lane/1-lane/tail split of the fold) and
- * at 2047, 2048 and 4096 bytes, each at start offsets 0..15.
+ * A kernel agrees with crc32BytewiseUpdate from nonzero chained CRCs
+ * at every length 0..max_len and at 2047, 2048 and 4096 bytes, each
+ * at start offsets 0..offsets-1.
  */
 void
-expectKernelMatchesBytewise(Crc32Kernel kernel)
+expectKernelMatchesBytewise(Crc32Kernel kernel, std::size_t max_len,
+                            std::size_t offsets)
 {
     Rng rng(11);
-    std::vector<std::uint8_t> buf(4096 + 16);
+    std::vector<std::uint8_t> buf(4096 + offsets);
     for (auto& b : buf)
         b = static_cast<std::uint8_t>(rng.uniformInt(256));
-    const std::uint32_t chained = crc32Bytewise(buf.data(), 9);
+    const std::uint32_t chained[] = {crc32Bytewise(buf.data(), 9),
+                                     0xFFFFFFFFu};
     std::vector<std::size_t> lens;
-    for (std::size_t len = 0; len <= 300; ++len)
+    for (std::size_t len = 0; len <= max_len; ++len)
         lens.push_back(len);
     for (std::size_t len : {2047u, 2048u, 4096u})
         lens.push_back(len);
-    for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t off = 0; off < offsets; ++off) {
         for (std::size_t len : lens) {
-            ASSERT_EQ(kernel(chained, buf.data() + off, len),
-                      crc32BytewiseUpdate(chained, buf.data() + off, len))
+            const std::uint32_t crc = chained[(off + len) % 2];
+            ASSERT_EQ(kernel(crc, buf.data() + off, len),
+                      crc32BytewiseUpdate(crc, buf.data() + off, len))
                 << "offset " << off << " length " << len;
         }
     }
@@ -98,14 +101,34 @@ expectKernelMatchesBytewise(Crc32Kernel kernel)
 
 TEST(Crc32Test, TableKernelMatchesBytewiseReference)
 {
-    expectKernelMatchesBytewise(crc32UpdateTable);
+    expectKernelMatchesBytewise(crc32UpdateTable, 300, 16);
 }
 
 TEST(Crc32Test, ClmulKernelMatchesBytewiseReference)
 {
+    // Every 4-lane/1-lane/tail split of the 128-bit fold.
     if (!haveClmul())
         GTEST_SKIP() << "host has no PCLMULQDQ";
-    expectKernelMatchesBytewise(crc32UpdateClmul);
+    expectKernelMatchesBytewise(crc32UpdateClmul, 300, 16);
+}
+
+TEST(Crc32Test, WideKernelMatchesBytewiseReference)
+{
+    // 0..1100 bytes: below the 256-byte wide threshold, one to four
+    // 256-byte steps, every count of trailing 64-byte zmm and 16-byte
+    // xmm steps, and every tail; at every start offset mod 64.
+    if (!haveWideClmul())
+        GTEST_SKIP() << "host has no AVX-512F and VPCLMULQDQ";
+    expectKernelMatchesBytewise(crc32UpdateWide, 1100, 64);
+}
+
+TEST(Crc32Test, RecordsKernelTiers)
+{
+    // Surfaces in the test XML which tiers this host ran, so a runner
+    // without AVX-512 (whose wide tests skip) is visible.
+    RecordProperty("have_clmul", haveClmul() ? 1 : 0);
+    RecordProperty("have_wide_clmul", haveWideClmul() ? 1 : 0);
+    EXPECT_TRUE(haveClmul() || !haveWideClmul());
 }
 
 TEST(Crc32Test, DetectsSingleBitFlips)

@@ -43,6 +43,8 @@ TEST_P(FieldAxioms, MultiplicationAgainstCarrylessReduce)
             rng.uniformInt(gf.size()));
         EXPECT_EQ(gf.mul(a, b), ref_mul(a, b))
             << "a=" << a << " b=" << b << " m=" << m;
+        EXPECT_EQ(gf.mulCarryless(a, b), ref_mul(a, b))
+            << "a=" << a << " b=" << b << " m=" << m;
     }
 }
 
