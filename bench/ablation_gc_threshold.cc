@@ -14,7 +14,7 @@
 #include "core/flash_cache.hh"
 #include "obs/cli.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "util/log.hh"
 #include "workload/macro.hh"
 
 using namespace flashcache;
@@ -46,10 +46,6 @@ run(double threshold, bool last)
     cfg.gcMinInvalidFraction = threshold;
     FlashCache cache(ctrl, store, cfg);
 
-    obs::Tracer tracer(obsOpts.traceEvents);
-    if (obsOpts.wantTrace())
-        cache.setTracer(&tracer);
-
     auto gen = makeMacro(macroConfig("dbt2", 0.125));
     Rng rng(31);
     for (int i = 0; i < 600000; ++i) {
@@ -67,16 +63,12 @@ run(double threshold, bool last)
                 static_cast<unsigned long long>(st.evictionFlushes),
                 100.0 * cache.occupancy());
 
-    if (last) {
-        if (obsOpts.wantStats()) {
-            obs::MetricRegistry reg;
-            device.registerMetrics(reg);
-            cache.registerMetrics(reg);
-            ctrl.registerMetrics(reg);
-            obs::writeStatsJson(reg, obsOpts.statsJson);
-        }
-        if (obsOpts.wantTrace())
-            obs::writeTrace(tracer, obsOpts.traceOut);
+    if (last && obsOpts.wantStats()) {
+        obs::MetricRegistry reg;
+        device.registerMetrics(reg);
+        cache.registerMetrics(reg);
+        ctrl.registerMetrics(reg);
+        obs::writeStatsJson(reg, obsOpts.statsJson);
     }
 }
 
@@ -86,6 +78,12 @@ int
 main(int argc, char** argv)
 {
     obsOpts = obs::CliOptions::parse(argc, argv);
+    // The trace is written by the event scheduler, and this sweep
+    // drives FlashCache directly with none.
+    if (obsOpts.wantTrace())
+        fatal("ablation_gc_threshold runs without the event scheduler "
+              "and cannot write a trace; --trace-out is not supported "
+              "(--stats-json is)");
     std::printf("=== Ablation: GC victim threshold (dbt2 model, 32 MB "
                 "flash) ===\n\n");
     std::printf("%10s %13s %14s %14s %13s\n", "threshold", "read miss",

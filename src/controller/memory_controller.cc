@@ -5,7 +5,6 @@
 
 #include "ecc/crc32.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "util/log.hh"
 
 namespace flashcache {
@@ -129,8 +128,6 @@ FlashMemoryController::readPage(const PageAddress& addr,
     ControllerReadResult res;
     const auto raw = device_->readPage(addr);
     const Seconds ecc_lat = decodeLatency(desc.eccStrength);
-    FC_LEAF(tracer_, "flash.read", "flash", raw.latency);
-    FC_LEAF(tracer_, "ecc.decode", "ecc", ecc_lat);
     res.latency = raw.latency + ecc_lat;
     stats_.eccTime += ecc_lat;
     if (demands_)
@@ -250,16 +247,12 @@ FlashMemoryController::writePage(const PageAddress& addr,
     const Seconds enc = encodeLatency(desc.eccStrength);
     const auto prog = device_->programPage(addr, data,
                                            data ? wspare_.data() : nullptr);
-    FC_LEAF(tracer_, "ecc.encode", "ecc", enc);
-    FC_LEAF(tracer_, "flash.program", "flash", prog.latency);
     stats_.eccTime += enc;
     if (demands_)
         demands_->record(sched::ResourceKind::Ecc, 0, enc);
     ++stats_.writes;
-    if (prog.failed) {
+    if (prog.failed)
         ++stats_.programFailures;
-        FC_INSTANT(tracer_, "fault.program_fail", "fault");
-    }
     return {prog.latency + enc, prog.failed};
 }
 
@@ -268,11 +261,8 @@ FlashMemoryController::eraseBlock(std::uint32_t block)
 {
     ++stats_.erases;
     const auto er = device_->eraseBlock(block);
-    FC_LEAF(tracer_, "flash.erase", "flash", er.latency);
-    if (er.failed) {
+    if (er.failed)
         ++stats_.eraseFailures;
-        FC_INSTANT(tracer_, "fault.erase_fail", "fault");
-    }
     return {er.latency, er.failed};
 }
 

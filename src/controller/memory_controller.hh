@@ -35,7 +35,6 @@ namespace flashcache {
 
 namespace obs {
 class MetricRegistry;
-class Tracer;
 } // namespace obs
 
 /** Per-access control message generated from the FPST (section 5.2). */
@@ -187,11 +186,6 @@ class FlashMemoryController
     /** Register `controller.*` and `ecc.*` metrics. */
     void registerMetrics(obs::MetricRegistry& reg) const;
 
-    /** Attach (or detach with nullptr) a request tracer; array and
-     *  ECC latencies then appear as separate leaf events. */
-    void setTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-    obs::Tracer* tracer() const { return tracer_; }
-
     /** Attach (or detach with nullptr) a scheduler demand sink: each
      *  encode/decode is recorded as an Ecc engine demand (the array
      *  op itself is recorded by the device). Not owned. */
@@ -225,7 +219,6 @@ class FlashMemoryController
     EccTimingModel timing_;
     unsigned maxEcc_;
     ControllerStats stats_;
-    obs::Tracer* tracer_ = nullptr;
     sched::DemandSink* demands_ = nullptr;
     /** codes_[t]: the page code of strength t, built on first use. */
     std::vector<std::unique_ptr<BchCode>> codes_;

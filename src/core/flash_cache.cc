@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "util/log.hh"
 #include "util/serialize.hh"
 
@@ -91,13 +90,6 @@ FlashCache::FlashCache(FlashMemoryController& controller,
         (config_.splitRegions && regions_[kWrite].ownedBlocks < 2)) {
         fatal("too many factory bad blocks for a usable cache");
     }
-}
-
-void
-FlashCache::setTracer(obs::Tracer* tracer)
-{
-    tracer_ = tracer;
-    ctrl_->setTracer(tracer);
 }
 
 void
@@ -208,7 +200,7 @@ FlashCache::registerMetrics(obs::MetricRegistry& reg) const
                 "blocks retired by an erase failure",
                 &st->eraseFailRetirements);
     reg.counter("fault.disk_fill_failures",
-                "miss fills abandoned after disk retry exhaustion",
+                "miss fills abandoned after a failed disk read",
                 &st->diskFillFailures);
     reg.counter("fault.disk_flush_failures",
                 "dirty flushes failed by disk faults",
@@ -397,7 +389,6 @@ FlashCache::installPage(std::uint64_t id, Lba lba, bool dirty,
         // invalid (normal out-of-place bookkeeping), queue the block
         // for retirement, and re-program on a fresh slot.
         ++stats_.programFailReprograms;
-        FC_INSTANT(tracer_, "fault.program_fail_reprogram", "fault");
         invalidatePage(id, false);
         if (std::find(pendingRetire_.begin(), pendingRetire_.end(),
                       addr.block) == pendingRetire_.end()) {
@@ -583,7 +574,6 @@ FlashCache::eraseBlockTracked(std::uint32_t block, Seconds& time_sink)
     // Erase verify failed: retire in place. The region's capacity
     // shrinks; pages stay unusable (never handed to a free list).
     ++stats_.eraseFailRetirements;
-    FC_INSTANT(tracer_, "fault.erase_fail_retire", "fault");
     fb.retired = true;
     fb.region = -1;
     --reg.ownedBlocks;
@@ -602,7 +592,6 @@ FlashCache::readWithRetry(const PageAddress& addr,
         // Transient flips pushed the word past the code strength;
         // the driver re-reads before giving the page up.
         ++stats_.eccRetryReads;
-        FC_INSTANT(tracer_, "ecc.retry", "ecc");
         const ControllerReadResult retry = ctrl_->readPage(addr, desc,
                                                            out);
         stats_.flashBusyTime += retry.latency;
@@ -683,7 +672,6 @@ FlashCache::garbageCollect(int region)
     if (config_.wearLeveling && tryWearSwap(victim))
         return true;
 
-    FC_SPAN(tracer_, "cache.gc", "gc");
     ++stats_.gcRuns;
     // Relocate every valid page, then erase.
     for (std::uint16_t f = 0; f < framesPerBlock_; ++f) {
@@ -740,7 +728,6 @@ FlashCache::evictBlock(int region)
     if (config_.wearLeveling && tryWearSwap(victim))
         return true;
 
-    FC_SPAN(tracer_, "cache.evict", "cache");
     ++stats_.evictions;
     lruErase(reg, victim);
     if (reclaimBlock(victim, stats_.evictionTime))
@@ -790,7 +777,6 @@ FlashCache::wearLevelSwap(std::uint32_t victim, std::uint32_t newest)
     Region& vreg = regions_[victim_region];
     Region& nreg = regions_[newest_region];
 
-    FC_SPAN(tracer_, "cache.wear_swap", "cache");
     ++stats_.evictions;
     ++stats_.wearMigrations;
 
@@ -1032,7 +1018,6 @@ FlashCache::readData(Lba lba, std::uint8_t* data)
 CacheAccessResult
 FlashCache::readImpl(Lba lba, std::uint8_t* data)
 {
-    FC_SPAN(tracer_, "cache.read", "cache");
     maybeAge();
     ++windowReads_;
 
@@ -1095,19 +1080,16 @@ FlashCache::readImpl(Lba lba, std::uint8_t* data)
 
     // Miss path: fetch from disk and fill the read region.
     stats_.fgst.recordRead(false);
-    FC_INSTANT(tracer_, "cache.miss", "cache");
     bool fill_failed = false;
     const Seconds penalty = data
         ? payloadStore_->readData(lba, data, fill_failed)
         : store_->read(lba, fill_failed);
-    FC_LEAF(tracer_, "disk.fill", "disk", penalty);
     stats_.fgst.missPenalty.add(penalty);
     out.latency += penalty;
     if (fill_failed) {
-        // The disk's retries were exhausted; serve the failure up the
-        // stack rather than caching garbage.
+        // The backing store could not read the page; serve the
+        // failure up the stack rather than caching garbage.
         ++stats_.diskFillFailures;
-        FC_INSTANT(tracer_, "fault.disk_fill_fail", "fault");
         drainPendingRetires();
         return out;
     }
@@ -1177,7 +1159,6 @@ FlashCache::writeData(Lba lba, const std::uint8_t* data)
 CacheAccessResult
 FlashCache::writeImpl(Lba lba, const std::uint8_t* data)
 {
-    FC_SPAN(tracer_, "cache.write", "cache");
     CacheAccessResult out;
     const int wr = config_.splitRegions ? kWrite : kRead;
 
@@ -1256,11 +1237,9 @@ FlashCache::writeBack(FpstEntry& e, const std::uint8_t* buf,
     const Seconds wlat = payloadStore_
         ? payloadStore_->writeTagged(e.lba, buf, nextSeq_++, wfail)
         : store_->write(e.lba, wfail);
-    FC_LEAF(tracer_, "disk.flush", "disk", wlat);
     time_sink += wlat;
     if (wfail) {
         ++stats_.diskFlushFailures;
-        FC_INSTANT(tracer_, "fault.disk_flush_fail", "fault");
         return;
     }
     ++stats_.evictionFlushes;
@@ -1302,7 +1281,6 @@ FlashCache::drainPendingRetires()
         // already be gone by the time its turn comes.
         if (fbst_[b].retired || fbst_[b].region < 0)
             continue;
-        FC_INSTANT(tracer_, "fault.block_retire", "fault");
         retireBlock(b);
     }
 }
@@ -1313,7 +1291,6 @@ FlashCache::recover()
     if (!config_.realData || !payloadStore_)
         fatal("recover() requires realData mode (no payloads to scan "
               "otherwise)");
-    FC_SPAN(tracer_, "cache.recover", "cache");
     const sched::BackgroundScope bg(demands_);
     FlashDevice& dev = ctrl_->device();
     const FlashGeometry& geom = dev.geometry();

@@ -47,7 +47,6 @@ namespace flashcache {
 
 namespace obs {
 class MetricRegistry;
-class Tracer;
 } // namespace obs
 
 /** Tuning knobs; defaults follow the paper. */
@@ -236,12 +235,6 @@ class FlashCache
     /** Register every `cache.*` metric, including the derived write
      *  amplification / GC efficiency / occupancy gauges. */
     void registerMetrics(obs::MetricRegistry& reg) const;
-
-    /** Attach (or detach with nullptr) a request tracer; propagates
-     *  to the memory controller so array/ECC leaves line up under
-     *  the cache-level spans. */
-    void setTracer(obs::Tracer* tracer);
-    obs::Tracer* tracer() const { return tracer_; }
 
     /**
      * Attach (or detach with nullptr) the scheduler demand sink the
@@ -544,7 +537,6 @@ class FlashCache
     std::vector<std::uint8_t> pageBuf_;
 
     FlashCacheStats stats_;
-    obs::Tracer* tracer_ = nullptr;
     sched::DemandSink* demands_ = nullptr;
     std::uint64_t readsSinceAging_ = 0;
     std::uint64_t windowReads_ = 0;

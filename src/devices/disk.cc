@@ -1,6 +1,5 @@
 #include "devices/disk.hh"
 
-#include "fault/fault_injector.hh"
 #include "obs/metrics.hh"
 
 namespace flashcache {
@@ -15,10 +14,6 @@ DiskModel::registerMetrics(obs::MetricRegistry& reg) const
 {
     reg.counter("disk.accesses", "disk accesses", &accesses_);
     reg.counter("disk.busy", "disk busy seconds", &busy_);
-    reg.counter("disk.retries", "latent-sector-error retries", &retries_);
-    reg.counter("disk.hard_failures",
-                "accesses failed after exhausting retries",
-                &hardFailures_);
 }
 
 Seconds
@@ -40,37 +35,6 @@ DiskModel::access(Lba lba, bool sequential)
     if (demands_)
         demands_->record(sched::ResourceKind::Disk, 0, lat);
     return lat;
-}
-
-DiskModel::AccessResult
-DiskModel::accessChecked(Lba lba, bool sequential)
-{
-    AccessResult res;
-    res.latency = access(lba, sequential);
-    if (!fault_ || !fault_->onDiskAttempt())
-        return res;
-
-    // Latent-sector error: firmware retries with repositioning, each
-    // attempt a fresh full seek (no sequential shortcut). The head is
-    // no longer parked after lastLba_, so the next access must not
-    // inherit the sequential shortcut.
-    seqValid_ = false;
-    const unsigned budget = fault_->diskMaxRetries();
-    while (res.retries < budget) {
-        ++res.retries;
-        ++retries_;
-        const Seconds retry_lat =
-            spec_.avgAccessLatency * rng_.uniform(0.5, 1.5);
-        res.latency += retry_lat;
-        busy_ += retry_lat;
-        if (demands_)
-            demands_->record(sched::ResourceKind::Disk, 0, retry_lat);
-        if (!fault_->onDiskAttempt())
-            return res;
-    }
-    res.failed = true;
-    ++hardFailures_;
-    return res;
 }
 
 Joules

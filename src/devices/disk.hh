@@ -21,8 +21,6 @@
 
 namespace flashcache {
 
-class FaultInjector;
-
 namespace obs {
 class MetricRegistry;
 } // namespace obs
@@ -33,15 +31,6 @@ class MetricRegistry;
 class DiskModel
 {
   public:
-    /** Outcome of one access through the latent-error retry path. */
-    struct AccessResult
-    {
-        Seconds latency = 0.0;
-        /** Latent-sector error survived every retry. */
-        bool failed = false;
-        unsigned retries = 0;
-    };
-
     explicit DiskModel(const DiskSpec& spec = DiskSpec(),
                        std::uint64_t seed = 1);
 
@@ -55,22 +44,8 @@ class DiskModel
      */
     Seconds access(Lba lba, bool sequential);
 
-    /**
-     * Access with latent-sector-error semantics: with a fault
-     * injector attached, each attempt may fail; failed attempts are
-     * retried with a fresh full-seek latency (firmware re-read with
-     * repositioning) up to the plan's retry budget, after which the
-     * access is reported failed. Without an injector this is exactly
-     * access().
-     */
-    AccessResult accessChecked(Lba lba, bool sequential);
-
-    /** Attach (or detach with nullptr) a fault injector. Not owned. */
-    void attachFaultInjector(FaultInjector* fault) { fault_ = fault; }
-
     /** Attach (or detach with nullptr) a scheduler demand sink: each
-     *  access (including retry seeks) is recorded as a Disk demand.
-     *  Not owned. */
+     *  access is recorded as a Disk demand. Not owned. */
     void attachDemandSink(sched::DemandSink* sink) { demands_ = sink; }
 
     std::uint64_t accesses() const { return accesses_; }
@@ -93,15 +68,12 @@ class DiskModel
     DiskSpec spec_;
     Rng rng_;
     Lba lastLba_ = 0;
-    /** lastLba_ reflects the real head position. Retry seeks in
-     *  accessChecked() reposition the head, so they clear this and
-     *  the next access pays a full seek even at lastLba_ + 1. */
+    /** lastLba_ holds a real head position: false until the first
+     *  access, so LBA 1 first does not take the sequential shortcut
+     *  from the initial lastLba_ of 0. */
     bool seqValid_ = false;
     std::uint64_t accesses_ = 0;
     Seconds busy_ = 0.0;
-    std::uint64_t retries_ = 0;
-    std::uint64_t hardFailures_ = 0;
-    FaultInjector* fault_ = nullptr;
     sched::DemandSink* demands_ = nullptr;
 };
 

@@ -14,8 +14,7 @@ FaultInjector::FaultInjector(const FaultPlan& plan)
 {
     if (plan_.programFailRate < 0.0 || plan_.programFailRate > 1.0 ||
         plan_.eraseFailRate < 0.0 || plan_.eraseFailRate > 1.0 ||
-        plan_.readFaultRate < 0.0 || plan_.readFaultRate > 1.0 ||
-        plan_.diskFaultRate < 0.0 || plan_.diskFaultRate > 1.0)
+        plan_.readFaultRate < 0.0 || plan_.readFaultRate > 1.0)
         fatal("fault plan rates must lie in [0, 1]");
 }
 
@@ -88,15 +87,6 @@ FaultInjector::onRead()
     return bits;
 }
 
-bool
-FaultInjector::onDiskAttempt()
-{
-    if (plan_.diskFaultRate <= 0.0 || !rng_.bernoulli(plan_.diskFaultRate))
-        return false;
-    ++stats_.diskFaults;
-    return true;
-}
-
 std::size_t
 FaultInjector::tornBytes(std::size_t total)
 {
@@ -127,9 +117,6 @@ FaultInjector::registerMetrics(obs::MetricRegistry& reg) const
     reg.counter("fault.read_fault_bits",
                 "total extra bit errors injected into reads",
                 &stats_.readFaultBits);
-    reg.counter("fault.disk_faults",
-                "injected disk latent-sector errors (per attempt)",
-                &stats_.diskFaults);
     reg.counter("fault.power_cuts", "power cuts delivered",
                 &stats_.powerCuts);
     reg.counter("fault.torn_pages", "pages left torn on the medium",

@@ -3,14 +3,13 @@
  * Unified fault-injection harness for the flash cache stack.
  *
  * A FaultInjector owns a deterministic, seeded fault plan and is
- * consulted (when attached) by FlashDevice, DiskModel and — through
- * them — the memory controller on every medium operation. Faults come
- * in two flavours:
+ * consulted (when attached) by FlashDevice — and through it the
+ * memory controller — on every medium operation. Faults come in two
+ * flavours:
  *
- *  - probabilistic rates: program-status failures, erase failures,
- *    transient read bit-flips, and disk latent-sector errors, drawn
- *    from the injector's own Rng so a (seed, plan) pair replays
- *    bit-identically;
+ *  - probabilistic rates: program-status failures, erase failures
+ *    and transient read bit-flips, drawn from the injector's own Rng
+ *    so a (seed, plan) pair replays bit-identically;
  *  - scheduled one-shots: "fail the Nth program", "fail the Nth
  *    erase", and power cuts that either land *between* operations
  *    (clean cut) or *mid-program* (torn page: only a prefix of
@@ -74,11 +73,7 @@ struct FaultPlan
     double eraseFailRate = 0.0;   ///< P(erase failure)
     double readFaultRate = 0.0;   ///< P(transient read disturbance)
     unsigned readFaultBits = 4;   ///< max extra bit errors per event
-    double diskFaultRate = 0.0;   ///< P(latent-sector error per attempt)
     /// @}
-
-    /** Disk retries before an access is declared failed. */
-    unsigned diskMaxRetries = 3;
 
     /// @name Scheduled one-shots (1-based ordinals; 0 = never).
     /// @{
@@ -104,14 +99,13 @@ struct FaultStats
     std::uint64_t eraseFails = 0;   ///< erase failures injected
     std::uint64_t readFaults = 0;   ///< transient read events injected
     std::uint64_t readFaultBits = 0; ///< total extra bits injected
-    std::uint64_t diskFaults = 0;   ///< latent-sector errors injected
     std::uint64_t powerCuts = 0;    ///< power cuts delivered
     std::uint64_t tornPages = 0;    ///< pages left torn by cuts/failures
 };
 
 /**
- * The decision engine. Attach with FlashDevice::attachFaultInjector /
- * DiskModel::attachFaultInjector; detach (or clearPowerLoss) before
+ * The decision engine. Attach with FlashDevice::attachFaultInjector;
+ * detach (or clearPowerLoss) before
  * driving recovery so the rebuilt stack sees a quiet medium.
  */
 class FaultInjector
@@ -135,12 +129,6 @@ class FaultInjector
 
     /** @return extra transient bit errors for the current page read. */
     unsigned onRead();
-
-    /** @return true when this disk access attempt hits a latent-sector
-     *  error (consulted once per attempt, retries included). */
-    bool onDiskAttempt();
-
-    unsigned diskMaxRetries() const { return plan_.diskMaxRetries; }
 
     /**
      * Bytes of the in-flight payload persisted before a cut or status

@@ -1,24 +1,20 @@
 /**
  * @file
- * Request-lifecycle tracer: scoped span events on the simulated
- * clock, recorded into a preallocated ring buffer and exportable as
- * Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
+ * Timeline tracer: spans on the event engine's virtual clock,
+ * recorded into a preallocated ring buffer and exportable as Chrome
+ * trace-event JSON (loadable in Perfetto / chrome://tracing).
  *
- * The tracer owns a simulated clock. Leaf events (a flash array
- * read, an ECC decode, a disk seek) record their modeled latency and
- * advance the clock; enclosing spans (a cache read, a GC pass, a
- * whole request) measure clock-now minus clock-at-entry, so spans
- * nest exactly and timestamps are monotone by construction — a GC
- * stall or an ECC-latency spike is visually attributable to the leaf
- * that consumed the time.
+ * The tracer keeps no clock of its own. The event engine
+ * (sched::ClosedLoop) records each span with its virtual start time
+ * and duration on a numbered track: one track per contended resource
+ * (service spans, foreground or background) and one per closed-loop
+ * client (its requests with their compute, wait and service spans).
+ * Queueing, channel overlap and background interference therefore
+ * show on the same timeline that the sched.* metrics summarize.
  *
- * Cost model: instrumentation sites take a `Tracer*` and do nothing
- * when it is null (one predictable branch). Defining
- * `FLASHCACHE_TRACING=0` compiles the FC_* macros to nothing, which
- * is the configuration the bench uses to prove the serving path is
- * unaffected. The ring buffer is sized once at construction and
- * never allocates while recording; when full it overwrites the
- * oldest events and counts the drops.
+ * The ring buffer is sized once at construction and never allocates
+ * while recording; when full it overwrites the oldest events and
+ * counts the drops. Track names are set once, before recording.
  */
 
 #ifndef FLASHCACHE_OBS_TRACE_HH
@@ -26,19 +22,16 @@
 
 #include <cstdint>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "util/types.hh"
-
-#ifndef FLASHCACHE_TRACING
-#define FLASHCACHE_TRACING 1
-#endif
 
 namespace flashcache {
 namespace obs {
 
 /**
- * One completed event. Names are string literals interned by the
+ * One completed span. Names are string literals interned by the
  * caller (the tracer stores the pointer, not a copy).
  */
 struct TraceEvent
@@ -47,8 +40,8 @@ struct TraceEvent
     const char* cat;
     Seconds start;
     Seconds dur;
-    std::uint32_t seq;   ///< record order, for stable sorting
-    std::uint16_t depth; ///< span nesting depth at record time
+    std::uint32_t track;
+    std::uint32_t seq; ///< record order, for stable sorting
 };
 
 class Tracer
@@ -60,80 +53,18 @@ class Tracer
     Tracer(const Tracer&) = delete;
     Tracer& operator=(const Tracer&) = delete;
 
-    /// @name Simulated clock.
-    /// @{
-    Seconds now() const { return now_; }
-    void advance(Seconds dt) { now_ += dt; }
-    /// @}
-
-    /** Record a leaf op of modeled duration `dur` and advance the
-     *  clock past it. */
+    /** Record a span of `dur` seconds from `start` on `track`. */
     void
-    leaf(const char* name, const char* cat, Seconds dur)
-    {
-        record(name, cat, now_, dur);
-        now_ += dur;
-    }
-
-    /** Record a zero-duration marker at the current clock. */
-    void instant(const char* name, const char* cat)
-    {
-        record(name, cat, now_, 0.0);
-    }
-
-    /** Open a span; returns the depth token SpanGuard hands back. */
-    std::uint16_t
-    enter()
-    {
-        return depth_++;
-    }
-
-    /** Close a span opened at `start` with `enter()`'s token. */
-    void
-    exit(const char* name, const char* cat, Seconds start,
-         std::uint16_t depth)
-    {
-        depth_ = depth;
-        record(name, cat, start, now_ - start, depth);
-    }
-
-    std::size_t size() const { return count_; }
-    std::size_t capacity() const { return ring_.size(); }
-    std::uint64_t dropped() const { return dropped_; }
-    std::uint64_t recorded() const { return seq_; }
-
-    /** Discard all events (clock keeps running). */
-    void clear();
-
-    /** Events oldest-first (copies out of the ring). */
-    std::vector<TraceEvent> events() const;
-
-    /**
-     * Chrome trace-event JSON: complete ("ph":"X") events with µs
-     * timestamps on the simulated clock, sorted by start time so
-     * viewers nest them correctly; span depth is echoed in args.
-     */
-    void exportChromeTrace(std::ostream& os) const;
-
-  private:
-    void
-    record(const char* name, const char* cat, Seconds start,
-           Seconds dur)
-    {
-        record(name, cat, start, dur, depth_);
-    }
-
-    void
-    record(const char* name, const char* cat, Seconds start,
-           Seconds dur, std::uint16_t depth)
+    record(std::uint32_t track, const char* name, const char* cat,
+           Seconds start, Seconds dur)
     {
         TraceEvent& e = ring_[head_];
         e.name = name;
         e.cat = cat;
         e.start = start;
         e.dur = dur;
+        e.track = track;
         e.seq = seq_++;
-        e.depth = depth;
         if (++head_ == ring_.size())
             head_ = 0;
         if (count_ < ring_.size())
@@ -142,87 +73,40 @@ class Tracer
             ++dropped_;
     }
 
+    /** Name `track` in the export (allocates: call before recording). */
+    void nameTrack(std::uint32_t track, std::string name);
+
+    std::size_t size() const { return count_; }
+    std::size_t capacity() const { return ring_.size(); }
+    std::uint64_t dropped() const { return dropped_; }
+    std::uint64_t recorded() const { return seq_; }
+
+    /** Discard all events (track names stay). */
+    void clear();
+
+    /** Events oldest-first (copies out of the ring). */
+    std::vector<TraceEvent> events() const;
+
+    /**
+     * Chrome trace-event JSON: each track is a process (pid = track,
+     * named by a process_name record) and each span a complete
+     * ("ph":"X") event with µs timestamps on the virtual clock.
+     * Spans of one track that overlap (several servers of one
+     * resource, a request and its stages) go to separate lanes
+     * (tids), so no lane holds two overlapping spans.
+     */
+    void exportChromeTrace(std::ostream& os) const;
+
+  private:
     std::vector<TraceEvent> ring_;
+    std::vector<std::string> trackNames_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::uint32_t seq_ = 0;
     std::uint64_t dropped_ = 0;
-    std::uint16_t depth_ = 0;
-    Seconds now_ = 0.0;
-};
-
-/**
- * RAII span: captures the clock and depth at construction, records
- * the enclosing event at destruction. Null-safe — with no tracer the
- * whole object is two dead stores.
- */
-class SpanGuard
-{
-  public:
-    SpanGuard(Tracer* t, const char* name, const char* cat)
-        : t_(t), name_(name), cat_(cat)
-    {
-        if (t_) {
-            start_ = t_->now();
-            depth_ = t_->enter();
-        }
-    }
-
-    ~SpanGuard()
-    {
-        if (t_)
-            t_->exit(name_, cat_, start_, depth_);
-    }
-
-    SpanGuard(const SpanGuard&) = delete;
-    SpanGuard& operator=(const SpanGuard&) = delete;
-
-  private:
-    Tracer* t_;
-    const char* name_;
-    const char* cat_;
-    Seconds start_ = 0.0;
-    std::uint16_t depth_ = 0;
 };
 
 } // namespace obs
 } // namespace flashcache
-
-/// @name Instrumentation macros — compiled out when FLASHCACHE_TRACING=0.
-/// @{
-#define FC_OBS_CONCAT2(a, b) a##b
-#define FC_OBS_CONCAT(a, b) FC_OBS_CONCAT2(a, b)
-
-#if FLASHCACHE_TRACING
-#define FC_SPAN(tracer, name, cat)                                      \
-    ::flashcache::obs::SpanGuard FC_OBS_CONCAT(fcSpan, __LINE__)(       \
-        (tracer), (name), (cat))
-#define FC_LEAF(tracer, name, cat, dur)                                 \
-    do {                                                                \
-        ::flashcache::obs::Tracer* fcT = (tracer);                      \
-        if (fcT)                                                        \
-            fcT->leaf((name), (cat), (dur));                            \
-    } while (0)
-#define FC_INSTANT(tracer, name, cat)                                   \
-    do {                                                                \
-        ::flashcache::obs::Tracer* fcT = (tracer);                      \
-        if (fcT)                                                        \
-            fcT->instant((name), (cat));                                \
-    } while (0)
-#else
-#define FC_SPAN(tracer, name, cat)                                      \
-    do {                                                                \
-    } while (0)
-// sizeof keeps a duration local that only feeds the leaf "used"
-// without evaluating it.
-#define FC_LEAF(tracer, name, cat, dur)                                 \
-    do {                                                                \
-        (void)sizeof(dur);                                              \
-    } while (0)
-#define FC_INSTANT(tracer, name, cat)                                   \
-    do {                                                                \
-    } while (0)
-#endif
-/// @}
 
 #endif // FLASHCACHE_OBS_TRACE_HH

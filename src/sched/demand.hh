@@ -13,8 +13,11 @@
  * entering a background scope: demands recorded inside it become
  * low-priority filler jobs that yield to foreground traffic.
  *
- * With no sink attached every hook is one null-pointer test, the
- * same contract as the tracer and the fault injector.
+ * The sink is the one channel through which time leaves the device
+ * models: the scheduler turns these demands into the virtual clock,
+ * the sched.* metrics and the trace. With no sink attached every
+ * hook is one null-pointer test, the same contract as the flash
+ * fault injector.
  */
 
 #ifndef FLASHCACHE_SCHED_DEMAND_HH

@@ -5,10 +5,28 @@
 #include <cmath>
 
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "util/log.hh"
 
 namespace flashcache {
 namespace sched {
+
+namespace {
+
+/** Metric prefix and trace span name of each Group. */
+constexpr const char* kGroupNames[] = {"flash", "disk", "ecc", "dram"};
+
+/** Client-track wait span name of each Group. */
+constexpr const char* kWaitNames[] = {"flash wait", "disk wait",
+                                      "ecc wait", "dram wait"};
+
+const char*
+nameOf(Group g)
+{
+    return kGroupNames[static_cast<std::size_t>(g)];
+}
+
+} // namespace
 
 // ---------------------------------------------------------------- histogram
 
@@ -117,7 +135,6 @@ ClosedLoop::advance(Resource& r, Seconds t)
 {
     const Seconds dt = t - r.lastT;
     if (dt > 0) {
-        r.busy += r.busyServers * dt;
         r.queueArea +=
             static_cast<double>(r.fg.size() + r.bg.size()) * dt;
         r.lastT = t;
@@ -138,10 +155,17 @@ ClosedLoop::dispatch(std::uint32_t res, Seconds t)
             const std::uint32_t job = r.fg.front();
             r.fg.pop_front();
             const Job& j = jobs_[job];
-            push(t + j.ops[j.cursor].service, EventKind::FgDone, job);
+            const Seconds service = j.ops[j.cursor].service;
+            r.busy += service;
+            if (tracer_)
+                traceStage(res, job, t, service);
+            push(t + service, EventKind::FgDone, job);
         } else {
             const Seconds service = r.bg.front();
             r.bg.pop_front();
+            r.busy += service;
+            if (tracer_)
+                tracer_->record(res, nameOf(r.group), "bg", t, service);
             push(t + service, EventKind::BgDone, res);
         }
     }
@@ -159,6 +183,7 @@ ClosedLoop::onClientReady(Event& ev, const Source& source,
     if (!source(compute, demands))
         return false; // workload exhausted: this client retires
     Job& j = jobs_[job];
+    j.draw = now_;
     j.compute = compute;
     j.issue = now_ + compute;
     j.ops.clear();
@@ -176,6 +201,8 @@ ClosedLoop::onClientReady(Event& ev, const Source& source,
     if (j.stages == 0) {
         ++fgCompleted_;
         done(j.compute, j.issue, j.issue);
+        if (tracer_)
+            traceRequest(job, j.issue);
     }
     ev = {j.issue, 0, EventKind::Issue, job};
     return true;
@@ -215,6 +242,9 @@ ClosedLoop::onStageArrive(Event& ev)
         // queues are empty and the stage goes straight into service.
         assert(r.fg.empty() && r.bg.empty());
         ++r.busyServers;
+        r.busy += st.service;
+        if (tracer_)
+            traceStage(st.resource, job, now_, st.service);
         ev = {now_ + st.service, 0, EventKind::FgDone, job};
         return true;
     }
@@ -243,6 +273,8 @@ ClosedLoop::onFgDone(Event& ev, const DoneFn& done)
     }
     ++fgCompleted_;
     done(j.compute, j.issue, now_);
+    if (tracer_)
+        traceRequest(job, now_);
     ev = {now_, 0, EventKind::ClientReady, job};
     return true;
 }
@@ -300,6 +332,57 @@ ClosedLoop::run(const Source& source, const DoneFn& done)
     // so utilization/queue-depth denominators line up with wallClock.
     for (Resource& r : resources_)
         advance(r, now_);
+}
+
+// ----------------------------------------------------------------- timeline
+
+void
+ClosedLoop::attachTracer(obs::Tracer* tracer)
+{
+    tracer_ = tracer;
+    if (!tracer_)
+        return;
+    for (std::uint32_t res = 0; res < resources_.size(); ++res) {
+        const char* name = nameOf(resources_[res].group);
+        tracer_->nameTrack(res, res < config_.flashChannels
+                                    ? std::string(name) + " ch" +
+                                        std::to_string(res)
+                                    : std::string(name));
+    }
+    for (std::uint32_t c = 0; c < config_.clients; ++c)
+        tracer_->nameTrack(clientTrack(c),
+                           "client " + std::to_string(c));
+}
+
+std::uint32_t
+ClosedLoop::clientTrack(std::uint32_t job) const
+{
+    return static_cast<std::uint32_t>(resources_.size()) + job;
+}
+
+void
+ClosedLoop::traceStage(std::uint32_t res, std::uint32_t job,
+                       Seconds start, Seconds service)
+{
+    const Group g = resources_[res].group;
+    tracer_->record(res, nameOf(g), "fg", start, service);
+    const std::uint32_t track = clientTrack(job);
+    const Seconds arrival = jobs_[job].arrival;
+    if (start > arrival) {
+        tracer_->record(track, kWaitNames[static_cast<std::size_t>(g)],
+                        "wait", arrival, start - arrival);
+    }
+    tracer_->record(track, nameOf(g), "fg", start, service);
+}
+
+void
+ClosedLoop::traceRequest(std::uint32_t job, Seconds completion)
+{
+    const Job& j = jobs_[job];
+    const std::uint32_t track = clientTrack(job);
+    tracer_->record(track, "request", "client", j.draw,
+                    completion - j.draw);
+    tracer_->record(track, "compute", "client", j.draw, j.compute);
 }
 
 // ------------------------------------------------------------------ queries
@@ -392,20 +475,9 @@ ClosedLoop::registerMetrics(obs::MetricRegistry& reg)
     reg.gauge("sched.bg_jobs", "background ops submitted",
               [this] { return static_cast<double>(bgSubmitted_); });
 
-    struct GroupName
-    {
-        Group g;
-        const char* name;
-    };
-    static constexpr GroupName kGroups[] = {
-        {Group::Flash, "flash"},
-        {Group::Disk, "disk"},
-        {Group::Ecc, "ecc"},
-        {Group::Dram, "dram"},
-    };
-    for (const GroupName& gn : kGroups) {
-        const std::string base = std::string("sched.") + gn.name;
-        const Group g = gn.g;
+    for (const Group g :
+         {Group::Flash, Group::Disk, Group::Ecc, Group::Dram}) {
+        const std::string base = std::string("sched.") + nameOf(g);
         reg.gauge(base + ".utilization",
                   "fraction of server-time in service",
                   [this, g] { return utilization(g); });

@@ -33,6 +33,13 @@
  * newest sequence number, so it would have been the very next event
  * popped: the shortcut changes no order and no result. On a tie it
  * goes through the heap.
+ *
+ * With an obs::Tracer attached the engine writes the timeline: each
+ * op's service span on its resource's track as it enters service
+ * (category fg or bg), and on each client's track its requests with
+ * their compute, wait and service spans. Background waits are not
+ * traced (the bg queue keeps only service times). Tracing reads the
+ * engine's state and changes none of it.
  */
 
 #ifndef FLASHCACHE_SCHED_SCHEDULER_HH
@@ -53,7 +60,8 @@ namespace flashcache {
 
 namespace obs {
 class MetricRegistry;
-}
+class Tracer;
+} // namespace obs
 
 namespace sched {
 
@@ -162,6 +170,14 @@ class ClosedLoop
     /** Register sched.* gauges; `this` must outlive the registry. */
     void registerMetrics(obs::MetricRegistry& reg);
 
+    /**
+     * Record the timeline into `tracer` (nullptr detaches; not
+     * owned). Names its tracks: track r is resource r (flash
+     * channels, then disk, ECC, DRAM), and the clients follow. The
+     * tracer is then written by whichever thread calls run().
+     */
+    void attachTracer(obs::Tracer* tracer);
+
   private:
     /**
      * Event kinds. A handler may leave one follow-up event as its
@@ -194,6 +210,7 @@ class ClosedLoop
 
     struct Job
     {
+        Seconds draw = 0;    ///< when the client drew the request
         Seconds compute = 0; ///< think time before issue
         Seconds issue = 0;   ///< post-think; latency baseline
         Seconds arrival = 0; ///< arrival at the current resource
@@ -213,7 +230,7 @@ class ClosedLoop
         std::deque<Seconds> bg;       ///< waiting bg service times
 
         Seconds lastT = 0;
-        Seconds busy = 0;      ///< integral of busyServers dt
+        Seconds busy = 0;      ///< sum of service of ops started
         Seconds queueArea = 0; ///< integral of waiting count dt
         std::uint64_t fgServed = 0;
         std::uint64_t bgServed = 0;
@@ -241,6 +258,14 @@ class ClosedLoop
     void dispatch(std::uint32_t res, Seconds t);
     std::uint32_t resourceOf(const Demand& d) const;
 
+    /// @name Timeline records (only with a tracer attached).
+    /// @{
+    std::uint32_t clientTrack(std::uint32_t job) const;
+    void traceStage(std::uint32_t res, std::uint32_t job, Seconds start,
+                    Seconds service);
+    void traceRequest(std::uint32_t job, Seconds completion);
+    /// @}
+
     /// @name Event handlers at virtual time now_.
     /// Each returns true when it leaves a follow-up event in `ev`,
     /// which run() then executes directly or pushes.
@@ -264,6 +289,7 @@ class ClosedLoop
     Seconds now_ = 0;
     std::uint64_t fgCompleted_ = 0;
     std::uint64_t bgSubmitted_ = 0;
+    obs::Tracer* tracer_ = nullptr;
 };
 
 } // namespace sched

@@ -160,30 +160,25 @@ void
 SystemSimulator::enableTracing(std::size_t capacity)
 {
     tracer_ = std::make_unique<obs::Tracer>(capacity);
-    if (cache_)
-        cache_->setTracer(tracer_.get());
+    sched_->attachTracer(tracer_.get());
 }
 
 void
 SystemSimulator::readBelow(Lba lba)
 {
-    if (cache_) {
+    if (cache_)
         cache_->read(lba);
-        return;
-    }
-    const Seconds lat = disk_.access(lba, false);
-    FC_LEAF(tracer_.get(), "disk.access", "disk", lat);
+    else
+        disk_.access(lba, false);
 }
 
 void
 SystemSimulator::writeBelow(Lba lba)
 {
-    if (cache_) {
+    if (cache_)
         cache_->write(lba);
-        return;
-    }
-    const Seconds lat = disk_.access(lba, false);
-    FC_LEAF(tracer_.get(), "disk.access", "disk", lat);
+    else
+        disk_.access(lba, false);
 }
 
 void
@@ -193,7 +188,6 @@ SystemSimulator::evictPdcPage()
     if (pdcDirtyLru_.erase(victim)) {
         // Background write-back; does not delay the foreground
         // request, but occupies the lower levels.
-        FC_SPAN(tracer_.get(), "pdc.evict_writeback", "pdc");
         const sched::BackgroundScope bg(&sink_);
         writeBelow(victim);
         ++stats_.writebacks;
@@ -203,30 +197,24 @@ SystemSimulator::evictPdcPage()
 void
 SystemSimulator::serve(const TraceRecord& r, Seconds& compute)
 {
-    FC_SPAN(tracer_.get(), "request", "sim");
     compute = rng_.exponential(1.0 / config_.computeTime);
-    FC_LEAF(tracer_.get(), "cpu.compute", "cpu", compute);
 
     if (!r.isWrite) {
         if (pdcLru_.contains(r.lba)) {
             pdcLru_.touch(r.lba);
-            const Seconds hit = dram_.read(kPageBytes);
-            FC_LEAF(tracer_.get(), "dram.read", "dram", hit);
+            dram_.read(kPageBytes);
             stats_.pdcReads.hit();
         } else {
             stats_.pdcReads.miss();
-            FC_INSTANT(tracer_.get(), "pdc.miss", "pdc");
             while (pdcLru_.size() >= pdcCapacityPages_)
                 evictPdcPage();
             readBelow(r.lba);
-            const Seconds fill = dram_.write(kPageBytes);
-            FC_LEAF(tracer_.get(), "dram.write", "dram", fill);
+            dram_.write(kPageBytes);
             pdcLru_.touch(r.lba);
         }
     } else {
         // Writes complete at DRAM speed; dirty data drains later.
-        const Seconds write = dram_.write(kPageBytes);
-        FC_LEAF(tracer_.get(), "dram.write", "dram", write);
+        dram_.write(kPageBytes);
         if (!pdcLru_.contains(r.lba)) {
             while (pdcLru_.size() >= pdcCapacityPages_)
                 evictPdcPage();
@@ -236,7 +224,6 @@ SystemSimulator::serve(const TraceRecord& r, Seconds& compute)
         // Periodic write-back (section 5.1): once enough dirty pages
         // accumulate, the flusher drains the coldest ones in batches.
         if (pdcDirtyLru_.size() >= pdcDirtyLimit_) {
-            FC_SPAN(tracer_.get(), "pdc.flush_batch", "pdc");
             const sched::BackgroundScope bg(&sink_);
             for (unsigned i = 0;
                  i < config_.writebackBatch && !pdcDirtyLru_.empty();

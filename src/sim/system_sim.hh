@@ -18,10 +18,10 @@
  *
  * Each run() uses two threads. The calling thread is the producer: it
  * owns the functional model (workload draw, compute draw, PDC, flash
- * cache, devices, tracer), serves each request and pushes its compute
- * time and device demands into a RequestChannel. A second thread owns
- * the event scheduler and the latency histogram: it replays the k-th
- * request at the scheduler's k-th draw. The model never reads the
+ * cache, devices), serves each request and pushes its compute time
+ * and device demands into a RequestChannel. A second thread owns the
+ * event scheduler, the latency histogram and the tracer: it replays
+ * the k-th request at the scheduler's k-th draw. The model never reads the
  * virtual clock, so this is the order a serial loop would use and
  * every result is bit-identical to it. The model stays on the caller
  * because it is what allocates as the cache fills: on another thread
@@ -159,10 +159,11 @@ class SystemSimulator
     const obs::MetricRegistry& metrics() const { return registry_; }
 
     /**
-     * Attach a request-lifecycle tracer (ring of `capacity` events
-     * on the simulated clock); spans cover requests, cache
-     * accesses, GC and evictions, with flash/ECC/disk/DRAM leaves.
-     * Call before run(); replaces any previous tracer.
+     * Attach a timeline tracer (ring of `capacity` events) to the
+     * event scheduler, which records every op's service span per
+     * resource and every request's compute, wait and service spans
+     * per client on the virtual clock. Call before run(); replaces
+     * any previous tracer.
      */
     void enableTracing(std::size_t capacity = 1u << 16);
 

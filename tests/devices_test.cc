@@ -7,7 +7,6 @@
 
 #include "devices/disk.hh"
 #include "devices/dram.hh"
-#include "fault/fault_injector.hh"
 #include "util/stats.hh"
 
 namespace flashcache {
@@ -96,51 +95,37 @@ TEST(DiskModelTest, CountsAccesses)
     EXPECT_EQ(disk.accesses(), 7u);
 }
 
-TEST(DiskModelTest, RetrySeeksInvalidateSequentialShortcut)
+TEST(DiskModelTest, FirstAccessPaysAFullSeek)
 {
-    FaultPlan plan;
-    plan.diskFaultRate = 1.0; // every attempt hits a latent error
-    plan.diskMaxRetries = 2;
-    FaultInjector fault(plan);
+    // The head has no position before the first access, so LBA 1
+    // first must not take the shortcut from the initial LBA 0.
     DiskModel disk;
-    disk.attachFaultInjector(&fault);
+    const Seconds first = disk.access(1, false);
+    EXPECT_GE(first, 0.5 * DiskSpec().avgAccessLatency - 1e-12);
 
-    disk.access(1000, false); // park the head after LBA 1000
-    const auto res = disk.accessChecked(1001, false);
-    EXPECT_TRUE(res.failed);
-    EXPECT_EQ(res.retries, 2u);
-
-    // The retries repositioned the head, so the next consecutive LBA
-    // must pay a full seek (>= 0.5x average), not the 0.15x shortcut.
-    const Seconds next = disk.access(1002, false);
-    EXPECT_GE(next, 0.5 * DiskSpec().avgAccessLatency - 1e-12);
-
-    // With the head parked again the shortcut is back.
-    const Seconds seq = disk.access(1003, false);
+    // Once the head is parked, the next LBA is sequential.
+    const Seconds seq = disk.access(2, false);
     EXPECT_NEAR(seq, 0.15 * DiskSpec().avgAccessLatency, 1e-12);
 }
 
-TEST(DiskModelTest, RecordsDemandsIncludingRetrySeeks)
+TEST(DiskModelTest, RecordsOneDemandPerAccess)
 {
     sched::DemandSink sink;
-    FaultPlan plan;
-    plan.diskFaultRate = 1.0;
-    plan.diskMaxRetries = 3;
-    FaultInjector fault(plan);
     DiskModel disk;
     disk.attachDemandSink(&sink);
-    disk.attachFaultInjector(&fault);
 
-    const auto res = disk.accessChecked(42, false);
-    ASSERT_EQ(sink.demands().size(), 4u); // initial seek + 3 retries
     Seconds sum = 0.0;
+    for (Lba lba : {42u, 43u, 9000u})
+        sum += disk.access(lba, false);
+    ASSERT_EQ(sink.demands().size(), 3u);
+    Seconds recorded = 0.0;
     for (const auto& d : sink.demands()) {
         EXPECT_EQ(d.kind, sched::ResourceKind::Disk);
         EXPECT_FALSE(d.background);
-        sum += d.service;
+        recorded += d.service;
     }
-    EXPECT_NEAR(sum, res.latency, 1e-12);
-    EXPECT_NEAR(sum, disk.busyTime(), 1e-12);
+    EXPECT_NEAR(recorded, sum, 1e-12);
+    EXPECT_NEAR(recorded, disk.busyTime(), 1e-12);
 }
 
 } // namespace

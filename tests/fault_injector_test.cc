@@ -3,8 +3,7 @@
  * Fault-injection harness tests: deterministic replay, scheduled
  * one-shots, torn-page power cuts, and the cache's degraded-mode
  * responses (re-program after a program-status failure, retirement
- * after an erase failure, bounded disk retries on latent-sector
- * errors).
+ * after an erase failure, a failed disk fill or flush).
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 
 #include "controller/memory_controller.hh"
 #include "core/flash_cache.hh"
-#include "devices/disk.hh"
 #include "fault/fault_injector.hh"
 #include "obs/metrics.hh"
 #include "util/rng.hh"
@@ -101,7 +99,6 @@ TEST(FaultInjectorTest, SeededPlansReplayBitIdentically)
     plan.programFailRate = 0.2;
     plan.eraseFailRate = 0.1;
     plan.readFaultRate = 0.3;
-    plan.diskFaultRate = 0.25;
 
     FaultInjector a(plan);
     FaultInjector b(plan);
@@ -111,14 +108,12 @@ TEST(FaultInjectorTest, SeededPlansReplayBitIdentically)
         EXPECT_EQ(a.onProgram(), b.onProgram());
         EXPECT_EQ(a.onErase(), b.onErase());
         EXPECT_EQ(a.onRead(), b.onRead());
-        EXPECT_EQ(a.onDiskAttempt(), b.onDiskAttempt());
     }
     EXPECT_EQ(a.stats().programFails, b.stats().programFails);
     EXPECT_EQ(a.stats().readFaultBits, b.stats().readFaultBits);
     EXPECT_GT(a.stats().programFails, 0u);
     EXPECT_GT(a.stats().eraseFails, 0u);
     EXPECT_GT(a.stats().readFaults, 0u);
-    EXPECT_GT(a.stats().diskFaults, 0u);
 }
 
 TEST(FaultInjectorTest, ScheduledOneShotsFireExactlyOnce)
@@ -253,43 +248,6 @@ TEST(FaultInjectorTest, EraseFailureRetiresTheBlock)
     }
 }
 
-TEST(FaultInjectorTest, DiskRetriesThenReportsHardFailure)
-{
-    FaultPlan plan;
-    plan.diskFaultRate = 1.0; // every attempt fails
-    plan.diskMaxRetries = 3;
-    FaultInjector inj(plan);
-    DiskModel disk;
-    disk.attachFaultInjector(&inj);
-
-    const auto res = disk.accessChecked(7, false);
-    EXPECT_TRUE(res.failed);
-    EXPECT_EQ(res.retries, 3u);
-    EXPECT_EQ(inj.stats().diskFaults, 4u); // initial + 3 retries
-
-    // A transient error costs retries but succeeds.
-    FaultPlan once;
-    once.diskFaultRate = 0.5;
-    once.seed = 5;
-    FaultInjector inj2(once);
-    DiskModel disk2;
-    disk2.attachFaultInjector(&inj2);
-    unsigned failed = 0, retried = 0;
-    for (int i = 0; i < 200; ++i) {
-        const auto r = disk2.accessChecked(i, false);
-        failed += r.failed;
-        retried += r.retries > 0;
-    }
-    EXPECT_GT(retried, 0u);
-    EXPECT_LT(failed, 200u);
-
-    // Without an injector accessChecked degenerates to access().
-    DiskModel plain;
-    const auto ok = plain.accessChecked(3, false);
-    EXPECT_FALSE(ok.failed);
-    EXPECT_EQ(ok.retries, 0u);
-}
-
 TEST(FaultInjectorTest, DiskFillFailureIsServedAsMissNeverStale)
 {
     // A payload store that honours the fault-aware hooks by failing
@@ -390,7 +348,6 @@ TEST(FaultInjectorTest, MetricsRegisterUnderFaultPrefix)
     EXPECT_TRUE(reg.has("fault.program_fails"));
     EXPECT_TRUE(reg.has("fault.erase_fails"));
     EXPECT_TRUE(reg.has("fault.read_faults"));
-    EXPECT_TRUE(reg.has("fault.disk_faults"));
     EXPECT_TRUE(reg.has("fault.power_cuts"));
     EXPECT_TRUE(reg.has("fault.torn_pages"));
     EXPECT_EQ(reg.value("fault.program_fails"), 0.0);

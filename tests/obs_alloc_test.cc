@@ -1,7 +1,7 @@
 /**
  * @file
  * Steady-state allocation guarantee of the tracer ring: once the
- * Tracer is constructed, recording spans, leaves and instants —
+ * Tracer is constructed and its tracks named, recording spans —
  * including after the ring wraps — performs zero heap allocations
  * (global operator new/delete are replaced with counting versions,
  * as in allocation_test.cc).
@@ -79,36 +79,24 @@ namespace {
 TEST(TracerAllocTest, RecordingNeverAllocates)
 {
     Tracer t(1024); // construction preallocates the ring
+    t.nameTrack(0, "disk");
+    t.nameTrack(1, "client 0");
     // Warm one full lap so any lazy setup is behind us.
     for (int i = 0; i < 1024; ++i)
-        t.leaf("warm", "c", 1e-6);
+        t.record(0, "warm", "c", i * 1e-6, 1e-6);
 
     const std::uint64_t before = g_allocCount;
-    // Four laps of mixed recording: wraps, drops, nesting.
+    // Four laps of mixed recording across tracks: wraps and drops.
     for (int i = 0; i < 1024; ++i) {
-        SpanGuard outer(&t, "outer", "c");
-        t.leaf("leaf", "c", 1e-6);
-        t.instant("mark", "c");
-        {
-            SpanGuard inner(&t, "inner", "c");
-            t.leaf("deep", "c", 1e-7);
-        }
+        const Seconds start = i * 1e-3;
+        t.record(1, "request", "client", start, 1e-3);
+        t.record(1, "compute", "client", start, 2e-4);
+        t.record(0, "disk", "fg", start + 2e-4, 8e-4);
+        t.record(1, "disk", "fg", start + 2e-4, 8e-4);
     }
     EXPECT_EQ(g_allocCount, before);
     EXPECT_EQ(t.size(), t.capacity());
     EXPECT_GT(t.dropped(), 0u);
-}
-
-TEST(TracerAllocTest, NullTracerSitesNeverAllocate)
-{
-    Tracer* none = nullptr;
-    const std::uint64_t before = g_allocCount;
-    for (int i = 0; i < 4096; ++i) {
-        FC_SPAN(none, "s", "c");
-        FC_LEAF(none, "l", "c", 1e-6);
-        FC_INSTANT(none, "i", "c");
-    }
-    EXPECT_EQ(g_allocCount, before);
 }
 
 } // namespace

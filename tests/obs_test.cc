@@ -2,17 +2,24 @@
  * @file
  * Observability coverage: the JSON writer/parser round-trip, the
  * metric registry (registration, composite expansion, stable JSON
- * schema and key order, the gem5-style text dump), the
- * request-lifecycle tracer (clock, nesting, ring wrap), the Chrome
- * trace exporter (well-formed, monotone, properly nested), and the
- * shared --stats-json/--trace-out flag parsing.
+ * schema and key order, the gem5-style text dump), the timeline
+ * tracer (ring wrap, Chrome export with named tracks and
+ * non-overlapping lanes), the trace the event engine writes (service
+ * spans sum to the scheduler's busy time, queueing shows, tracing
+ * changes no result), and the shared --stats-json/--trace-out flag
+ * parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/cli.hh"
@@ -22,6 +29,7 @@
 #include "sim/system_sim.hh"
 #include "ssd/ftl.hh"
 #include "util/rng.hh"
+#include "workload/macro.hh"
 #include "workload/synthetic.hh"
 
 namespace flashcache {
@@ -209,54 +217,11 @@ TEST(MetricRegistryTest, TextDumpHasNameValueDesc)
 
 // --------------------------------------------------------------- Tracer
 
-TEST(TracerTest, LeavesAdvanceTheClock)
-{
-    Tracer t(16);
-    EXPECT_DOUBLE_EQ(t.now(), 0.0);
-    t.leaf("a", "cat", 0.25);
-    t.leaf("b", "cat", 0.5);
-    EXPECT_DOUBLE_EQ(t.now(), 0.75);
-    const auto evs = t.events();
-    ASSERT_EQ(evs.size(), 2u);
-    EXPECT_DOUBLE_EQ(evs[0].start, 0.0);
-    EXPECT_DOUBLE_EQ(evs[1].start, 0.25);
-    EXPECT_DOUBLE_EQ(evs[1].dur, 0.5);
-}
-
-TEST(TracerTest, SpansNestAroundLeaves)
-{
-    Tracer t(16);
-    t.leaf("pre", "c", 1.0);
-    {
-        SpanGuard outer(&t, "outer", "c");
-        t.leaf("child1", "c", 0.5);
-        {
-            SpanGuard inner(&t, "inner", "c");
-            t.leaf("child2", "c", 0.25);
-        }
-    }
-    const auto evs = t.events();
-    ASSERT_EQ(evs.size(), 5u); // pre, child1, child2, inner, outer
-    const TraceEvent& outer = evs[4];
-    const TraceEvent& inner = evs[3];
-    EXPECT_STREQ(outer.name, "outer");
-    EXPECT_EQ(outer.depth, 0);
-    EXPECT_EQ(inner.depth, 1);
-    EXPECT_DOUBLE_EQ(outer.start, 1.0);
-    EXPECT_DOUBLE_EQ(outer.dur, 0.75);
-    // The inner span covers exactly its one leaf...
-    EXPECT_DOUBLE_EQ(inner.start, 1.5);
-    EXPECT_DOUBLE_EQ(inner.dur, 0.25);
-    // ...and sits inside the outer span.
-    EXPECT_GE(inner.start, outer.start);
-    EXPECT_LE(inner.start + inner.dur, outer.start + outer.dur);
-}
-
 TEST(TracerTest, RingWrapsWithoutGrowingAndCountsDrops)
 {
     Tracer t(4);
     for (int i = 0; i < 10; ++i)
-        t.leaf("e", "c", 1.0);
+        t.record(0, "e", "c", i, 1.0);
     EXPECT_EQ(t.size(), 4u);
     EXPECT_EQ(t.capacity(), 4u);
     EXPECT_EQ(t.recorded(), 10u);
@@ -264,80 +229,121 @@ TEST(TracerTest, RingWrapsWithoutGrowingAndCountsDrops)
     const auto evs = t.events();
     ASSERT_EQ(evs.size(), 4u);
     // Oldest-first: the four newest events survive, in order.
-    for (std::size_t i = 0; i < evs.size(); ++i)
+    for (std::size_t i = 0; i < evs.size(); ++i) {
         EXPECT_EQ(evs[i].seq, 6u + i);
+        EXPECT_DOUBLE_EQ(evs[i].start, 6.0 + static_cast<double>(i));
+    }
     t.clear();
     EXPECT_EQ(t.size(), 0u);
     EXPECT_EQ(t.dropped(), 0u);
 }
 
-TEST(TracerTest, NullTracerMacrosAreNoOps)
+/** The "X" events of a parsed Chrome trace, by (pid, tid) lane. */
+struct Span
 {
-    Tracer* none = nullptr;
-    FC_SPAN(none, "s", "c");
-    FC_LEAF(none, "l", "c", 1.0);
-    FC_INSTANT(none, "i", "c");
-    SUCCEED();
-}
+    std::string name;
+    std::string cat;
+    double ts;
+    double dur;
+};
+using Lanes = std::map<std::pair<int, int>, std::vector<Span>>;
 
 /**
- * Chrome-trace validity: parse the export, then replay the events in
- * timestamp order against a span stack — every event must begin at
- * or after its enclosing span's begin and end at or before its end.
+ * Chrome-trace validity: the export parses, every span has ts >= 0
+ * and sits on a named track (process), and no lane (pid, tid) holds
+ * two overlapping spans. Returns the spans by lane, each in ts order.
  */
-void
+Lanes
 expectValidChromeTrace(const std::string& text)
 {
+    Lanes lanes;
     std::string err;
     const auto v = parseJson(text, &err);
-    ASSERT_TRUE(v.has_value()) << err;
+    EXPECT_TRUE(v.has_value()) << err;
+    if (!v)
+        return lanes;
     EXPECT_EQ(v->find("displayTimeUnit")->str, "ms");
     const JsonValue* evs = v->find("traceEvents");
-    ASSERT_NE(evs, nullptr);
-    ASSERT_TRUE(evs->isArray());
-    ASSERT_FALSE(evs->array.empty());
+    EXPECT_TRUE(evs && evs->isArray() && !evs->array.empty());
+    if (!evs)
+        return lanes;
 
-    constexpr double kEps = 1e-6; // µs; absorbs float rounding
-    double prev_ts = -1e300;
-    std::vector<std::pair<double, double>> stack; // [begin, end)
+    std::set<int> named;
     for (const JsonValue& e : evs->array) {
-        EXPECT_EQ(e.find("ph")->str, "X");
-        ASSERT_TRUE(e.find("name")->isString());
-        const double ts = e.find("ts")->number;
-        const double dur = e.find("dur")->number;
-        EXPECT_GE(dur, 0.0);
-        EXPECT_GE(ts, prev_ts) << "timestamps must be monotone";
-        prev_ts = ts;
-        while (!stack.empty() && ts >= stack.back().second - kEps)
-            stack.pop_back();
-        if (!stack.empty()) {
-            EXPECT_LE(ts + dur, stack.back().second + kEps)
-                << e.find("name")->str << " leaks out of its parent";
+        const int pid = static_cast<int>(e.find("pid")->number);
+        if (e.find("ph")->str == "M") {
+            if (e.find("name")->str == "process_name") {
+                EXPECT_FALSE(e.find("args")->find("name")->str.empty());
+                named.insert(pid);
+            }
+            continue;
         }
-        stack.push_back({ts, ts + dur});
+        EXPECT_EQ(e.find("ph")->str, "X");
+        const int tid = static_cast<int>(e.find("tid")->number);
+        lanes[{pid, tid}].push_back(
+            {e.find("name")->str, e.find("cat")->str,
+             e.find("ts")->number, e.find("dur")->number});
     }
+    constexpr double kEps = 1e-6; // µs; absorbs float rounding
+    for (auto& [lane, spans] : lanes) {
+        EXPECT_TRUE(named.count(lane.first)) << "unnamed track "
+                                             << lane.first;
+        std::sort(spans.begin(), spans.end(),
+                  [](const Span& a, const Span& b) { return a.ts < b.ts; });
+        for (std::size_t i = 0; i < spans.size(); ++i) {
+            EXPECT_GE(spans[i].ts, 0.0);
+            EXPECT_GE(spans[i].dur, 0.0);
+            if (i > 0) {
+                const Span& prev = spans[i - 1];
+                EXPECT_GE(spans[i].ts, prev.ts + prev.dur - kEps)
+                    << spans[i].name << " overlaps " << prev.name
+                    << " on track " << lane.first << " lane "
+                    << lane.second;
+            }
+        }
+    }
+    return lanes;
 }
 
 TEST(TracerTest, ExportIsWellFormedAndNested)
 {
     Tracer t(64);
-    {
-        SpanGuard req(&t, "request", "sim");
-        t.leaf("cpu", "cpu", 0.001);
-        {
-            SpanGuard rd(&t, "cache.read", "cache");
-            t.leaf("flash.read", "flash", 0.0001);
-            t.leaf("ecc.decode", "ecc", 0.00002);
-        }
-    }
-    {
-        SpanGuard req(&t, "request", "sim");
-        t.instant("pdc.miss", "pdc");
-        t.leaf("disk.fill", "disk", 0.004);
-    }
+    t.nameTrack(0, "ecc");
+    t.nameTrack(1, "client 0");
+    // A request with its compute and two stages on a client track...
+    t.record(1, "request", "client", 0.0, 0.004);
+    t.record(1, "compute", "client", 0.0, 0.001);
+    t.record(1, "ecc wait", "wait", 0.001, 0.001);
+    t.record(1, "ecc", "fg", 0.002, 0.002);
+    // ...and two servers of one resource overlapping, then a third
+    // op that finds the first server free again.
+    t.record(0, "ecc", "fg", 0.002, 0.002);
+    t.record(0, "ecc", "bg", 0.003, 0.002);
+    t.record(0, "ecc", "bg", 0.004, 0.001);
     std::ostringstream os;
     t.exportChromeTrace(os);
-    expectValidChromeTrace(os.str());
+    const Lanes lanes = expectValidChromeTrace(os.str());
+
+    // The request holds lane 0 of its track; its stages nest below
+    // it on lane 1, inside its interval.
+    const auto req = lanes.find({1, 0});
+    ASSERT_NE(req, lanes.end());
+    ASSERT_EQ(req->second.size(), 1u);
+    EXPECT_EQ(req->second[0].name, "request");
+    const auto stages = lanes.find({1, 1});
+    ASSERT_NE(stages, lanes.end());
+    ASSERT_EQ(stages->second.size(), 3u);
+    for (const Span& s : stages->second) {
+        EXPECT_GE(s.ts, req->second[0].ts);
+        EXPECT_LE(s.ts + s.dur, req->second[0].ts + req->second[0].dur);
+    }
+    // Overlapping service spans take two lanes, no more.
+    EXPECT_EQ(lanes.at({0, 0}).size(), 2u);
+    EXPECT_EQ(lanes.at({0, 1}).size(), 1u);
+    EXPECT_EQ(lanes.count({0, 2}), 0u);
+    // Every track is named in the export.
+    for (const char* name : {"\"ecc\"", "\"client 0\""})
+        EXPECT_NE(os.str().find(name), std::string::npos) << name;
 }
 
 // ------------------------------------------------------------- CLI flags
@@ -558,65 +564,131 @@ TEST(SystemObsTest, StatsJsonParsesWithStableSchema)
     EXPECT_EQ(os.str(), os2.str());
 }
 
+/** Financial1 with the disk the bottleneck: 8 clients queue for it
+ *  while GC and write-backs run as background ops. */
+SystemConfig
+diskBoundConfig()
+{
+    SystemConfig cfg;
+    cfg.dramBytes = mib(4);
+    cfg.flashBytes = mib(8);
+    cfg.seed = 11;
+    cfg.computeTime = milliseconds(1.5);
+    cfg.clients = 8;
+    return cfg;
+}
+
+/** Run diskBoundConfig(), traced into a ring that drops nothing. */
+void
+runDiskBound(SystemSimulator& sim, bool traced)
+{
+    if (traced)
+        sim.enableTracing(1u << 18);
+    auto gen = makeMacro(macroConfig("Financial1", 0.02));
+    sim.run(*gen, 6000);
+    if (traced) {
+        ASSERT_EQ(sim.tracer()->dropped(), 0u);
+    }
+}
+
 TEST(SystemObsTest, EndToEndTraceValidates)
 {
-#if !FLASHCACHE_TRACING
-    GTEST_SKIP() << "instrumentation compiled out (FLASHCACHE_TRACING=0)";
-#endif
-    SystemSimulator sim(smallConfig());
-    sim.enableTracing(1u << 14);
-    ASSERT_NE(sim.tracer(), nullptr);
-    SyntheticConfig wl;
-    wl.workingSetPages = 2000;
-    auto gen = makeSynthetic(wl);
-    sim.run(*gen, 5000);
-
-    EXPECT_GT(sim.tracer()->recorded(), 5000u); // >= one span/request
+    SystemSimulator sim(diskBoundConfig());
+    runDiskBound(sim, true);
     std::ostringstream os;
     sim.tracer()->exportChromeTrace(os);
     expectValidChromeTrace(os.str());
-    // The request lifecycle actually shows up.
+    // One track per flash channel, disk, ECC, DRAM and client.
     const std::string s = os.str();
     for (const char* name :
-         {"\"request\"", "\"cpu.compute\"", "\"dram.", "\"cache.read\"",
-          "\"flash.read\"", "\"ecc.decode\"", "\"disk.fill\""}) {
+         {"\"flash ch0\"", "\"flash ch3\"", "\"disk\"", "\"ecc\"",
+          "\"dram\"", "\"client 0\"", "\"client 7\""}) {
         EXPECT_NE(s.find(name), std::string::npos) << name;
     }
 }
 
-TEST(SystemObsTest, DiskLeavesAccountForAllDiskBusyTime)
+TEST(SystemObsTest, ServiceSpansSumToSchedulerBusy)
 {
-#if !FLASHCACHE_TRACING
-    GTEST_SKIP() << "instrumentation compiled out (FLASHCACHE_TRACING=0)";
-#endif
-    // Every disk access — foreground fills and the background PDC
-    // evict/flush write-backs — must emit a "disk"-category leaf, so
-    // the trace totals reconcile against the device's busy counter.
-    SystemConfig cfg;
-    cfg.dramBytes = mib(4);
-    cfg.flashBytes = 0; // disk-backed: all below-PDC traffic is disk
-    cfg.seed = 11;
-    SystemSimulator sim(cfg);
-    sim.enableTracing(1u << 16);
-    SyntheticConfig wl;
-    wl.workingSetPages = 4000;
-    wl.writeFraction = 0.4; // exercise the write-back paths
-    auto gen = makeSynthetic(wl);
-    sim.run(*gen, 3000);
-
-    ASSERT_EQ(sim.tracer()->dropped(), 0u);
-    Seconds disk_leaves = 0.0;
-    std::uint64_t disk_count = 0;
+    SystemSimulator sim(diskBoundConfig());
+    runDiskBound(sim, true);
+    // Tracks below the first client's are resources; their spans are
+    // named by group, one per op served (foreground or background).
+    const std::uint32_t resources =
+        sim.scheduler().config().flashChannels + 3;
+    std::map<std::string, double> busy;
+    std::map<std::string, std::uint64_t> ops;
     for (const TraceEvent& ev : sim.tracer()->events()) {
-        if (std::string(ev.cat) == "disk") {
-            disk_leaves += ev.dur;
-            ++disk_count;
+        if (ev.track < resources) {
+            busy[ev.name] += ev.dur;
+            ++ops[ev.name];
         }
     }
-    EXPECT_GT(sim.stats().writebacks, 0u);
-    EXPECT_EQ(disk_count, sim.disk().accesses());
-    EXPECT_NEAR(disk_leaves, sim.disk().busyTime(),
-                1e-9 * sim.disk().busyTime());
+    const MetricRegistry& m = sim.metrics();
+    EXPECT_GT(m.value("sched.disk.utilization"), 0.9);
+    EXPECT_GT(m.value("sched.bg_jobs"), 0.0);
+    for (const std::string g : {"flash", "disk", "ecc", "dram"}) {
+        const double want = m.value("sched." + g + ".busy");
+        ASSERT_GT(want, 0.0) << g;
+        EXPECT_LE(std::abs(busy[g] - want), 1e-9 * want)
+            << g << ": spans " << busy[g] << " vs busy " << want;
+        EXPECT_EQ(static_cast<double>(ops[g]),
+                  m.value("sched." + g + ".served"))
+            << g;
+    }
+}
+
+TEST(SystemObsTest, TraceShowsQueueingAndDisjointRequests)
+{
+    SystemSimulator sim(diskBoundConfig());
+    runDiskBound(sim, true);
+    std::ostringstream os;
+    sim.tracer()->exportChromeTrace(os);
+    const Lanes lanes = expectValidChromeTrace(os.str());
+
+    const int firstClient =
+        static_cast<int>(sim.scheduler().config().flashChannels + 3);
+    std::uint64_t waits = 0;
+    std::uint64_t requests = 0;
+    std::map<int, std::vector<Span>> requestsOf;
+    for (const auto& [lane, spans] : lanes) {
+        for (const Span& s : spans) {
+            if (s.cat == "wait") {
+                EXPECT_GE(lane.first, firstClient);
+                EXPECT_GT(s.dur, 0.0);
+                ++waits;
+            }
+            if (s.name == "request") {
+                requestsOf[lane.first].push_back(s);
+                ++requests;
+            }
+        }
+    }
+    // Eight clients on one disk must queue.
+    EXPECT_GT(waits, 0u);
+    EXPECT_EQ(requests, 6000u);
+    EXPECT_EQ(requestsOf.size(), 8u);
+    constexpr double kEps = 1e-6; // µs
+    for (auto& [client, reqs] : requestsOf) {
+        std::sort(reqs.begin(), reqs.end(),
+                  [](const Span& a, const Span& b) { return a.ts < b.ts; });
+        for (std::size_t i = 1; i < reqs.size(); ++i) {
+            EXPECT_GE(reqs[i].ts, reqs[i - 1].ts + reqs[i - 1].dur - kEps)
+                << "client track " << client << " request " << i;
+        }
+    }
+}
+
+TEST(SystemObsTest, TracingLeavesResultsUnchanged)
+{
+    SystemSimulator plain(diskBoundConfig());
+    runDiskBound(plain, false);
+    SystemSimulator traced(diskBoundConfig());
+    runDiskBound(traced, true);
+    EXPECT_GT(traced.tracer()->recorded(), 0u);
+    std::ostringstream a, b;
+    plain.writeStatsJson(a);
+    traced.writeStatsJson(b);
+    EXPECT_EQ(a.str(), b.str());
 }
 
 } // namespace

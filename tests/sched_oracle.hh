@@ -262,7 +262,6 @@ class HeapOnlyLoop
     {
         const Seconds dt = t - r.lastT;
         if (dt > 0) {
-            r.busy += r.busyServers * dt;
             r.queueArea +=
                 static_cast<double>(r.fg.size() + r.bg.size()) * dt;
             r.lastT = t;
@@ -280,11 +279,13 @@ class HeapOnlyLoop
                 const std::uint32_t job = r.fg.front();
                 r.fg.pop_front();
                 const Job& j = jobs_[job];
+                r.busy += j.stages[j.cursor].service;
                 push(t + j.stages[j.cursor].service, EventKind::FgDone,
                      res, job);
             } else {
                 const Seconds service = r.bg.front();
                 r.bg.pop_front();
+                r.busy += service;
                 push(t + service, EventKind::BgDone, res, 0);
             }
         }
