@@ -35,26 +35,11 @@
 #include "sim/system_sim.hh"
 #include "workload/macro.hh"
 #include "workload/stack_distance.hh"
-#include "workload/synthetic.hh"
 #include "workload/trace.hh"
 
 using namespace flashcache;
 
 namespace {
-
-std::unique_ptr<WorkloadGenerator>
-makeByName(const std::string& name, double scale)
-{
-    for (const auto& cfg : table4MicroConfigs(scale)) {
-        if (cfg.name == name)
-            return makeSynthetic(cfg);
-    }
-    for (const auto& cfg : table4MacroConfigs(scale)) {
-        if (cfg.name == name)
-            return makeMacro(cfg);
-    }
-    return nullptr;
-}
 
 /** Strip `--flag VALUE` from argv; empty string when absent. */
 std::string
@@ -84,9 +69,9 @@ usage()
                  "  trace_tool run <workload> <requests> [scale] "
                  "[--save-state PREFIX] [--load-state PREFIX] "
                  "[obs flags]\n"
-                 "workloads: uniform alpha1 alpha2 alpha3 exp1 exp2 "
-                 "dbt2 SPECWeb99 WebSearch1 WebSearch2 Financial1 "
-                 "Financial2\n"
+                 "workloads (any case): uniform alpha1 alpha2 alpha3 "
+                 "exp1 exp2 dbt2 SPECWeb99 WebSearch1 WebSearch2 "
+                 "Financial1 Financial2\n"
                  "obs flags: %s\n",
                  obs::CliOptions::help());
     return 1;
@@ -109,7 +94,7 @@ main(int argc, char** argv)
         const auto requests = argc > 3
             ? std::strtoull(argv[3], nullptr, 10) : 200000ull;
         const double scale = argc > 4 ? std::atof(argv[4]) : 0.05;
-        auto gen = makeByName(name, scale);
+        auto gen = makeWorkloadByName(name, scale);
         if (!gen) {
             std::fprintf(stderr, "unknown workload: %s\n", name.c_str());
             return 1;
@@ -158,7 +143,7 @@ main(int argc, char** argv)
         const std::string name = argv[2];
         const auto records = std::strtoull(argv[3], nullptr, 10);
         const double scale = argc > 5 ? std::atof(argv[5]) : 0.05;
-        auto gen = makeByName(name, scale);
+        auto gen = makeWorkloadByName(name, scale);
         if (!gen) {
             std::fprintf(stderr, "unknown workload: %s\n", name.c_str());
             return 1;
@@ -168,7 +153,7 @@ main(int argc, char** argv)
         saveTraceCsv(t, argv[4]);
         std::printf("wrote %llu records of %s (x%.3f scale) to %s\n",
                     static_cast<unsigned long long>(records),
-                    name.c_str(), scale, argv[4]);
+                    gen->name().c_str(), scale, argv[4]);
         return 0;
     }
 

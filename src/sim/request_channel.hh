@@ -12,28 +12,27 @@
  * returns false, which is exactly the order a serial loop would
  * produce; results do not depend on thread timing.
  *
- * Layout. Two flat rings: one of request headers (compute time,
- * demand count) and one of demands, indexed by free-running 64-bit
- * counters. A request's demands are contiguous in the demand ring
- * unless they wrap its end or outnumber it; then the consumer copies
- * them out piece by piece, so any request size passes. The producer
- * publishes its write indices every kPublishEvery requests, the
- * consumer its read indices likewise; each side's shared and private
- * fields sit on cache lines of their own.
+ * Batches. The producer appends requests to one of three batches
+ * (request headers and demands, two vectors that keep their
+ * capacity, so any request size fits). Every kBatchRequests requests,
+ * and at the end, it publishes the batch by bumping its count. The
+ * consumer reads published batches in order and releases one by
+ * bumping its own count only when its next pop needs a new batch, so
+ * the last span it returned stays valid until then. With three
+ * batches the model runs up to two batches ahead of the engine.
  *
- * Waiting. A side that finds nothing to do publishes what it holds,
- * polls for up to 50 us (yielding now and then), then sleeps on the
- * other side's signal word (std::atomic::wait). The other side notifies only a sleeper: when
- * it must wait itself, at the end, and otherwise once per sleep when
- * half a ring of work (or of space) is ready. So a wake-up costs one
- * system call per many requests, and a run pinned to one CPU switches
- * threads rarely.
+ * Waiting. A side that cannot go on (no published batch, or no free
+ * one) polls for up to 50 us, yielding now and then, then sleeps on
+ * the other side's signal word (std::atomic::wait). The other side
+ * notifies only a sleeper, at most once per batch, so a run pinned to
+ * one CPU switches threads rarely.
  */
 
 #ifndef FLASHCACHE_SIM_REQUEST_CHANNEL_HH
 #define FLASHCACHE_SIM_REQUEST_CHANNEL_HH
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -48,16 +47,14 @@ namespace flashcache {
 class RequestChannel
 {
   public:
-    static constexpr std::size_t kRecordSlots = 1024;
-    static constexpr std::size_t kDemandSlots = 16384;
+    /** Requests per batch; tests shrink it so that every handoff and
+     *  full-pipeline wait runs many times. */
+    static constexpr std::size_t kBatchRequests = 256;
 
-    /** Indices are published once per this many requests. */
-    static constexpr std::uint32_t kPublishEvery = 16;
-
-    /** Ring sizes are rounded up to powers of two. Tests shrink them
-     *  to force wrap-around copies and full-ring waits. */
-    explicit RequestChannel(std::size_t recordSlots = kRecordSlots,
-                            std::size_t demandSlots = kDemandSlots);
+    explicit RequestChannel(std::size_t batchRequests = kBatchRequests)
+        : batchRequests_(std::max<std::size_t>(batchRequests, 1))
+    {
+    }
 
     RequestChannel(const RequestChannel&) = delete;
     RequestChannel& operator=(const RequestChannel&) = delete;
@@ -74,38 +71,16 @@ class RequestChannel
 
     /**
      * Producer: append one request. Returns false once the consumer
-     * has stopped (it returned or threw); the producer should then
-     * return.
+     * has stopped (it returned or threw), as seen at the next batch
+     * handoff; the producer should then return.
      */
     bool
     push(Seconds compute, std::span<const sched::Demand> demands)
     {
-        Producer& p = prod_;
-        if (p.recWrite - p.recFree == records_.size() &&
-            !awaitSlot(false))
-            return false;
-        records_[p.recWrite & recMask_] = {compute, demands.size()};
-        ++p.recWrite;
-        const sched::Demand* src = demands.data();
-        std::size_t left = demands.size();
-        while (left > 0) {
-            if (p.demWrite - p.demFree == demands_.size() &&
-                !awaitSlot(true))
-                return false;
-            const std::size_t at = p.demWrite & demMask_;
-            const std::size_t n = std::min(
-                {left,
-                 static_cast<std::size_t>(demands_.size() -
-                                          (p.demWrite - p.demFree)),
-                 demands_.size() - at});
-            std::copy_n(src, n, &demands_[at]);
-            src += n;
-            left -= n;
-            p.demWrite += n;
-        }
-        if (++p.unpublished == kPublishEvery)
-            publish(false);
-        return true;
+        Batch& b = *fill_;
+        b.records.push_back({compute, demands.size()});
+        b.demands.insert(b.demands.end(), demands.begin(), demands.end());
+        return b.records.size() < batchRequests_ || handOff();
     }
 
     /**
@@ -116,109 +91,71 @@ class RequestChannel
     bool
     pop(Seconds& compute, std::span<const sched::Demand>& demands)
     {
-        Consumer& c = cons_;
-        c.demRead += c.held;
-        c.held = 0;
-        if (c.recRead == c.recSeen && !awaitRecord())
+        Cursor& c = cursor_;
+        if (c.next == c.end && !take())
             return false;
-        const Record r = records_[c.recRead & recMask_];
-        ++c.recRead;
+        const Record r = *c.next++;
         compute = r.compute;
-        const std::size_t at = c.demRead & demMask_;
-        if (c.demSeen - c.demRead >= r.demands &&
-            at + r.demands <= demands_.size()) {
-            demands = {&demands_[at], r.demands};
-            c.held = r.demands;
-        } else {
-            demands = gather(r.demands);
-        }
-        if (++c.unreleased == kPublishEvery)
-            release(false);
+        demands = {c.demands, r.demands};
+        c.demands += r.demands;
         return true;
     }
 
   private:
+    static constexpr std::uint64_t kBatches = 3;
+
     struct Record
     {
         Seconds compute;
-        std::uint64_t demands;
+        std::uint64_t demands; ///< count
     };
 
-    /** Written by the producer, read by the consumer. */
-    struct alignas(64) ProducerShared
+    /** Cache-aligned so that the producer's appends to one batch never
+     *  touch the line of the batch the consumer reads. */
+    struct alignas(64) Batch
     {
-        std::atomic<std::uint64_t> recPub{0};
-        std::atomic<std::uint64_t> demPub{0};
+        std::vector<Record> records;
+        std::vector<sched::Demand> demands;
+    };
+
+    /** One side's shared state, written only by that side. */
+    struct alignas(64) Side
+    {
+        std::atomic<std::uint64_t> count{0}; ///< published / released
         std::atomic<std::uint32_t> signal{0};
         std::atomic<bool> sleeping{false};
-        std::atomic<bool> closed{false};
+        std::atomic<bool> done{false}; ///< closed / stopped
     };
 
-    /** Producer-private: write indices and its view of the frees. */
-    struct alignas(64) Producer
+    /** The consumer's copy of the batch it reads, on its own line. */
+    struct alignas(64) Cursor
     {
-        std::uint64_t recWrite = 0;
-        std::uint64_t demWrite = 0;
-        std::uint64_t recFree = 0; ///< consumer's released records
-        std::uint64_t demFree = 0; ///< consumer's released demands
-        std::uint32_t unpublished = 0;
-        bool woke = false; ///< notified the sleeping consumer
+        const Record* next = nullptr;
+        const Record* end = nullptr;
+        const sched::Demand* demands = nullptr;
+        std::uint64_t taken = 0; ///< batches taken this run
     };
 
-    /** Written by the consumer, read by the producer. */
-    struct alignas(64) ConsumerShared
-    {
-        std::atomic<std::uint64_t> recRel{0};
-        std::atomic<std::uint64_t> demRel{0};
-        std::atomic<std::uint32_t> signal{0};
-        std::atomic<bool> sleeping{false};
-        std::atomic<bool> stopped{false};
-    };
+    /** Bump `self.signal`; wake `other` if it sleeps on it. */
+    static void wake(Side& self, const Side& other);
 
-    /** Consumer-private: read indices and its view of the publishes. */
-    struct alignas(64) Consumer
-    {
-        std::uint64_t recRead = 0;
-        std::uint64_t demRead = 0; ///< excludes the held span
-        std::uint64_t recSeen = 0; ///< producer's published records
-        std::uint64_t demSeen = 0; ///< producer's published demands
-        std::uint64_t held = 0;    ///< demand slots of the last span
-        std::uint32_t unreleased = 0;
-        bool woke = false; ///< notified the sleeping producer
-        bool ended = false;
-        /** Copy of a request that wraps or outgrows the ring. */
-        std::vector<sched::Demand> scratch;
-    };
+    /** Producer: start filling batch `batch` (mod kBatches). */
+    void claim(std::uint64_t batch);
+    /** Producer: publish the full batch and claim the next one; false
+     *  once the consumer has stopped. */
+    bool handOff();
 
-    /// @name Producer slow paths.
-    /// @{
-    void publish(bool force);
-    /** Wait for a free record (or demand) slot; false once the
-     *  consumer has stopped. */
-    bool awaitSlot(bool demand);
-    void close();
-    /// @}
+    /** Consumer: release the batch read so far and take the next;
+     *  false at the end. */
+    bool take();
 
-    /// @name Consumer slow paths.
-    /// @{
-    void release(bool force);
-    bool awaitRecord();
-    void awaitDemands(std::uint64_t target);
-    std::span<const sched::Demand> gather(std::uint64_t count);
-    void stop();
-    /// @}
+    std::array<Batch, kBatches> batches_;
+    Batch* fill_ = &batches_[0];
+    std::size_t batchRequests_;
 
-    void reset();
-
-    std::vector<Record> records_;
-    std::vector<sched::Demand> demands_;
-    std::size_t recMask_;
-    std::size_t demMask_;
-
-    ProducerShared prodShared_;
-    Producer prod_;
-    ConsumerShared consShared_;
-    Consumer cons_;
+    Side producer_;
+    Side consumer_;
+    Cursor cursor_;
 };
 
 } // namespace flashcache

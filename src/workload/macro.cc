@@ -123,4 +123,24 @@ makeMacro(const MacroConfig& cfg)
     return std::make_unique<MacroWorkload>(cfg);
 }
 
+std::unique_ptr<WorkloadGenerator>
+makeWorkloadByName(const std::string& name, double scale)
+{
+    const auto lower = [](char c) {
+        return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+    };
+    const auto matches = [&](const std::string& n) {
+        return std::ranges::equal(n, name, {}, lower, lower);
+    };
+    for (const SyntheticConfig& c : table4MicroConfigs(scale)) {
+        if (matches(c.name))
+            return makeSynthetic(c);
+    }
+    for (const MacroConfig& c : table4MacroConfigs(scale)) {
+        if (matches(c.name))
+            return makeMacro(c);
+    }
+    return nullptr;
+}
+
 } // namespace flashcache

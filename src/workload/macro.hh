@@ -98,6 +98,13 @@ MacroConfig macroConfig(const std::string& name, double scale = 1.0);
 /** Construct the generator for a macro config. */
 std::unique_ptr<WorkloadGenerator> makeMacro(const MacroConfig& cfg);
 
+/**
+ * Any Table 4 workload, micro or macro, by name; names match ignoring
+ * ASCII case ("financial1" is Financial1). nullptr if none matches.
+ */
+std::unique_ptr<WorkloadGenerator> makeWorkloadByName(
+    const std::string& name, double scale = 1.0);
+
 } // namespace flashcache
 
 #endif // FLASHCACHE_WORKLOAD_MACRO_HH

@@ -1,18 +1,21 @@
 /**
  * @file
  * Tests of the producer/consumer request channel on its own: order,
- * the sticky end marker, requests larger than the demand ring,
- * reuse across runs, and exception propagation from either thread;
- * plus a generator that throws inside SystemSimulator::run().
+ * the sticky end marker, requests larger than a batch, the partial
+ * last batch, span lifetime, reuse across runs, and exception
+ * propagation from either thread; plus a generator that throws
+ * inside SystemSimulator::run().
  *
- * Small rings make every path (wrap-around copies, full-ring waits,
- * streamed oversized requests) run many times per test.
+ * Batches of 1, 2 and 8 requests make every handoff and every wait
+ * for a full pipeline run many times per test.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/request_channel.hh"
@@ -24,6 +27,8 @@ namespace {
 
 using sched::Demand;
 using sched::ResourceKind;
+
+constexpr std::size_t kBatchSizes[] = {1, 2, 8};
 
 /** Demand j of request i: every field derived from (i, j). */
 Demand
@@ -81,102 +86,159 @@ consumeScript(RequestChannel& ch, std::uint64_t big)
 
 TEST(RequestChannelTest, RecordsComeOutInPushOrder)
 {
-    RequestChannel ch(8, 32);
-    std::uint64_t got = 0;
-    ch.run([&] { produceScript(ch, 20000, 20); },
-           [&] { got = consumeScript(ch, 20); });
-    EXPECT_EQ(got, 20000u);
+    for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(batch);
+        RequestChannel ch(batch);
+        std::uint64_t got = 0;
+        ch.run([&] { produceScript(ch, 20000, 20); },
+               [&] { got = consumeScript(ch, 20); });
+        EXPECT_EQ(got, 20000u);
+    }
 }
 
 TEST(RequestChannelTest, EveryReadAfterTheEndMarkerIsFalse)
 {
-    RequestChannel ch(4, 16);
-    ch.run([&] { produceScript(ch, 5, 0); },
-           [&] {
-               EXPECT_EQ(consumeScript(ch, 0), 5u);
-               Seconds compute = 0;
-               std::span<const Demand> ds;
-               for (int k = 0; k < 10; ++k)
-                   EXPECT_FALSE(ch.pop(compute, ds));
-           });
+    for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(batch);
+        RequestChannel ch(batch);
+        ch.run([&] { produceScript(ch, 5, 0); },
+               [&] {
+                   EXPECT_EQ(consumeScript(ch, 0), 5u);
+                   Seconds compute = 0;
+                   std::span<const Demand> ds;
+                   for (int k = 0; k < 10; ++k)
+                       EXPECT_FALSE(ch.pop(compute, ds));
+               });
+    }
 }
 
-TEST(RequestChannelTest, RequestLargerThanTheDemandRingPassesIntact)
+TEST(RequestChannelTest, RequestLargerThanABatchPassesIntact)
 {
-    // 16-slot demand ring, requests of up to 1000 demands: each big
-    // one streams through the ring while the consumer copies it out.
-    RequestChannel ch(8, 16);
-    std::uint64_t got = 0;
-    ch.run([&] { produceScript(ch, 2000, 1000); },
-           [&] { got = consumeScript(ch, 1000); });
-    EXPECT_EQ(got, 2000u);
+    // Requests of up to 1,000 demands through batches of a few
+    // requests: a batch grows to hold whatever it is given.
+    for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(batch);
+        RequestChannel ch(batch);
+        std::uint64_t got = 0;
+        ch.run([&] { produceScript(ch, 2000, 1000); },
+               [&] { got = consumeScript(ch, 1000); });
+        EXPECT_EQ(got, 2000u);
+    }
 
-    // Default rings: one request with more demands than the ring.
+    // Default batches: two requests of 49,157 demands each.
     RequestChannel wide;
-    const std::uint64_t n = 3 * RequestChannel::kDemandSlots + 5;
-    wide.run([&] { produceScript(wide, 200, n); },
-             [&] { got = consumeScript(wide, n); });
+    std::uint64_t got = 0;
+    wide.run([&] { produceScript(wide, 200, 49157); },
+             [&] { got = consumeScript(wide, 49157); });
     EXPECT_EQ(got, 200u);
+}
+
+TEST(RequestChannelTest, PartialLastBatchArrivesIntact)
+{
+    // Five requests never fill a default batch: only the close
+    // publishes them.
+    RequestChannel ch;
+    std::uint64_t got = 0;
+    ch.run([&] { produceScript(ch, 5, 20); },
+           [&] { got = consumeScript(ch, 20); });
+    EXPECT_EQ(got, 5u);
+}
+
+TEST(RequestChannelTest, SpanStaysValidUntilTheNextPop)
+{
+    // One request per batch: a batch released when it is taken would
+    // be refilled by the producer while the consumer sleeps.
+    RequestChannel ch(1);
+    std::uint64_t got = 0;
+    ch.run([&] { produceScript(ch, 50, 20); },
+           [&] {
+               Seconds compute = 0;
+               std::span<const Demand> ds;
+               while (ch.pop(compute, ds)) {
+                   const std::vector<Demand> copy(ds.begin(), ds.end());
+                   std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                   ASSERT_EQ(ds.size(), countOf(got, 20));
+                   for (std::size_t j = 0; j < ds.size(); ++j) {
+                       EXPECT_EQ(ds[j].service, copy[j].service);
+                       EXPECT_EQ(ds[j].service, demandOf(got, j).service);
+                   }
+                   ++got;
+               }
+           });
+    EXPECT_EQ(got, 50u);
 }
 
 TEST(RequestChannelTest, ChannelIsReusableAcrossRuns)
 {
-    RequestChannel ch(8, 32);
-    for (const std::uint64_t n : {0u, 1u, 17u, 1000u}) {
-        std::uint64_t got = 0;
-        ch.run([&] { produceScript(ch, n, 40); },
-               [&] { got = consumeScript(ch, 40); });
-        EXPECT_EQ(got, n);
+    for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(batch);
+        RequestChannel ch(batch);
+        for (const std::uint64_t n : {0u, 1u, 17u, 1000u}) {
+            std::uint64_t got = 0;
+            ch.run([&] { produceScript(ch, n, 40); },
+                   [&] { got = consumeScript(ch, 40); });
+            EXPECT_EQ(got, n);
+        }
     }
 }
 
 TEST(RequestChannelTest, ProducerExceptionIsRethrownAfterTheJoin)
 {
-    RequestChannel ch(8, 32);
-    std::uint64_t got = 0;
-    EXPECT_THROW(ch.run(
-                     [&] {
-                         produceScript(ch, 500, 20);
-                         throw std::runtime_error("generator failed");
-                     },
-                     [&] { got = consumeScript(ch, 20); }),
-                 std::runtime_error);
-    // The requests pushed before the throw still reached the consumer.
-    EXPECT_EQ(got, 500u);
+    for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(batch);
+        RequestChannel ch(batch);
+        std::uint64_t got = 0;
+        EXPECT_THROW(ch.run(
+                         [&] {
+                             produceScript(ch, 500, 20);
+                             throw std::runtime_error("generator failed");
+                         },
+                         [&] { got = consumeScript(ch, 20); }),
+                     std::runtime_error);
+        // The requests pushed before the throw still reached the
+        // consumer.
+        EXPECT_EQ(got, 500u);
+    }
 }
 
 TEST(RequestChannelTest, ConsumerExceptionStopsTheProducer)
 {
-    RequestChannel ch(8, 32);
-    bool producerReturned = false;
-    EXPECT_THROW(ch.run(
-                     [&] {
-                         // Unbounded: only the stop ends it.
-                         produceScript(ch, ~0ull, 20);
-                         producerReturned = true;
-                     },
-                     [&] {
-                         Seconds compute = 0;
-                         std::span<const Demand> ds;
-                         for (int k = 0; k < 100; ++k)
-                             ASSERT_TRUE(ch.pop(compute, ds));
-                         throw std::logic_error("engine failed");
-                     }),
-                 std::logic_error);
-    EXPECT_TRUE(producerReturned);
+    for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(batch);
+        RequestChannel ch(batch);
+        bool producerReturned = false;
+        EXPECT_THROW(ch.run(
+                         [&] {
+                             // Unbounded: only the stop ends it.
+                             produceScript(ch, ~0ull, 20);
+                             producerReturned = true;
+                         },
+                         [&] {
+                             Seconds compute = 0;
+                             std::span<const Demand> ds;
+                             for (int k = 0; k < 100; ++k)
+                                 ASSERT_TRUE(ch.pop(compute, ds));
+                             throw std::logic_error("engine failed");
+                         }),
+                     std::logic_error);
+        EXPECT_TRUE(producerReturned);
+    }
 }
 
 TEST(RequestChannelTest, ConsumerReturningEarlyStopsTheProducer)
 {
-    RequestChannel ch(8, 32);
-    bool producerReturned = false;
-    ch.run(
-        [&] {
-            produceScript(ch, ~0ull, 20);
-            producerReturned = true;
-        },
-        [] {});
-    EXPECT_TRUE(producerReturned);
+    for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(batch);
+        RequestChannel ch(batch);
+        bool producerReturned = false;
+        ch.run(
+            [&] {
+                produceScript(ch, ~0ull, 20);
+                producerReturned = true;
+            },
+            [] {});
+        EXPECT_TRUE(producerReturned);
+    }
 }
 
 /** Financial1 draws that throw at the given call. */

@@ -202,6 +202,21 @@ TEST(MacroTest, UnknownNameIsFatal)
     EXPECT_DEATH(macroConfig("nope"), "unknown macro workload");
 }
 
+TEST(WorkloadByNameTest, NamesMatchIgnoringCase)
+{
+    std::vector<Trace> draws;
+    for (const char* name : {"financial1", "FINANCIAL1", "Financial1"}) {
+        auto gen = makeWorkloadByName(name, 0.02);
+        ASSERT_NE(gen, nullptr) << name;
+        EXPECT_EQ(gen->name(), "Financial1");
+        Rng rng(11);
+        draws.push_back(gen->generate(rng, 1000));
+    }
+    EXPECT_EQ(draws[0], draws[2]);
+    EXPECT_EQ(draws[1], draws[2]);
+    EXPECT_EQ(makeWorkloadByName("nosuch", 0.02), nullptr);
+}
+
 TEST(StackDistanceTest, MatchesReferenceLruSimulation)
 {
     // Cross-check hits at several sizes against a direct LRU sim.
