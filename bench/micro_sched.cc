@@ -6,8 +6,11 @@
  * on average one background disk op, with the disk held near
  * saturation as in the write-heavy Table 4 trace. No device model
  * runs, so the reported time_per_req is the engine's own cost per
- * simulated request. End-to-end host cost is measured by
- * `python3 perfbench/run.py`.
+ * simulated request. BM_Financial1Draws times SystemSimulator's draw
+ * stage alone: the Financial1 workload draw plus the compute draw,
+ * per request. The pipeline runs at about the slowest stage's cost
+ * (the model stage's is not timed here). End-to-end host cost is
+ * measured by `python3 perfbench/run.py`.
  */
 
 #include <benchmark/benchmark.h>
@@ -19,6 +22,7 @@
 #include "sched/demand.hh"
 #include "sched/scheduler.hh"
 #include "util/rng.hh"
+#include "workload/macro.hh"
 
 using namespace flashcache;
 
@@ -92,6 +96,29 @@ BM_ClosedLoopFinancial1Shape(benchmark::State& state)
             benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ClosedLoopFinancial1Shape)->Arg(100000);
+
+/** perfbench's financial1 shape: Table 4 footprint at 1/4, 1.5 ms
+ *  mean compute. */
+constexpr double kFinancial1Scale = 0.25;
+constexpr Seconds kFinancial1Compute = 1.5e-3;
+
+void
+BM_Financial1Draws(benchmark::State& state)
+{
+    auto workload = makeMacro(macroConfig("Financial1", kFinancial1Scale));
+    Rng rng(1);
+    for (auto _ : state) {
+        const TraceRecord r = workload->next(rng);
+        const Seconds compute = rng.exponential(1.0 / kFinancial1Compute);
+        benchmark::DoNotOptimize(r);
+        benchmark::DoNotOptimize(compute);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["time_per_req"] = benchmark::Counter(
+        1.0, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Financial1Draws);
 
 } // namespace
 

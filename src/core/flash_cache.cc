@@ -254,16 +254,6 @@ FlashCache::regionOf(std::uint32_t block) const
     return r;
 }
 
-std::uint32_t
-FlashCache::blockPageSlots(std::uint32_t block) const
-{
-    const FlashDevice& dev = ctrl_->device();
-    std::uint32_t slots = 0;
-    for (std::uint16_t f = 0; f < framesPerBlock_; ++f)
-        slots += dev.frameMode(block, f) == DensityMode::MLC ? 2 : 1;
-    return slots;
-}
-
 bool
 FlashCache::cursorNext(Region::Cursor& cur) const
 {
@@ -1636,6 +1626,19 @@ FlashCache::checkInvariants() const
     if (fcht_.size() != valid)
         panic("FCHT size != valid pages");
 
+    // blockPageSlots() reads the FBST's SLC frame count; recount the
+    // slots from the device's frame modes.
+    const FlashDevice& dev = ctrl_->device();
+    for (std::uint32_t b = 0; b < numBlocks_; ++b) {
+        if (fbst_[b].retired)
+            continue;
+        std::uint32_t slots = 0;
+        for (std::uint16_t f = 0; f < framesPerBlock_; ++f)
+            slots += dev.frameMode(b, f) == DensityMode::MLC ? 2 : 1;
+        if (slots != blockPageSlots(b))
+            panic("FBST SLC frame count disagrees with the frame modes");
+    }
+
     // GC bucket invariants: the buckets partition exactly the
     // LRU-resident blocks by invalid-page count, gcMaxInvalid bounds
     // every occupied bucket, and the bucket-based victim pick agrees
@@ -1772,6 +1775,7 @@ FlashCache::loadState(std::istream& is)
         b.slcFrames = getScalar<std::uint16_t>(is);
         b.validPages = getScalar<std::uint16_t>(is);
         b.invalidPages = getScalar<std::uint16_t>(is);
+        check(b.slcFrames <= framesPerBlock_, "SLC frame count");
         check(b.validPages <= 2 * framesPerBlock_, "valid page count");
         check(b.invalidPages <= 2 * framesPerBlock_,
               "invalid page count");

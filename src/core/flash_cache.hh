@@ -349,8 +349,14 @@ class FlashCache
 
     int regionOf(std::uint32_t block) const;
 
-    /** Pages a block can hold at its current frame modes. */
-    std::uint32_t blockPageSlots(std::uint32_t block) const;
+    /** Pages a block can hold at its current frame modes: two per
+     *  MLC frame, one per SLC frame (checkInvariants() recounts it
+     *  from the device). */
+    std::uint32_t
+    blockPageSlots(std::uint32_t block) const
+    {
+        return 2 * framesPerBlock_ - fbst_[block].slcFrames;
+    }
 
     /** Advance a cursor to its next free slot; false when the block
      *  is exhausted. */

@@ -135,8 +135,7 @@ ClosedLoop::advance(Resource& r, Seconds t)
 {
     const Seconds dt = t - r.lastT;
     if (dt > 0) {
-        r.queueArea +=
-            static_cast<double>(r.fg.size() + r.bg.size()) * dt;
+        r.queueArea += static_cast<double>(r.waiting) * dt;
         r.lastT = t;
     }
 }
@@ -148,9 +147,9 @@ ClosedLoop::dispatch(std::uint32_t res, Seconds t)
     // Strict two-level priority: a freed server always takes a
     // waiting foreground stage before any background op (no
     // preemption of ops already in service).
-    while (r.busyServers < r.servers &&
-           (!r.fg.empty() || !r.bg.empty())) {
+    while (r.busyServers < r.servers && r.waiting > 0) {
         ++r.busyServers;
+        --r.waiting;
         if (!r.fg.empty()) {
             const std::uint32_t job = r.fg.front();
             r.fg.pop_front();
@@ -169,8 +168,7 @@ ClosedLoop::dispatch(std::uint32_t res, Seconds t)
             push(t + service, EventKind::BgDone, res);
         }
     }
-    r.maxQueue = std::max(
-        r.maxQueue, static_cast<std::uint64_t>(r.fg.size() + r.bg.size()));
+    r.maxQueue = std::max(r.maxQueue, r.waiting);
 }
 
 bool
@@ -221,6 +219,7 @@ ClosedLoop::onIssue(Event& ev, const Source& source, const DoneFn& done)
         Resource& r = resources_[op.resource];
         advance(r, now_);
         r.bg.push_back(op.service);
+        ++r.waiting;
         dispatch(op.resource, now_);
     }
     if (j.stages == 0)
@@ -240,7 +239,7 @@ ClosedLoop::onStageArrive(Event& ev)
     if (r.busyServers < r.servers) {
         // dispatch() leaves no server idle while work waits, so the
         // queues are empty and the stage goes straight into service.
-        assert(r.fg.empty() && r.bg.empty());
+        assert(r.waiting == 0);
         ++r.busyServers;
         r.busy += st.service;
         if (tracer_)
@@ -249,8 +248,7 @@ ClosedLoop::onStageArrive(Event& ev)
         return true;
     }
     r.fg.push_back(job);
-    r.maxQueue = std::max(
-        r.maxQueue, static_cast<std::uint64_t>(r.fg.size() + r.bg.size()));
+    r.maxQueue = std::max(r.maxQueue, ++r.waiting);
     return false;
 }
 

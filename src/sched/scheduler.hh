@@ -20,8 +20,10 @@
  * sequence), so runs are bit-deterministic for a fixed seed. A draw
  * takes the request's compute time and demand list from the source
  * as a span; the source never learns the virtual time, so the model
- * behind it may run ahead on another thread (SystemSimulator runs
- * this engine on its own thread, fed through a RequestChannel).
+ * behind it may run ahead on another thread. SystemSimulator runs
+ * this engine as the last stage of a three-thread pipeline: a draw
+ * stage feeds the functional model, which feeds the engine, each hop
+ * through a RequestChannel.
  *
  * A request costs about two heap events. Its issue is one event that
  * enqueues all of its background ops and then arrives at its first
@@ -228,6 +230,7 @@ class ClosedLoop
         std::uint32_t busyServers = 0;
         std::deque<std::uint32_t> fg; ///< waiting jobs
         std::deque<Seconds> bg;       ///< waiting bg service times
+        std::uint64_t waiting = 0;    ///< fg.size() + bg.size()
 
         Seconds lastT = 0;
         Seconds busy = 0;      ///< sum of service of ops started

@@ -68,17 +68,28 @@ awaitSignal(std::atomic<std::uint32_t>& signal,
 } // namespace
 
 void
-RequestChannel::run(const std::function<void()>& produce,
-                    const std::function<void()>& consume)
+BatchHandoff::run(const std::function<void()>& produce,
+                  const std::function<void()>& consume, NewThread side)
 {
-    // Runs before the consumer thread starts, so the thread's creation
-    // orders the fresh state before its first pop.
+    // Runs before the new thread starts, so the thread's creation
+    // orders the fresh state before its first push or pop.
     std::construct_at(&producer_);
     std::construct_at(&consumer_);
-    cursor_ = Cursor{};
-    claim(0);
+    taken_ = 0;
+    std::exception_ptr producerError;
+    const auto producerSide = [&] {
+        try {
+            produce();
+        } catch (...) {
+            producerError = std::current_exception();
+        }
+        // Publish the last batch, then the end marker.
+        producer_.count.fetch_add(1, std::memory_order_release);
+        producer_.done.store(true, std::memory_order_release);
+        wake(producer_, consumer_);
+    };
     std::exception_ptr consumerError;
-    std::thread consumer([&] {
+    const auto consumerSide = [&] {
         try {
             consume();
         } catch (...) {
@@ -88,19 +99,16 @@ RequestChannel::run(const std::function<void()>& produce,
         // producer waiting for a batch: let its next handoff fail.
         consumer_.done.store(true, std::memory_order_release);
         wake(consumer_, producer_);
-    });
-    std::exception_ptr producerError;
-    try {
-        produce();
-    } catch (...) {
-        producerError = std::current_exception();
+    };
+    if (side == NewThread::Consumer) {
+        std::thread consumer(consumerSide);
+        producerSide();
+        consumer.join();
+    } else {
+        std::thread producer(producerSide);
+        consumerSide();
+        producer.join();
     }
-    // Publish the last, partial batch, then the end marker.
-    if (!fill_->records.empty())
-        producer_.count.fetch_add(1, std::memory_order_release);
-    producer_.done.store(true, std::memory_order_release);
-    wake(producer_, consumer_);
-    consumer.join();
     if (consumerError)
         std::rethrow_exception(consumerError);
     if (producerError)
@@ -108,23 +116,15 @@ RequestChannel::run(const std::function<void()>& produce,
 }
 
 void
-RequestChannel::wake(Side& self, const Side& other)
+BatchHandoff::wake(Side& self, const Side& other)
 {
     self.signal.fetch_add(1, std::memory_order_seq_cst);
     if (other.sleeping.load(std::memory_order_seq_cst))
         self.signal.notify_one();
 }
 
-void
-RequestChannel::claim(std::uint64_t batch)
-{
-    fill_ = &batches_[batch % kBatches];
-    fill_->records.clear();
-    fill_->demands.clear();
-}
-
 bool
-RequestChannel::handOff()
+BatchHandoff::handOff(std::uint64_t& next)
 {
     const std::uint64_t published =
         producer_.count.fetch_add(1, std::memory_order_release) + 1;
@@ -138,16 +138,15 @@ RequestChannel::handOff()
             published - consumer_.count.load(std::memory_order_acquire) <
             kBatches;
     });
-    claim(published);
+    next = published;
     return !stopped;
 }
 
 bool
-RequestChannel::take()
+BatchHandoff::take(std::uint64_t& batch)
 {
-    Cursor& c = cursor_;
-    if (consumer_.count.load(std::memory_order_relaxed) != c.taken) {
-        consumer_.count.store(c.taken, std::memory_order_release);
+    if (consumer_.count.load(std::memory_order_relaxed) != taken_) {
+        consumer_.count.store(taken_, std::memory_order_release);
         wake(consumer_, producer_);
     }
     // Load order: done before count, so a closed producer's count
@@ -156,14 +155,11 @@ RequestChannel::take()
     awaitSignal(producer_.signal, consumer_.sleeping, [&] {
         const bool closed = producer_.done.load(std::memory_order_acquire);
         published = producer_.count.load(std::memory_order_acquire);
-        return closed || published > c.taken;
+        return closed || published > taken_;
     });
-    if (published == c.taken)
+    if (published == taken_)
         return false;
-    const Batch& b = batches_[c.taken++ % kBatches];
-    c.next = b.records.data();
-    c.end = c.next + b.records.size();
-    c.demands = b.demands.data();
+    batch = taken_++;
     return true;
 }
 

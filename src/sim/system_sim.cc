@@ -195,10 +195,8 @@ SystemSimulator::evictPdcPage()
 }
 
 void
-SystemSimulator::serve(const TraceRecord& r, Seconds& compute)
+SystemSimulator::serve(const TraceRecord& r)
 {
-    compute = rng_.exponential(1.0 / config_.computeTime);
-
     if (!r.isWrite) {
         if (pdcLru_.contains(r.lba)) {
             pdcLru_.touch(r.lba);
@@ -238,21 +236,30 @@ SystemSimulator::serve(const TraceRecord& r, Seconds& compute)
 void
 SystemSimulator::runLoop(const std::function<bool(TraceRecord&)>& next)
 {
+    // Draw thread: each record, then its compute time, the RNG order
+    // of a serial loop.
+    const auto draw = [&] {
+        DrawnRequest d;
+        while (next(d.record)) {
+            d.compute = rng_.exponential(1.0 / config_.computeTime);
+            if (!draws_.push(d))
+                return;
+        }
+    };
     // Calling thread: the functional model, in request order.
-    const auto produce = [&] {
-        TraceRecord r;
-        while (next(r)) {
+    const auto model = [&] {
+        DrawnRequest d;
+        while (draws_.pop(d)) {
             sink_.clear();
-            Seconds compute = 0;
-            serve(r, compute);
+            serve(d.record);
             ++stats_.requests;
-            if (!channel_.push(compute, sink_.demands()))
+            if (!channel_.push(d.compute, sink_.demands()))
                 return;
         }
     };
     // Engine thread: replays the k-th request's demands at its k-th
     // draw, the order a serial loop would use.
-    const auto consume = [&] {
+    const auto engine = [&] {
         const auto source = [this](Seconds& compute,
                                    std::span<const sched::Demand>& d) {
             return channel_.pop(compute, d);
@@ -268,7 +275,11 @@ SystemSimulator::runLoop(const std::function<bool(TraceRecord&)>& next)
         // run's wall clock.
         stats_.wallClock = sched_->wallClock();
     };
-    channel_.run(produce, consume);
+    // The model stage produces for the engine and consumes the draws;
+    // the draw hop gives the draw stage the new thread.
+    channel_.run(
+        [&] { draws_.run(draw, model, BatchHandoff::NewThread::Producer); },
+        engine);
 }
 
 void

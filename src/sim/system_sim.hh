@@ -16,18 +16,21 @@
  * DRAM read/write/idle split, flash, and disk power over the same
  * wall-clock, reproducing Figure 9's breakdown.
  *
- * Each run() uses two threads. The calling thread is the producer: it
- * owns the functional model (workload draw, compute draw, PDC, flash
- * cache, devices), serves each request and pushes its compute time
- * and device demands into a RequestChannel. A second thread owns the
- * event scheduler, the latency histogram and the tracer: it replays
- * the k-th request at the scheduler's k-th draw. The model never reads the
- * virtual clock, so this is the order a serial loop would use and
- * every result is bit-identical to it. The model stays on the caller
- * because it is what allocates as the cache fills: on another thread
- * those blocks would come from a second malloc arena (+8 MB peak RSS
- * on the specweb99 benchmark). Exceptions from either thread are
- * rethrown from run() after the join.
+ * Each run() is a three-stage pipeline, one thread per stage, joined
+ * by two RequestChannels. A new draw thread owns the workload and the
+ * RNG: it draws each record, then its compute time, and pushes both.
+ * The calling thread owns the functional model (PDC, flash cache,
+ * devices): it pops each drawn request, serves it and pushes its
+ * compute time and device demands. A third thread owns the event
+ * scheduler, the latency histogram and the tracer: it replays the
+ * k-th request at the scheduler's k-th draw. The RNG is drawn in the
+ * order a serial loop would draw it, and the model never reads the
+ * virtual clock, so every result is bit-identical to that loop. The
+ * model stays on the caller because it is what allocates as the
+ * cache fills: on another thread those blocks would come from a
+ * second malloc arena (+8 MB peak RSS on the specweb99 benchmark).
+ * Exceptions from any of the three threads are rethrown from run()
+ * after the joins.
  */
 
 #ifndef FLASHCACHE_SIM_SYSTEM_SIM_HH
@@ -53,6 +56,13 @@ namespace flashcache {
 namespace obs {
 class Tracer;
 } // namespace obs
+
+/** One request as the draw stage hands it to the model. */
+struct DrawnRequest
+{
+    TraceRecord record;
+    Seconds compute = 0; ///< drawn think time before the request
+};
 
 /** System configuration (Table 3 defaults). */
 struct SystemConfig
@@ -196,12 +206,12 @@ class SystemSimulator
 
   private:
     /** Run one request through the functional model (cache state
-     *  mutates, device demands land in the sink); `compute` receives
-     *  the drawn compute time. */
-    void serve(const TraceRecord& r, Seconds& compute);
+     *  mutates, device demands land in the sink). */
+    void serve(const TraceRecord& r);
 
-    /** Serve every record of `next` on the calling thread and replay
-     *  the demands in the event scheduler on a second thread. */
+    /** Draw every record of `next` and its compute time on a new
+     *  thread, serve them on the calling thread and replay the
+     *  demands in the event scheduler on a third. */
     void runLoop(const std::function<bool(TraceRecord&)>& next);
 
     /** Handle a read below the PDC. */
@@ -242,8 +252,10 @@ class SystemSimulator
     sched::DemandSink sink_;
     std::unique_ptr<sched::ClosedLoop> sched_;
 
-    /** Carries (compute, demands) from the model to the engine. */
-    RequestChannel channel_;
+    /** Carry drawn requests from the draw stage to the model, and
+     *  (compute, demands) from the model to the engine. */
+    RequestChannel<DrawnRequest> draws_;
+    RequestChannel<Seconds> channel_;
 
     SystemStats stats_;
     obs::MetricRegistry registry_;

@@ -3,7 +3,8 @@
  * Flash based disk cache tests: hit/miss behaviour, out-of-place
  * writes, garbage collection, eviction with dirty flush, split vs
  * unified regions, wear-leveling migration, reconfiguration under
- * aging, and full invariant checks under randomized workloads.
+ * aging, the block slot count across density changes and erase
+ * failures, and full invariant checks under randomized workloads.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/flash_cache.hh"
+#include "fault/fault_injector.hh"
 #include "util/rng.hh"
 
 namespace flashcache {
@@ -346,6 +348,67 @@ TEST(FlashCacheTest, AgedFlashTriggersReconfiguration)
     const auto& st = s.cache.stats();
     EXPECT_GT(st.eccReconfigs + st.densityReconfigs, 0u);
     s.cache.checkInvariants();
+}
+
+TEST(FlashCacheTest, SlotCountFollowsFrameModesThroughErases)
+{
+    // Aged flash turns single frames SLC (density reconfiguration),
+    // hot pages fill all-SLC blocks, GC erases both kinds, and some
+    // erases fail, which leaves the frame modes as they were. After
+    // every access checkInvariants() recounts each live block's slots
+    // from the device's frame modes.
+    WearParams wp;
+    wp.nominalCycles = 20;
+    wp.sigmaDecades = 0.8;
+    FlashCacheConfig cfg;
+    cfg.accessSaturation = 16;
+    Stack s(64, cfg, wp);
+    FaultPlan plan;
+    plan.eraseFailRate = 0.005;
+    FaultInjector inj(plan);
+    s.device.attachFaultInjector(&inj);
+
+    const std::uint32_t blocks = s.device.geometry().numBlocks;
+    const std::uint16_t frames = s.device.geometry().framesPerBlock;
+    const auto slcFrames = [&](std::uint32_t b) {
+        unsigned n = 0;
+        for (std::uint16_t f = 0; f < frames; ++f)
+            n += s.device.frameMode(b, f) == DensityMode::SLC;
+        return n;
+    };
+    std::vector<unsigned> slcBefore(blocks);
+    std::vector<std::uint32_t> erasesBefore(blocks);
+    std::uint64_t slcBlockErases = 0;
+    bool mixedBlockSeen = false;
+    Rng rng(13);
+    for (int i = 0; i < 20000 && !s.cache.failed(); ++i) {
+        for (std::uint32_t b = 0; b < blocks; ++b) {
+            slcBefore[b] = slcFrames(b);
+            erasesBefore[b] = s.device.blockEraseCount(b);
+        }
+        // A hot set of 4 pages among 64.
+        const Lba l = rng.bernoulli(0.3) ? rng.uniformInt(4)
+                                         : rng.uniformInt(64);
+        if (rng.bernoulli(0.5))
+            s.cache.write(l);
+        else
+            s.cache.read(l);
+        s.cache.checkInvariants();
+        for (std::uint32_t b = 0; b < blocks; ++b) {
+            const unsigned slc = slcFrames(b);
+            mixedBlockSeen |= slc > 0 && slc < frames;
+            if (slcBefore[b] > 0 &&
+                s.device.blockEraseCount(b) > erasesBefore[b])
+                ++slcBlockErases;
+        }
+    }
+    const auto& st = s.cache.stats();
+    EXPECT_GT(st.hotMigrations, 0u);
+    EXPECT_GT(st.densityReconfigs, 0u);
+    EXPECT_TRUE(mixedBlockSeen);
+    EXPECT_GT(slcBlockErases, 0u);
+    EXPECT_GT(inj.stats().eraseFails, 0u);
+    EXPECT_GT(st.eraseFailRetirements, 0u);
 }
 
 TEST(FlashCacheTest, ExhaustedFlashFailsGracefully)

@@ -3,8 +3,9 @@
  * Tests of the producer/consumer request channel on its own: order,
  * the sticky end marker, requests larger than a batch, the partial
  * last batch, span lifetime, reuse across runs, and exception
- * propagation from either thread; plus a generator that throws
- * inside SystemSimulator::run().
+ * propagation from either thread; the same with the producer on the
+ * new thread, and the draw hop's typed batches; plus a generator that
+ * throws inside SystemSimulator::run().
  *
  * Batches of 1, 2 and 8 requests make every handoff and every wait
  * for a full pipeline run many times per test.
@@ -28,6 +29,11 @@ namespace {
 using sched::Demand;
 using sched::ResourceKind;
 
+/** The engine hop: compute time plus demands. */
+using EngineChannel = RequestChannel<Seconds>;
+using DrawChannel = RequestChannel<DrawnRequest>;
+using NewThread = BatchHandoff::NewThread;
+
 constexpr std::size_t kBatchSizes[] = {1, 2, 8};
 
 /** Demand j of request i: every field derived from (i, j). */
@@ -49,7 +55,7 @@ countOf(std::uint64_t i, std::uint64_t big)
 
 /** Push n scripted requests; stop early if the consumer stops. */
 void
-produceScript(RequestChannel& ch, std::uint64_t n, std::uint64_t big)
+produceScript(EngineChannel& ch, std::uint64_t n, std::uint64_t big)
 {
     std::vector<Demand> ds;
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -64,7 +70,7 @@ produceScript(RequestChannel& ch, std::uint64_t n, std::uint64_t big)
 /** Pop until the end marker, checking each request against the
  *  script; returns the count. */
 std::uint64_t
-consumeScript(RequestChannel& ch, std::uint64_t big)
+consumeScript(EngineChannel& ch, std::uint64_t big)
 {
     std::uint64_t i = 0;
     Seconds compute = 0;
@@ -88,7 +94,7 @@ TEST(RequestChannelTest, RecordsComeOutInPushOrder)
 {
     for (const std::size_t batch : kBatchSizes) {
         SCOPED_TRACE(batch);
-        RequestChannel ch(batch);
+        EngineChannel ch(batch);
         std::uint64_t got = 0;
         ch.run([&] { produceScript(ch, 20000, 20); },
                [&] { got = consumeScript(ch, 20); });
@@ -100,7 +106,7 @@ TEST(RequestChannelTest, EveryReadAfterTheEndMarkerIsFalse)
 {
     for (const std::size_t batch : kBatchSizes) {
         SCOPED_TRACE(batch);
-        RequestChannel ch(batch);
+        EngineChannel ch(batch);
         ch.run([&] { produceScript(ch, 5, 0); },
                [&] {
                    EXPECT_EQ(consumeScript(ch, 0), 5u);
@@ -118,7 +124,7 @@ TEST(RequestChannelTest, RequestLargerThanABatchPassesIntact)
     // requests: a batch grows to hold whatever it is given.
     for (const std::size_t batch : kBatchSizes) {
         SCOPED_TRACE(batch);
-        RequestChannel ch(batch);
+        EngineChannel ch(batch);
         std::uint64_t got = 0;
         ch.run([&] { produceScript(ch, 2000, 1000); },
                [&] { got = consumeScript(ch, 1000); });
@@ -126,7 +132,7 @@ TEST(RequestChannelTest, RequestLargerThanABatchPassesIntact)
     }
 
     // Default batches: two requests of 49,157 demands each.
-    RequestChannel wide;
+    EngineChannel wide;
     std::uint64_t got = 0;
     wide.run([&] { produceScript(wide, 200, 49157); },
              [&] { got = consumeScript(wide, 49157); });
@@ -137,7 +143,7 @@ TEST(RequestChannelTest, PartialLastBatchArrivesIntact)
 {
     // Five requests never fill a default batch: only the close
     // publishes them.
-    RequestChannel ch;
+    EngineChannel ch;
     std::uint64_t got = 0;
     ch.run([&] { produceScript(ch, 5, 20); },
            [&] { got = consumeScript(ch, 20); });
@@ -148,7 +154,7 @@ TEST(RequestChannelTest, SpanStaysValidUntilTheNextPop)
 {
     // One request per batch: a batch released when it is taken would
     // be refilled by the producer while the consumer sleeps.
-    RequestChannel ch(1);
+    EngineChannel ch(1);
     std::uint64_t got = 0;
     ch.run([&] { produceScript(ch, 50, 20); },
            [&] {
@@ -172,7 +178,7 @@ TEST(RequestChannelTest, ChannelIsReusableAcrossRuns)
 {
     for (const std::size_t batch : kBatchSizes) {
         SCOPED_TRACE(batch);
-        RequestChannel ch(batch);
+        EngineChannel ch(batch);
         for (const std::uint64_t n : {0u, 1u, 17u, 1000u}) {
             std::uint64_t got = 0;
             ch.run([&] { produceScript(ch, n, 40); },
@@ -186,7 +192,7 @@ TEST(RequestChannelTest, ProducerExceptionIsRethrownAfterTheJoin)
 {
     for (const std::size_t batch : kBatchSizes) {
         SCOPED_TRACE(batch);
-        RequestChannel ch(batch);
+        EngineChannel ch(batch);
         std::uint64_t got = 0;
         EXPECT_THROW(ch.run(
                          [&] {
@@ -205,7 +211,7 @@ TEST(RequestChannelTest, ConsumerExceptionStopsTheProducer)
 {
     for (const std::size_t batch : kBatchSizes) {
         SCOPED_TRACE(batch);
-        RequestChannel ch(batch);
+        EngineChannel ch(batch);
         bool producerReturned = false;
         EXPECT_THROW(ch.run(
                          [&] {
@@ -229,7 +235,7 @@ TEST(RequestChannelTest, ConsumerReturningEarlyStopsTheProducer)
 {
     for (const std::size_t batch : kBatchSizes) {
         SCOPED_TRACE(batch);
-        RequestChannel ch(batch);
+        EngineChannel ch(batch);
         bool producerReturned = false;
         ch.run(
             [&] {
@@ -238,6 +244,116 @@ TEST(RequestChannelTest, ConsumerReturningEarlyStopsTheProducer)
             },
             [] {});
         EXPECT_TRUE(producerReturned);
+    }
+}
+
+TEST(RequestChannelTest, ProducerOnTheNewThreadKeepsPushOrder)
+{
+    // SystemSimulator's draw hop: the producer gets the new thread
+    // and the consumer runs on the caller.
+    for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(batch);
+        EngineChannel ch(batch);
+        for (const std::uint64_t n : {0u, 1u, 17u, 5000u}) {
+            std::uint64_t got = 0;
+            ch.run([&] { produceScript(ch, n, 40); },
+                   [&] {
+                       got = consumeScript(ch, 40);
+                       Seconds compute = 0;
+                       std::span<const Demand> ds;
+                       EXPECT_FALSE(ch.pop(compute, ds));
+                   },
+                   NewThread::Producer);
+            EXPECT_EQ(got, n);
+        }
+    }
+}
+
+TEST(RequestChannelTest, ProducerOnTheNewThreadPropagatesExceptions)
+{
+    for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(batch);
+        EngineChannel ch(batch);
+        std::uint64_t got = 0;
+        EXPECT_THROW(ch.run(
+                         [&] {
+                             produceScript(ch, 500, 20);
+                             throw std::runtime_error("generator failed");
+                         },
+                         [&] { got = consumeScript(ch, 20); },
+                         NewThread::Producer),
+                     std::runtime_error);
+        EXPECT_EQ(got, 500u);
+
+        bool producerReturned = false;
+        EXPECT_THROW(ch.run(
+                         [&] {
+                             produceScript(ch, ~0ull, 20);
+                             producerReturned = true;
+                         },
+                         [&] {
+                             Seconds compute = 0;
+                             std::span<const Demand> ds;
+                             for (int k = 0; k < 100; ++k)
+                                 ASSERT_TRUE(ch.pop(compute, ds));
+                             throw std::logic_error("model failed");
+                         },
+                         NewThread::Producer),
+                     std::logic_error);
+        EXPECT_TRUE(producerReturned);
+
+        producerReturned = false;
+        ch.run(
+            [&] {
+                produceScript(ch, ~0ull, 20);
+                producerReturned = true;
+            },
+            [] {}, NewThread::Producer);
+        EXPECT_TRUE(producerReturned);
+    }
+}
+
+/** Drawn request i: every field derived from i. */
+DrawnRequest
+drawnOf(std::uint64_t i)
+{
+    DrawnRequest d;
+    d.record.lba = i * 2654435761u;
+    d.record.isWrite = i % 3 == 0;
+    d.compute = static_cast<Seconds>(i) * 1e-6;
+    return d;
+}
+
+TEST(RequestChannelTest, DrawnRequestsComeOutInPushOrder)
+{
+    // The draw hop's typed batches, on either side of the new thread.
+    for (const NewThread side : {NewThread::Producer, NewThread::Consumer}) {
+        for (const std::size_t batch : kBatchSizes) {
+            SCOPED_TRACE(batch);
+            DrawChannel ch(batch);
+            for (const std::uint64_t n : {0u, 5u, 20000u}) {
+                std::uint64_t got = 0;
+                ch.run(
+                    [&] {
+                        for (std::uint64_t i = 0; i < n; ++i) {
+                            if (!ch.push(drawnOf(i)))
+                                return;
+                        }
+                    },
+                    [&] {
+                        DrawnRequest d;
+                        while (ch.pop(d)) {
+                            const DrawnRequest want = drawnOf(got);
+                            EXPECT_EQ(d.record, want.record);
+                            EXPECT_EQ(d.compute, want.compute);
+                            ++got;
+                        }
+                        EXPECT_FALSE(ch.pop(d));
+                    },
+                    side);
+                EXPECT_EQ(got, n);
+            }
+        }
     }
 }
 
