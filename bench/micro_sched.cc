@@ -2,15 +2,20 @@
  * @file
  * google-benchmark microbenchmark for the virtual-time event engine
  * (sched::ClosedLoop) alone, on a scripted Financial1-shaped source:
- * 8 closed-loop clients, each request one foreground DRAM stage plus
+ * closed-loop clients, each request one foreground DRAM stage plus
  * on average one background disk op, with the disk held near
  * saturation as in the write-heavy Table 4 trace. No device model
  * runs, so the reported time_per_req is the engine's own cost per
- * simulated request. BM_Financial1Draws times SystemSimulator's draw
- * stage alone: the Financial1 workload draw plus the compute draw,
- * per request. The pipeline runs at about the slowest stage's cost
- * (the model stage's is not timed here). End-to-end host cost is
- * measured by `python3 perfbench/run.py`.
+ * simulated request. BM_ClosedLoopClients runs it at 1 to 1,024
+ * clients, with each request's disk time scaled by 8 / clients so
+ * the disk stays as busy; 8 clients is the Financial1 shape. The
+ * sweep times the sorted event list at lengths from a few to about a
+ * thousand pending events, where each insert's shift grows with the
+ * length. BM_Financial1Draws times SystemSimulator's draw stage
+ * alone: the Financial1 workload draw plus the compute draw, per
+ * request. The pipeline runs at about the slowest stage's cost (the
+ * model stage's is not timed here). End-to-end host cost is measured
+ * by `python3 perfbench/run.py`.
  */
 
 #include <benchmark/benchmark.h>
@@ -28,11 +33,12 @@ using namespace flashcache;
 
 namespace {
 
-constexpr std::uint32_t kClients = 8;
+constexpr std::uint32_t kClients = 8; ///< the Financial1 shape's
 constexpr Seconds kCompute = 1.5e-3;
 constexpr Seconds kDramService = 1e-6;
 /** Mean per-request offered disk time: 95% of the disk's capacity
- *  at the clients' request rate, so its queue stays busy but bounded. */
+ *  at kClients clients' request rate, so its queue stays busy but
+ *  bounded. */
 constexpr Seconds kDiskPerRequest = 0.95 * kCompute / kClients;
 
 struct Request
@@ -57,12 +63,16 @@ makeScript(std::size_t n)
 }
 
 void
-BM_ClosedLoopFinancial1Shape(benchmark::State& state)
+BM_ClosedLoopClients(benchmark::State& state)
 {
-    const auto requests = static_cast<std::uint64_t>(state.range(0));
+    const auto clients = static_cast<std::uint32_t>(state.range(0));
+    constexpr std::uint64_t requests = 100000;
     const std::vector<Request> script = makeScript(4096);
+    // The disk time per request that keeps the disk ~95% busy falls
+    // as the clients' request rate grows.
+    const double diskScale = static_cast<double>(kClients) / clients;
     sched::SchedConfig cfg;
-    cfg.clients = kClients;
+    cfg.clients = clients;
     cfg.flashChannels = 4;
     for (auto _ : state) {
         sched::DemandSink sink;
@@ -81,7 +91,7 @@ BM_ClosedLoopFinancial1Shape(benchmark::State& state)
                 const sched::BackgroundScope bg(&sink);
                 for (std::uint32_t i = 0; i < r.bgOps; ++i)
                     sink.record(sched::ResourceKind::Disk, 0,
-                                r.bgService);
+                                r.bgService * diskScale);
                 demands = sink.demands();
                 return true;
             },
@@ -95,7 +105,9 @@ BM_ClosedLoopFinancial1Shape(benchmark::State& state)
         benchmark::Counter::kIsIterationInvariantRate |
             benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_ClosedLoopFinancial1Shape)->Arg(100000);
+BENCHMARK(BM_ClosedLoopClients)
+    ->ArgName("clients")
+    ->ArgsProduct({{1, 8, 64, 256, 1024}});
 
 /** perfbench's financial1 shape: Table 4 footprint at 1/4, 1.5 ms
  *  mean compute. */

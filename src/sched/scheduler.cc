@@ -101,17 +101,23 @@ void
 ClosedLoop::push(Seconds t, EventKind kind, std::uint32_t id)
 {
     assert(t >= now_);
-    heap_.push_back({t, nextSeq_++, kind, id});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-ClosedLoop::Event
-ClosedLoop::pop()
-{
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = heap_.back();
-    heap_.pop_back();
-    return ev;
+    // The new event goes after the prefix of strictly later events.
+    // Branch-free lower bound: the trip count depends only on the
+    // list's length, and each comparison feeds a conditional move.
+    const Event* base = events_.data();
+    std::size_t n = events_.size();
+    if (n > 0) {
+        while (n > 1) {
+            const std::size_t half = n / 2;
+            base = base[half].t > t ? base + half : base;
+            n -= half;
+        }
+        base += base->t > t;
+    }
+    [[maybe_unused]] const auto at = events_.insert(
+        events_.begin() + (base - events_.data()), Event{t, kind, id});
+    assert(at == events_.begin() || (at - 1)->t > t);
+    assert(at + 1 == events_.end() || (at + 1)->t <= t);
 }
 
 std::uint32_t
@@ -202,7 +208,7 @@ ClosedLoop::onClientReady(Event& ev, const Source& source,
         if (tracer_)
             traceRequest(job, j.issue);
     }
-    ev = {j.issue, 0, EventKind::Issue, job};
+    ev = {j.issue, EventKind::Issue, job};
     return true;
 }
 
@@ -244,7 +250,7 @@ ClosedLoop::onStageArrive(Event& ev)
         r.busy += st.service;
         if (tracer_)
             traceStage(st.resource, job, now_, st.service);
-        ev = {now_ + st.service, 0, EventKind::FgDone, job};
+        ev = {now_ + st.service, EventKind::FgDone, job};
         return true;
     }
     r.fg.push_back(job);
@@ -266,14 +272,14 @@ ClosedLoop::onFgDone(Event& ev, const DoneFn& done)
     r.sojourn.record(now_ - j.arrival);
     dispatch(res, now_);
     if (++j.cursor < j.stages) {
-        ev = {now_, 0, EventKind::StageArrive, job};
+        ev = {now_, EventKind::StageArrive, job};
         return true;
     }
     ++fgCompleted_;
     done(j.compute, j.issue, now_);
     if (tracer_)
         traceRequest(job, now_);
-    ev = {now_, 0, EventKind::ClientReady, job};
+    ev = {now_, EventKind::ClientReady, job};
     return true;
 }
 
@@ -293,8 +299,9 @@ ClosedLoop::run(const Source& source, const DoneFn& done)
 {
     for (std::uint32_t c = 0; c < config_.clients; ++c)
         push(now_, EventKind::ClientReady, c);
-    while (!heap_.empty()) {
-        Event ev = pop();
+    while (!events_.empty()) {
+        Event ev = events_.back();
+        events_.pop_back();
         bool follow = true;
         while (follow) {
             assert(ev.t >= now_);
@@ -317,10 +324,11 @@ ClosedLoop::run(const Source& source, const DoneFn& done)
                 follow = false;
                 break;
             }
-            // Pushed, the follow-up would take the newest sequence
-            // number, so it is popped next exactly when it sorts
-            // strictly before the heap top: then run it directly.
-            if (follow && !heap_.empty() && heap_.front().t <= ev.t) {
+            // Pushed, the follow-up would pop after every queued event
+            // at or before its time and before every later one, so it
+            // pops next exactly when the list's back is strictly
+            // later: then run it directly.
+            if (follow && !events_.empty() && events_.back().t <= ev.t) {
                 push(ev.t, ev.kind, ev.id);
                 follow = false;
             }

@@ -16,25 +16,34 @@
  * The closed loop runs C clients. Each client draws its next request
  * the moment the previous one completes, computes for the request's
  * think time, then issues; client count therefore sets the offered
- * concurrency. Everything is ordered by (virtual time, insertion
- * sequence), so runs are bit-deterministic for a fixed seed. A draw
- * takes the request's compute time and demand list from the source
- * as a span; the source never learns the virtual time, so the model
- * behind it may run ahead on another thread. SystemSimulator runs
- * this engine as the last stage of a three-thread pipeline: a draw
- * stage feeds the functional model, which feeds the engine, each hop
- * through a RequestChannel.
+ * concurrency. Events run in virtual-time order, and events at one
+ * instant in the order they were scheduled, so runs are
+ * bit-deterministic for a fixed seed. A draw takes the request's
+ * compute time and demand list from the source as a span; the source
+ * never learns the virtual time, so the model behind it may run ahead
+ * on another thread. SystemSimulator runs this engine as the last
+ * stage of a three-thread pipeline: a draw stage feeds the functional
+ * model, which feeds the engine, each hop through a RequestChannel.
  *
- * A request costs about two heap events. Its issue is one event that
- * enqueues all of its background ops and then arrives at its first
- * stage. Beyond that, a handler whose last act would be to push one
- * follow-up event — the next stage or the client's next draw after a
- * completion, the completion of a stage that found a server free,
- * the issue after a draw — runs that event directly when it sorts
- * strictly before the heap top. A pushed follow-up would carry the
- * newest sequence number, so it would have been the very next event
- * popped: the shortcut changes no order and no result. On a tie it
- * goes through the heap.
+ * Pending events sit in one vector sorted in pop order, so the back
+ * is always the next event: descending time, and at equal times the
+ * newest first. A pushed event is always the newest, so it pops after
+ * every queued event at or before its time and before every later
+ * one. A binary search finds the end of the prefix of later events,
+ * and the insert there shifts the events that pop sooner by one slot.
+ * Pop is pop_back. This is the order a (time, insertion sequence)
+ * heap pops in, without the sequence numbers.
+ *
+ * A request costs about two queued events. Its issue is one event
+ * that enqueues all of its background ops and then arrives at its
+ * first stage. Beyond that, a handler whose last act would be to push
+ * one follow-up event — the next stage or the client's next draw
+ * after a completion, the completion of a stage that found a server
+ * free, the issue after a draw — runs that event directly when it is
+ * strictly earlier than the list's back. Pushed, it would pop after
+ * every queued event at or before its time, so then it would have
+ * been the very next event popped: the shortcut changes no order and
+ * no result. On a tie it goes through the list.
  *
  * With an obs::Tracer attached the engine writes the timeline: each
  * op's service span on its resource's track as it enters service
@@ -199,10 +208,10 @@ class ClosedLoop
     struct Event
     {
         Seconds t;
-        std::uint64_t seq; ///< insertion order; deterministic ties
         EventKind kind;
         std::uint32_t id; ///< resource for BgDone, else client == job
     };
+    static_assert(sizeof(Event) == 16, "each insert moves whole events");
 
     struct Stage
     {
@@ -241,21 +250,7 @@ class ClosedLoop
         LogHistogram sojourn; ///< fg wait+service per visit
     };
 
-    /** Min-heap order on (time, insertion sequence): "a sorts after
-     *  b". A function object, so the heap algorithms inline it. */
-    struct Later
-    {
-        bool
-        operator()(const Event& a, const Event& b) const
-        {
-            if (a.t != b.t)
-                return a.t > b.t;
-            return a.seq > b.seq;
-        }
-    };
-
     void push(Seconds t, EventKind kind, std::uint32_t id);
-    Event pop();
 
     void advance(Resource& r, Seconds t);
     void dispatch(std::uint32_t res, Seconds t);
@@ -287,8 +282,7 @@ class ClosedLoop
     SchedConfig config_;
     std::vector<Resource> resources_;
     std::vector<Job> jobs_; ///< indexed by client
-    std::vector<Event> heap_;
-    std::uint64_t nextSeq_ = 0;
+    std::vector<Event> events_; ///< pending, sorted in pop order (back next)
     Seconds now_ = 0;
     std::uint64_t fgCompleted_ = 0;
     std::uint64_t bgSubmitted_ = 0;

@@ -1,13 +1,18 @@
 /**
  * @file
- * Differential test of the event engine: sched::ClosedLoop (one issue
- * event per request plus exact inline continuations) against the
- * heap-only engine it replaced (sched_oracle.hh), on seeded scripts
- * built to tie. Times are whole microseconds, zero compute and zero
- * service included, so many events land on the same instant and the
- * (time, sequence) tie-break decides the order. Every done() call,
- * the wall clock and every per-group statistic must match bit for
- * bit.
+ * Differential test of the event engine: sched::ClosedLoop (a sorted
+ * event list, one issue event per request plus exact inline
+ * continuations) against the heap-only engine it replaced
+ * (sched_oracle.hh), on seeded scripts built to tie. Times are whole
+ * microseconds, zero compute and zero service included, so many
+ * events land on the same instant and the tie-break decides the
+ * order. The oracle breaks ties by an explicit insertion sequence
+ * number; ClosedLoop has none and must get the same order from where
+ * it inserts. The golden system hash does not catch a wrong tie
+ * order, so this test is the check. Runs at 64 clients keep dozens of
+ * events pending, so the insert's binary search runs deep. Every
+ * done() call, the wall clock and every per-group statistic must
+ * match bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -159,7 +164,7 @@ TEST(SchedDifferentialTest, TieHeavyScriptsMatchTheHeapOnlyEngine)
 {
     // Short times on a 0..3 us grid: most events share an instant.
     const ScriptShape tight{400, 3, 3, 4, 0.3};
-    for (const std::uint32_t clients : {1u, 5u}) {
+    for (const std::uint32_t clients : {1u, 5u, 64u}) {
         for (std::uint64_t seed = 1; seed <= 20; ++seed)
             expectSameOutcome(multiServer(clients), tight, seed);
     }
@@ -170,7 +175,7 @@ TEST(SchedDifferentialTest, LongQueuesAndBackgroundBatchesMatch)
     // Wider grids and long background batches keep queues deep, so
     // completions reach busy servers and background yields.
     const ScriptShape deep{300, 20, 50, 12, 0.5};
-    for (const std::uint32_t clients : {1u, 5u}) {
+    for (const std::uint32_t clients : {1u, 5u, 64u}) {
         for (std::uint64_t seed = 100; seed < 110; ++seed)
             expectSameOutcome(multiServer(clients), deep, seed);
     }
