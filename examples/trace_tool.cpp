@@ -24,10 +24,12 @@
  * warm-starts from such a snapshot before the run.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "obs/cli.hh"
@@ -40,6 +42,10 @@
 using namespace flashcache;
 
 namespace {
+
+/** Largest request or record count the tool accepts. */
+constexpr std::uint64_t kMaxCount =
+    std::numeric_limits<std::uint64_t>::max();
 
 /** Strip `--flag VALUE` from argv; empty string when absent. */
 std::string
@@ -91,8 +97,8 @@ main(int argc, char** argv)
 
     if (cmd == "run") {
         const std::string name = argv[2];
-        const auto requests = argc > 3
-            ? std::strtoull(argv[3], nullptr, 10) : 200000ull;
+        const std::uint64_t requests = argc > 3
+            ? obs::parseCount("<requests>", argv[3], kMaxCount) : 200000;
         const double scale = argc > 4 ? std::atof(argv[4]) : 0.05;
         auto gen = makeWorkloadByName(name, scale);
         if (!gen) {
@@ -141,7 +147,8 @@ main(int argc, char** argv)
         if (argc < 5)
             return usage();
         const std::string name = argv[2];
-        const auto records = std::strtoull(argv[3], nullptr, 10);
+        const std::uint64_t records =
+            obs::parseCount("<records>", argv[3], kMaxCount);
         const double scale = argc > 5 ? std::atof(argv[5]) : 0.05;
         auto gen = makeWorkloadByName(name, scale);
         if (!gen) {

@@ -1,32 +1,31 @@
 /**
  * @file
- * LRU orderings used by the primary disk cache, the per-region block
- * replacement lists, and the workload stack-distance analyzer.
+ * LRU orderings used by the primary disk cache and the per-region
+ * block replacement lists.
  *
- * Three implementations with one semantic contract (touch() moves a
+ * Two implementations with one semantic contract (touch() moves a
  * key to the MRU end, lru() reads the coldest key):
  *
  *  - LruList<Key>: the seed std::list + unordered_map implementation,
  *    retained as the differential-test oracle and bench baseline.
- *  - IntrusiveLru: index-linked array over dense uint32 ids (block
- *    numbers); touch() is two loads and four stores — no hashing, no
- *    allocation. Backs Region::lruBlocks in the flash cache.
- *  - KeyedLru<Key>: sparse keys (LBAs) resolved through an
- *    open-addressed slot index onto intrusive links; allocation-free
- *    in steady state once reserved. Backs the PDC LRUs.
+ *  - IntrusiveLru: index-linked array over dense uint32 ids; touch()
+ *    is two loads and four stores — no hashing, no allocation. Backs
+ *    Region::lruBlocks in the flash cache.
+ *
+ * Pdc, the primary disk cache's page state, puts one Fcht in front
+ * of two IntrusiveLrus to order sparse LBAs the same way.
  */
 
 #ifndef FLASHCACHE_CORE_LRU_HH
 #define FLASHCACHE_CORE_LRU_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <list>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "core/tables.hh"
 #include "util/log.hh"
 
 namespace flashcache {
@@ -36,7 +35,7 @@ namespace flashcache {
  * and lru() reads the coldest key. All operations are O(1), but each
  * carries a hash lookup and inserts allocate a list node. Retained
  * as the reference implementation; the serving hot paths use
- * IntrusiveLru / KeyedLru below.
+ * IntrusiveLru and Pdc below.
  */
 template <typename Key>
 class LruList
@@ -62,19 +61,6 @@ class LruList
         index_.emplace(k, order_.begin());
     }
 
-    /** Insert as LRU (coldest) without affecting existing entries. */
-    void
-    insertCold(const Key& k)
-    {
-        auto it = index_.find(k);
-        if (it != index_.end()) {
-            order_.splice(order_.end(), order_, it->second);
-            return;
-        }
-        order_.push_back(k);
-        index_.emplace(k, std::prev(order_.end()));
-    }
-
     /** Remove a key if present. @return true when it was present. */
     bool
     erase(const Key& k)
@@ -94,15 +80,6 @@ class LruList
         if (order_.empty())
             panic("lru() on empty LruList");
         return order_.back();
-    }
-
-    /** The most recently used key. @pre !empty() */
-    const Key&
-    mru() const
-    {
-        if (order_.empty())
-            panic("mru() on empty LruList");
-        return order_.front();
     }
 
     /** Remove and return the LRU key. @pre !empty() */
@@ -188,28 +165,6 @@ class IntrusiveLru
             tail_ = id;
     }
 
-    /** Insert as LRU (coldest) without affecting existing entries. */
-    void
-    insertCold(std::uint32_t id)
-    {
-        Node& n = node(id);
-        if (n.in) {
-            if (tail_ == id)
-                return;
-            unlink(n);
-        } else {
-            n.in = true;
-            ++size_;
-        }
-        n.next = kNull;
-        n.prev = tail_;
-        if (tail_ != kNull)
-            nodes_[tail_].next = id;
-        tail_ = id;
-        if (head_ == kNull)
-            head_ = id;
-    }
-
     /** Remove an id if present. @return true when it was present. */
     bool
     erase(std::uint32_t id)
@@ -231,15 +186,6 @@ class IntrusiveLru
         if (empty())
             panic("lru() on empty IntrusiveLru");
         return tail_;
-    }
-
-    /** The most recently used id. @pre !empty() */
-    std::uint32_t
-    mru() const
-    {
-        if (empty())
-            panic("mru() on empty IntrusiveLru");
-        return head_;
     }
 
     /** Remove and return the LRU id. @pre !empty() */
@@ -355,270 +301,92 @@ class IntrusiveLru
 };
 
 /**
- * LRU ordering over sparse unsigned keys (LBAs): an open-addressed
- * slot index (linear probing, backward-shift deletion) resolves the
- * key to a slot once, and the recency links are intrusive on the
- * slot table. After reserve(), steady-state operation allocates
- * nothing; slot and index storage grow geometrically otherwise.
+ * The primary disk cache's page state: which LBAs DRAM holds, in
+ * recency order, and which of them are dirty, in the order they were
+ * last written. One Fcht maps an LBA to its slot id, and two
+ * IntrusiveLrus over the slot ids keep the two orders, so a hit
+ * probes the index once. Everything is sized from the capacity at
+ * construction: serving never allocates.
  */
-template <typename Key>
-class KeyedLru
+class Pdc
 {
-    static_assert(std::is_unsigned_v<Key>,
-                  "KeyedLru keys must be unsigned integers");
-
   public:
-    static constexpr std::uint32_t kNull = ~0u;
-
-    KeyedLru() { rehash(kMinIndex); }
-
-    /** Pre-size for n keys so steady state never allocates. */
-    void
-    reserve(std::size_t n)
+    /** A page evict() dropped; a dirty one still needs writing back. */
+    struct Victim
     {
-        slots_.reserve(n);
-        freeSlots_.reserve(n);
-        std::size_t want = kMinIndex;
-        while (n + n / 2 >= want)
-            want <<= 1;
-        if (want > index_.size())
-            rehash(want);
+        Lba lba;
+        bool dirty;
+    };
+
+    explicit Pdc(std::uint32_t capacity)
+        : lbas_(capacity), recency_(capacity), dirty_(capacity)
+    {
+        index_.reserve(capacity);
+        free_.reserve(capacity);
     }
 
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
+    std::uint32_t capacity() const { return recency_.capacity(); }
+    std::size_t size() const { return recency_.size(); }
+    bool full() const { return size() == capacity(); }
+    std::size_t dirtyPages() const { return dirty_.size(); }
 
+    /**
+     * Move a cached page to the MRU end; a dirty access also moves
+     * it to the MRU end of the dirty order. @return false, changing
+     * nothing, when the page is not cached.
+     */
     bool
-    contains(const Key& k) const
+    touch(Lba lba, bool dirty)
     {
-        return findIndex(k) != npos;
-    }
-
-    /** Insert as MRU, or move an existing key to MRU. */
-    void
-    touch(const Key& k)
-    {
-        const std::size_t pos = findIndex(k);
-        if (pos != npos) {
-            const std::uint32_t s = index_[pos];
-            if (head_ == s)
-                return;
-            unlink(s);
-            linkFront(s);
-            return;
-        }
-        linkFront(insertSlot(k));
-    }
-
-    /** Insert as LRU (coldest) without affecting existing entries. */
-    void
-    insertCold(const Key& k)
-    {
-        const std::size_t pos = findIndex(k);
-        if (pos != npos) {
-            const std::uint32_t s = index_[pos];
-            if (tail_ == s)
-                return;
-            unlink(s);
-            linkBack(s);
-            return;
-        }
-        linkBack(insertSlot(k));
-    }
-
-    /** Remove a key if present. @return true when it was present. */
-    bool
-    erase(const Key& k)
-    {
-        const std::size_t pos = findIndex(k);
-        if (pos == npos)
+        const std::uint64_t slot = index_.find(lba);
+        if (slot == Fcht::npos)
             return false;
-        const std::uint32_t s = index_[pos];
-        unlink(s);
-        freeSlots_.push_back(s);
-        indexErase(pos);
-        --size_;
+        recency_.touch(static_cast<std::uint32_t>(slot));
+        if (dirty)
+            dirty_.touch(static_cast<std::uint32_t>(slot));
         return true;
     }
 
-    /** The least recently used key. @pre !empty() */
-    const Key&
-    lru() const
-    {
-        if (empty())
-            panic("lru() on empty KeyedLru");
-        return slots_[tail_].key;
-    }
-
-    /** The most recently used key. @pre !empty() */
-    const Key&
-    mru() const
-    {
-        if (empty())
-            panic("mru() on empty KeyedLru");
-        return slots_[head_].key;
-    }
-
-    /** Remove and return the LRU key. @pre !empty() */
-    Key
-    popLru()
-    {
-        const Key k = lru();
-        erase(k);
-        return k;
-    }
-
+    /** Cache a page as MRU. @pre the page is absent and !full() */
     void
-    clear()
+    insert(Lba lba, bool dirty)
     {
-        slots_.clear();
-        freeSlots_.clear();
-        std::fill(index_.begin(), index_.end(), kNull);
-        head_ = tail_ = kNull;
-        size_ = 0;
+        if (full())
+            panic("insert into a full Pdc");
+        // Without freed slots, the live ones are exactly [0, size).
+        std::uint32_t slot = static_cast<std::uint32_t>(size());
+        if (!free_.empty()) {
+            slot = free_.back();
+            free_.pop_back();
+        }
+        index_.insert(lba, slot);
+        lbas_[slot] = lba;
+        recency_.touch(slot);
+        if (dirty)
+            dirty_.touch(slot);
     }
+
+    /** Drop the least recently used page. @pre size() > 0 */
+    Victim
+    evict()
+    {
+        const std::uint32_t slot = recency_.popLru();
+        const Victim v{lbas_[slot], dirty_.erase(slot)};
+        index_.erase(v.lba);
+        free_.push_back(slot);
+        return v;
+    }
+
+    /** Mark the coldest dirty page clean; it stays cached.
+     *  @return its LBA. @pre dirtyPages() > 0 */
+    Lba popDirty() { return lbas_[dirty_.popLru()]; }
 
   private:
-    struct Slot
-    {
-        Key key;
-        std::uint32_t prev;
-        std::uint32_t next;
-    };
-
-    static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
-    static constexpr std::size_t kMinIndex = 16;
-
-    std::size_t
-    homeOf(const Key& k) const
-    {
-        return static_cast<std::size_t>(
-                   (static_cast<std::uint64_t>(k) *
-                    0x9E3779B97F4A7C15ull) >> 32) &
-            (index_.size() - 1);
-    }
-
-    /** Index position holding the key, or npos. */
-    std::size_t
-    findIndex(const Key& k) const
-    {
-        const std::size_t mask = index_.size() - 1;
-        for (std::size_t i = homeOf(k); index_[i] != kNull;
-             i = (i + 1) & mask) {
-            if (slots_[index_[i]].key == k)
-                return i;
-        }
-        return npos;
-    }
-
-    std::uint32_t
-    insertSlot(const Key& k)
-    {
-        if ((size_ + 1) + (size_ + 1) / 2 >= index_.size())
-            rehash(index_.size() * 2);
-        std::uint32_t s;
-        if (!freeSlots_.empty()) {
-            s = freeSlots_.back();
-            freeSlots_.pop_back();
-            slots_[s].key = k;
-        } else {
-            s = static_cast<std::uint32_t>(slots_.size());
-            slots_.push_back({k, kNull, kNull});
-        }
-        const std::size_t mask = index_.size() - 1;
-        std::size_t i = homeOf(k);
-        while (index_[i] != kNull)
-            i = (i + 1) & mask;
-        index_[i] = s;
-        ++size_;
-        return s;
-    }
-
-    /** Backward-shift deletion keeps probes tombstone-free. */
-    void
-    indexErase(std::size_t i)
-    {
-        const std::size_t mask = index_.size() - 1;
-        std::size_t j = i;
-        for (;;) {
-            j = (j + 1) & mask;
-            if (index_[j] == kNull)
-                break;
-            const std::size_t h = homeOf(slots_[index_[j]].key);
-            // Move j's entry into the hole unless its home lies in
-            // the cyclic interval (i, j] — then it is already as
-            // close to home as it can get.
-            const bool home_between =
-                i < j ? (h > i && h <= j) : (h > i || h <= j);
-            if (!home_between) {
-                index_[i] = index_[j];
-                i = j;
-            }
-        }
-        index_[i] = kNull;
-    }
-
-    void
-    rehash(std::size_t buckets)
-    {
-        index_.assign(buckets, kNull);
-        const std::size_t mask = buckets - 1;
-        // Reinsert every live slot (walk the recency list so freed
-        // slots are skipped).
-        for (std::uint32_t s = head_; s != kNull; s = slots_[s].next) {
-            std::size_t i = homeOf(slots_[s].key);
-            while (index_[i] != kNull)
-                i = (i + 1) & mask;
-            index_[i] = s;
-        }
-    }
-
-    void
-    unlink(std::uint32_t s)
-    {
-        Slot& n = slots_[s];
-        if (n.prev != kNull)
-            slots_[n.prev].next = n.next;
-        else
-            head_ = n.next;
-        if (n.next != kNull)
-            slots_[n.next].prev = n.prev;
-        else
-            tail_ = n.prev;
-    }
-
-    void
-    linkFront(std::uint32_t s)
-    {
-        Slot& n = slots_[s];
-        n.prev = kNull;
-        n.next = head_;
-        if (head_ != kNull)
-            slots_[head_].prev = s;
-        head_ = s;
-        if (tail_ == kNull)
-            tail_ = s;
-    }
-
-    void
-    linkBack(std::uint32_t s)
-    {
-        Slot& n = slots_[s];
-        n.next = kNull;
-        n.prev = tail_;
-        if (tail_ != kNull)
-            slots_[tail_].next = s;
-        tail_ = s;
-        if (head_ == kNull)
-            head_ = s;
-    }
-
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> freeSlots_;
-    std::vector<std::uint32_t> index_;
-    std::uint32_t head_ = kNull;
-    std::uint32_t tail_ = kNull;
-    std::size_t size_ = 0;
+    Fcht index_;                      ///< LBA -> slot id
+    std::vector<Lba> lbas_;           ///< slot id -> LBA
+    std::vector<std::uint32_t> free_; ///< slots evict() released
+    IntrusiveLru recency_;            ///< every cached page
+    IntrusiveLru dirty_;              ///< pages not yet written back
 };
 
 } // namespace flashcache

@@ -13,25 +13,19 @@
 namespace flashcache {
 namespace obs {
 
-namespace {
-
-/** Parse a count flag's value: decimal digits only (no sign, space or
- *  suffix), at least 1 and at most `max`; anything else is fatal. */
 std::uint64_t
-parseCount(const char* flag, std::string_view text, std::uint64_t max)
+parseCount(const char* what, std::string_view text, std::uint64_t max)
 {
     std::uint64_t v = 0;
     const char* const end = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(text.data(), end, v);
     if (text.empty() || ec != std::errc() || ptr != end || v == 0 ||
         v > max) {
-        fatal(std::string(flag) + " expects an integer in 1.." +
+        fatal(std::string(what) + " expects an integer in 1.." +
               std::to_string(max) + ", got '" + std::string(text) + "'");
     }
     return v;
 }
-
-} // namespace
 
 CliOptions
 CliOptions::parse(int& argc, char** argv)

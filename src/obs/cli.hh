@@ -9,7 +9,9 @@
 #define FLASHCACHE_OBS_CLI_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace flashcache {
 namespace obs {
@@ -40,6 +42,14 @@ struct CliOptions
     /** One-line usage text for tools' --help output. */
     static const char* help();
 };
+
+/**
+ * Parse a count argument: decimal digits only (no sign, space or
+ * suffix), at least 1 and at most `max`. fatal()s otherwise, naming
+ * `what` (the flag or argument) in the message.
+ */
+std::uint64_t parseCount(const char* what, std::string_view text,
+                         std::uint64_t max);
 
 /** Write the registry snapshot to `path` (fatal on I/O failure). */
 void writeStatsJson(const MetricRegistry& reg, const std::string& path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <ostream>
 
 #include "obs/trace.hh"
@@ -19,6 +20,22 @@ constexpr double kPdcFraction = 0.85;
 
 /** Cached page size. */
 constexpr std::uint64_t kPageBytes = 2048;
+
+/** Dirty PDC pages are written back in batches of this many. */
+constexpr unsigned kWritebackBatch = 16;
+
+/** Pages the PDC holds in `dram_bytes` of DRAM (at least 16). */
+std::uint32_t
+pdcPages(std::uint64_t dram_bytes)
+{
+    const auto pages = std::max<std::uint64_t>(
+        static_cast<std::uint64_t>(kPdcFraction *
+                                   static_cast<double>(dram_bytes))
+            / kPageBytes, 16);
+    if (pages > std::numeric_limits<std::uint32_t>::max())
+        fatal("SystemConfig::dramBytes is too large for the PDC");
+    return static_cast<std::uint32_t>(pages);
+}
 
 /** Adapts the DiskModel to the cache core's BackingStore interface. */
 class DiskBackingStore : public BackingStore
@@ -49,22 +66,15 @@ class DiskBackingStore : public BackingStore
 
 SystemSimulator::SystemSimulator(const SystemConfig& config)
     : config_(config), dram_(config.dramBytes, config.dramSpec),
-      disk_(config.diskSpec, config.seed * 7919 + 1), rng_(config.seed)
+      disk_(config.diskSpec, config.seed * 7919 + 1), rng_(config.seed),
+      pdc_(pdcPages(config.dramBytes)),
+      // The OS lets dirty pages accumulate to a fraction of the page
+      // cache before the flusher drains the coldest ones.
+      pdcDirtyLimit_(std::max<std::uint64_t>(kWritebackBatch,
+                                             pdc_.capacity() / 8))
 {
     if (config.clients == 0)
         fatal("SystemConfig::clients must be positive");
-    pdcCapacityPages_ = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(kPdcFraction *
-                                   static_cast<double>(config.dramBytes))
-            / kPageBytes, 16);
-    // The OS lets dirty pages accumulate to a fraction of the page
-    // cache before the flusher drains the coldest ones.
-    pdcDirtyLimit_ = std::max<std::uint64_t>(config.writebackBatch,
-                                             pdcCapacityPages_ / 8);
-    // Pre-size the PDC LRUs (one extra entry: fills touch before the
-    // capacity check evicts) so steady-state serving never allocates.
-    pdcLru_.reserve(pdcCapacityPages_ + 1);
-    pdcDirtyLru_.reserve(pdcDirtyLimit_ + config.writebackBatch);
 
     if (config.flashBytes > 0) {
         lifetime_ = std::make_unique<CellLifetimeModel>(config.wear);
@@ -184,12 +194,12 @@ SystemSimulator::writeBelow(Lba lba)
 void
 SystemSimulator::evictPdcPage()
 {
-    const Lba victim = pdcLru_.popLru();
-    if (pdcDirtyLru_.erase(victim)) {
+    const Pdc::Victim victim = pdc_.evict();
+    if (victim.dirty) {
         // Background write-back; does not delay the foreground
         // request, but occupies the lower levels.
         const sched::BackgroundScope bg(&sink_);
-        writeBelow(victim);
+        writeBelow(victim.lba);
         ++stats_.writebacks;
     }
 }
@@ -198,35 +208,32 @@ void
 SystemSimulator::serve(const TraceRecord& r)
 {
     if (!r.isWrite) {
-        if (pdcLru_.contains(r.lba)) {
-            pdcLru_.touch(r.lba);
+        if (pdc_.touch(r.lba, false)) {
             dram_.read(kPageBytes);
             stats_.pdcReads.hit();
         } else {
             stats_.pdcReads.miss();
-            while (pdcLru_.size() >= pdcCapacityPages_)
+            if (pdc_.full())
                 evictPdcPage();
             readBelow(r.lba);
             dram_.write(kPageBytes);
-            pdcLru_.touch(r.lba);
+            pdc_.insert(r.lba, false);
         }
     } else {
         // Writes complete at DRAM speed; dirty data drains later.
         dram_.write(kPageBytes);
-        if (!pdcLru_.contains(r.lba)) {
-            while (pdcLru_.size() >= pdcCapacityPages_)
+        if (!pdc_.touch(r.lba, true)) {
+            if (pdc_.full())
                 evictPdcPage();
+            pdc_.insert(r.lba, true);
         }
-        pdcLru_.touch(r.lba);
-        pdcDirtyLru_.touch(r.lba);
         // Periodic write-back (section 5.1): once enough dirty pages
         // accumulate, the flusher drains the coldest ones in batches.
-        if (pdcDirtyLru_.size() >= pdcDirtyLimit_) {
+        if (pdc_.dirtyPages() >= pdcDirtyLimit_) {
             const sched::BackgroundScope bg(&sink_);
             for (unsigned i = 0;
-                 i < config_.writebackBatch && !pdcDirtyLru_.empty();
-                 ++i) {
-                writeBelow(pdcDirtyLru_.popLru());
+                 i < kWritebackBatch && pdc_.dirtyPages() > 0; ++i) {
+                writeBelow(pdc_.popDirty());
                 ++stats_.writebacks;
             }
         }

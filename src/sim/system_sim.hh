@@ -93,9 +93,6 @@ struct SystemConfig
     /** Flash size; 0 = DRAM-only baseline. Table 3: 256 MB - 2 GB. */
     std::uint64_t flashBytes = 0;
 
-    /** Dirty PDC pages are written back in batches of this many. */
-    unsigned writebackBatch = 16;
-
     /** Policy knobs forwarded to the flash cache. */
     FlashCacheConfig flashConfig;
 
@@ -229,16 +226,17 @@ class SystemSimulator
     SystemConfig config_;
     DramModel dram_;
     DiskModel disk_;
-    Rng rng_;
 
-    /** PDC state: LRU over cached pages; a page is dirty iff it is
-     *  in the dirty LRU (kept separately so write-back picks the
-     *  coldest dirty pages in O(1)). KeyedLru resolves the sparse
-     *  LBA keys through an open-addressed slot index; reserved in
-     *  the constructor so serving never allocates. */
-    KeyedLru<Lba> pdcLru_;
-    KeyedLru<Lba> pdcDirtyLru_;
-    std::uint64_t pdcCapacityPages_;
+    /** The draw thread's RNG. It and the PDC each start a cache line
+     *  of their own: the model thread writes the PDC's list heads and
+     *  probe counters on every request. */
+    alignas(64) Rng rng_;
+
+    /** The primary disk cache: the cached pages in LRU order, and the
+     *  dirty ones in the order they were written, so eviction and
+     *  write-back both take the coldest page in O(1). Sized from
+     *  dramBytes at construction, so serving never allocates. */
+    alignas(64) Pdc pdc_;
     std::uint64_t pdcDirtyLimit_;
 
     /** Flash stack (optional). */

@@ -67,8 +67,7 @@ table4MacroConfigs(double scale)
 {
     auto pages = [&](double mbytes) {
         return std::max<std::uint64_t>(
-            static_cast<std::uint64_t>(mbytes * scale * 1024.0 * 1024.0 /
-                                       2048.0), 64);
+            pageCount(mbytes * scale * 1024.0 * 1024.0 / 2048.0), 64);
     };
 
     std::vector<MacroConfig> out;

@@ -91,10 +91,20 @@ makeSynthetic(const SyntheticConfig& config)
     return std::make_unique<RankedWorkload>(config);
 }
 
+std::uint64_t
+pageCount(double pages)
+{
+    // NaN fails the comparison too.
+    if (!(pages >= 0.0 && pages < 0x1p64))
+        fatal("workload scale gives an invalid page count: " +
+              std::to_string(pages));
+    return static_cast<std::uint64_t>(pages);
+}
+
 std::vector<SyntheticConfig>
 table4MicroConfigs(double scale)
 {
-    const auto pages = static_cast<std::uint64_t>(262144 * scale);
+    const std::uint64_t pages = pageCount(262144 * scale);
     std::vector<SyntheticConfig> out;
 
     SyntheticConfig c;

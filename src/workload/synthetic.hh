@@ -86,6 +86,13 @@ std::unique_ptr<WorkloadGenerator> makeSynthetic(
     const SyntheticConfig& config);
 
 /**
+ * A scaled footprint as a page count, rounded down. fatal()s unless
+ * `pages` lies in [0, 2^64), so a negative, NaN or huge footprint
+ * scale never reaches the integer conversion.
+ */
+std::uint64_t pageCount(double pages);
+
+/**
  * The six micro-benchmarks of Table 4 (uniform, alpha1..3, exp1..2),
  * optionally scaled to a smaller footprint for fast simulation.
  *

@@ -226,22 +226,13 @@ TEST(LruStressTest, MatchesReferenceImplementation)
                 }
             }
             EXPECT_EQ(had, ref_had);
-        } else if (op < 0.85 && !ref.empty()) {
+        } else if (!ref.empty()) {
             EXPECT_EQ(lru.popLru(), ref.back());
             ref.pop_back();
-        } else {
-            lru.insertCold(k);
-            for (auto it = ref.begin(); it != ref.end(); ++it) {
-                if (*it == k) {
-                    ref.erase(it);
-                    break;
-                }
-            }
-            ref.push_back(k);
         }
         ASSERT_EQ(lru.size(), ref.size());
         if (!ref.empty()) {
-            ASSERT_EQ(lru.mru(), ref.front());
+            ASSERT_EQ(*lru.begin(), ref.front());
             ASSERT_EQ(lru.lru(), ref.back());
         }
     }
@@ -266,16 +257,13 @@ TEST(LruStressTest, IntrusiveMatchesSeedLruList)
             lru.touch(k);
         } else if (op < 0.7) {
             ASSERT_EQ(lru.erase(k), seed.erase(k));
-        } else if (op < 0.85 && !seed.empty()) {
+        } else if (!seed.empty()) {
             ASSERT_EQ(lru.popLru(), seed.popLru());
-        } else {
-            seed.insertCold(k);
-            lru.insertCold(k);
         }
         ASSERT_EQ(lru.size(), seed.size());
         ASSERT_EQ(lru.contains(k), seed.contains(k));
         if (!seed.empty()) {
-            ASSERT_EQ(lru.mru(), seed.mru());
+            ASSERT_EQ(*lru.begin(), *seed.begin());
             ASSERT_EQ(lru.lru(), seed.lru());
         }
     }
@@ -286,37 +274,57 @@ TEST(LruStressTest, IntrusiveMatchesSeedLruList)
 
 TEST(LruStressTest, KeyedMatchesSeedLruList)
 {
-    // Sparse-key variant backing the PDC: same eviction sequence as
-    // the seed list, including through slot reuse and index rehash.
-    LruList<Lba> seed;
-    KeyedLru<Lba> lru;
+    // The PDC against two seed lists (recency and dirty) under
+    // SystemSimulator::serve()'s op mix: read and write touches,
+    // fills that evict at capacity, and batched write-back of the
+    // coldest dirty pages. Every victim, every written-back page and
+    // the final drain order must agree, through slot reuse.
+    constexpr std::uint32_t kCapacity = 48;
+    Pdc pdc(kCapacity);
+    LruList<Lba> recency;
+    LruList<Lba> dirty;
     Rng rng(12);
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+    const auto evictOne = [&] {
+        const Pdc::Victim v = pdc.evict();
+        const Lba want = recency.popLru();
+        ASSERT_EQ(v.lba, want);
+        ASSERT_EQ(v.dirty, dirty.erase(want));
+        ++evictions;
+    };
     for (int i = 0; i < 50000; ++i) {
-        // Sparse keys exercise the open-addressed index for real.
+        // Sparse keys exercise the LBA index for real.
         const Lba k = 1 + rng.uniformInt(96) * 0x9E3779B97ull;
         const double op = rng.uniform();
-        if (op < 0.5) {
-            seed.touch(k);
-            lru.touch(k);
-        } else if (op < 0.7) {
-            ASSERT_EQ(lru.erase(k), seed.erase(k));
-        } else if (op < 0.85 && !seed.empty()) {
-            ASSERT_EQ(lru.popLru(), seed.popLru());
+        if (op < 0.9) {
+            const bool write = op < 0.45;
+            const bool hit = pdc.touch(k, write);
+            ASSERT_EQ(hit, recency.contains(k));
+            if (!hit) {
+                if (pdc.full())
+                    evictOne();
+                pdc.insert(k, write);
+            }
+            recency.touch(k);
+            if (write)
+                dirty.touch(k);
         } else {
-            seed.insertCold(k);
-            lru.insertCold(k);
+            for (int b = 0; b < 4 && !dirty.empty(); ++b) {
+                ASSERT_EQ(pdc.popDirty(), dirty.popLru());
+                ++writebacks;
+            }
         }
-        ASSERT_EQ(lru.size(), seed.size());
-        ASSERT_EQ(lru.contains(k), seed.contains(k));
-        if (!seed.empty()) {
-            ASSERT_EQ(lru.mru(), seed.mru());
-            ASSERT_EQ(lru.lru(), seed.lru());
-        }
+        ASSERT_EQ(pdc.size(), recency.size());
+        ASSERT_EQ(pdc.dirtyPages(), dirty.size());
     }
-    // Drain both: the full eviction order must agree.
-    while (!seed.empty())
-        ASSERT_EQ(lru.popLru(), seed.popLru());
-    EXPECT_TRUE(lru.empty());
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(writebacks, 1000u);
+    // Drain: the full eviction order and dirty bits must agree.
+    while (pdc.size() > 0)
+        evictOne();
+    EXPECT_TRUE(recency.empty());
+    EXPECT_TRUE(dirty.empty());
 }
 
 TEST(FchtStressTest, OpenAddressedMatchesSeedChains)
@@ -325,7 +333,7 @@ TEST(FchtStressTest, OpenAddressedMatchesSeedChains)
     // the seed chained table through inserts, updates, erases and
     // load-factor growth.
     FchtChained seed(64);
-    Fcht fcht(64);
+    Fcht fcht;
     std::vector<bool> present(512, false);
     Rng rng(13);
     std::uint64_t next_page = 0;
@@ -420,24 +428,23 @@ TEST(AllocationTest, ServingHotPathIsAllocationFree)
 
 TEST(AllocationTest, PdcServingIsAllocationFreeOnceReserved)
 {
-    // The KeyedLru PDC lists: steady-state touch/erase/popLru churn
-    // after reserve() stays off the heap.
-    KeyedLru<Lba> lru;
-    lru.reserve(256);
+    // The Pdc sizes everything at construction: steady-state touches,
+    // fills that evict at capacity and write-back stay off the heap.
+    Pdc pdc(256);
     Rng rng(23);
-    // Steady-state page-cache churn: bound the live set the way the
-    // PDC does (evict the coldest before inserting at capacity).
     auto one_op = [&] {
         const Lba k = rng.uniformInt(10000);
         const double op = rng.uniform();
-        if (op < 0.6) {
-            if (lru.size() >= 256)
-                lru.popLru();
-            lru.touch(k);
-        } else if (op < 0.8) {
-            lru.erase(k);
-        } else if (!lru.empty()) {
-            lru.popLru();
+        if (op < 0.9) {
+            const bool write = op < 0.4;
+            if (!pdc.touch(k, write)) {
+                if (pdc.full())
+                    pdc.evict();
+                pdc.insert(k, write);
+            }
+        } else {
+            for (int i = 0; i < 16 && pdc.dirtyPages() > 0; ++i)
+                pdc.popDirty();
         }
     };
     for (int i = 0; i < 1000; ++i)

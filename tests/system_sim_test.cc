@@ -166,7 +166,6 @@ TEST(SystemSimTest, UniformEccStrengthSlowsThroughput)
 TEST(SystemSimTest, WritebacksDrainDirtyPages)
 {
     SystemConfig cfg = baseConfig();
-    cfg.writebackBatch = 8;
     SystemSimulator sim(cfg);
     auto gen = makeSynthetic(smallZipf(0.6));
     sim.run(*gen, 5000);

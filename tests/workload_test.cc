@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <unordered_set>
 
@@ -200,6 +201,26 @@ TEST(MacroTest, SequentialRunsAppear)
 TEST(MacroTest, UnknownNameIsFatal)
 {
     EXPECT_DEATH(macroConfig("nope"), "unknown macro workload");
+}
+
+TEST(MacroTest, InvalidScaleIsFatal)
+{
+    // A negative, NaN or overflowing scale must not reach the page
+    // count's integer conversion.
+    for (const double scale : {-1.0, std::nan(""), 1e300}) {
+        EXPECT_DEATH(table4MacroConfigs(scale), "invalid page count")
+            << scale;
+        EXPECT_DEATH(table4MicroConfigs(scale), "invalid page count")
+            << scale;
+    }
+}
+
+TEST(MacroTest, ZeroScaleKeepsTheMinimumFootprint)
+{
+    for (const MacroConfig& c : table4MacroConfigs(0.0))
+        EXPECT_EQ(c.readPages, 64u) << c.name;
+    for (const SyntheticConfig& c : table4MicroConfigs(0.0))
+        EXPECT_EQ(c.workingSetPages, 64u) << c.name;
 }
 
 TEST(WorkloadByNameTest, NamesMatchIgnoringCase)
