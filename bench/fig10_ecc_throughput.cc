@@ -27,7 +27,11 @@ throughputAt(const char* workload, std::uint8_t strength)
     SystemConfig cfg;
     cfg.dramBytes = mib(32);   // 256 MB / 8
     cfg.flashBytes = mib(128); // 1 GB / 8
-    cfg.uniformEccStrength = strength;
+    // Every page at one fixed strength.
+    cfg.flashConfig.initialEccStrength = strength;
+    cfg.flashConfig.maxEccStrength = strength;
+    cfg.flashConfig.adaptiveReconfig = false;
+    cfg.flashConfig.hotPageMigration = false;
     cfg.seed = 19;
     SystemSimulator sim(cfg);
     auto gen = makeMacro(macroConfig(workload, 0.125));

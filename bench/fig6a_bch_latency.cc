@@ -15,6 +15,7 @@
 
 #include "ecc/bch.hh"
 #include "ecc/ecc_timing.hh"
+#include "support/bch_reference.hh"
 #include "util/rng.hh"
 
 using namespace flashcache;
@@ -66,7 +67,7 @@ main()
             auto d = data;
             auto p = parity;
             auto start = std::chrono::steady_clock::now();
-            const auto res = code.decodeReference(d.data(), p.data());
+            const auto res = decodeReference(code, d.data(), p.data());
             auto stop = std::chrono::steady_clock::now();
             if (!res.ok)
                 std::printf("unexpected decode failure\n");

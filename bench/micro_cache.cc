@@ -12,6 +12,8 @@
 #include "core/flash_cache.hh"
 #include "core/lru.hh"
 #include "core/tables.hh"
+#include "support/fcht_chained.hh"
+#include "support/lru_list.hh"
 #include "util/rng.hh"
 #include "workload/stack_distance.hh"
 

@@ -24,9 +24,9 @@
  * warm-starts from such a snapshot before the run.
  */
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <limits>
@@ -35,6 +35,7 @@
 #include "obs/cli.hh"
 #include "obs/trace.hh"
 #include "sim/system_sim.hh"
+#include "util/log.hh"
 #include "workload/macro.hh"
 #include "workload/stack_distance.hh"
 #include "workload/trace.hh"
@@ -61,6 +62,24 @@ takeFlag(int& argc, char** argv, const char* flag)
         return value;
     }
     return std::string();
+}
+
+/**
+ * The [scale] argument: the whole string must parse as a number.
+ * pageCount() rejects the values no footprint can have (negative,
+ * NaN, huge).
+ */
+double
+parseScale(const char* text)
+{
+    double v = 0.0;
+    const char* const end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end) {
+        fatal(std::string("[scale] expects a number, got '") + text +
+              "'");
+    }
+    return v;
 }
 
 int
@@ -99,7 +118,7 @@ main(int argc, char** argv)
         const std::string name = argv[2];
         const std::uint64_t requests = argc > 3
             ? obs::parseCount("<requests>", argv[3], kMaxCount) : 200000;
-        const double scale = argc > 4 ? std::atof(argv[4]) : 0.05;
+        const double scale = argc > 4 ? parseScale(argv[4]) : 0.05;
         auto gen = makeWorkloadByName(name, scale);
         if (!gen) {
             std::fprintf(stderr, "unknown workload: %s\n", name.c_str());
@@ -149,7 +168,7 @@ main(int argc, char** argv)
         const std::string name = argv[2];
         const std::uint64_t records =
             obs::parseCount("<records>", argv[3], kMaxCount);
-        const double scale = argc > 5 ? std::atof(argv[5]) : 0.05;
+        const double scale = argc > 5 ? parseScale(argv[5]) : 0.05;
         auto gen = makeWorkloadByName(name, scale);
         if (!gen) {
             std::fprintf(stderr, "unknown workload: %s\n", name.c_str());

@@ -146,9 +146,10 @@ struct Fgst
  * FlashCache hash table (section 3.1): maps disk LBAs to flash page
  * ids. The paper organizes it as a fully associative table indexed
  * by a hash and reports that ~100 indexable entries already reach
- * peak throughput; FchtChained below keeps that configurable bucket
- * count for the section 3.1 sweep. Probe lengths are tracked so the
- * claim stays measurable.
+ * peak throughput; the seed chained table in
+ * tests/support/fcht_chained.hh keeps that configurable bucket count
+ * for micro_cache's section 3.1 sweep. Probe lengths are tracked so
+ * the claim stays measurable.
  *
  * Implemented as an open-addressed flat table (linear probing with
  * backward-shift deletion) in which every slot is a home position.
@@ -213,48 +214,6 @@ class Fcht
     void place(Lba lba, std::uint64_t page_id);
 
     std::vector<Slot> slots_;
-    std::size_t size_ = 0;
-    mutable std::uint64_t lookups_ = 0;
-    mutable std::uint64_t probes_ = 0;
-};
-
-/**
- * The seed chained FCHT (fixed bucket vector of entry chains),
- * retained verbatim as the differential-test oracle, the bench
- * baseline for the open-addressed rewrite and the table behind the
- * section 3.1 indexable-entry sweep.
- */
-class FchtChained
-{
-  public:
-    static constexpr std::uint64_t npos = ~static_cast<std::uint64_t>(0);
-
-    explicit FchtChained(std::size_t buckets = 4096);
-
-    std::uint64_t find(Lba lba) const;
-    void insert(Lba lba, std::uint64_t page_id);
-    bool erase(Lba lba);
-    void update(Lba lba, std::uint64_t page_id);
-
-    std::size_t size() const { return size_; }
-    std::size_t buckets() const { return buckets_.size(); }
-    double avgProbeLength() const;
-
-  private:
-    struct Entry
-    {
-        Lba lba;
-        std::uint64_t pageId;
-    };
-
-    std::size_t
-    bucketOf(Lba lba) const
-    {
-        return static_cast<std::size_t>(
-            (lba * 0x9E3779B97F4A7C15ull) >> 32) % buckets_.size();
-    }
-
-    std::vector<std::vector<Entry>> buckets_;
     std::size_t size_ = 0;
     mutable std::uint64_t lookups_ = 0;
     mutable std::uint64_t probes_ = 0;

@@ -63,9 +63,9 @@
  *    sized at construction, so steady-state encode/decode perform no
  *    heap allocation.
  *
- * The original bit-serial implementation is retained as
- * encodeReference()/decodeReference() and serves as the oracle for
- * the differential tests (tests/bch_differential_test.cc).
+ * The original bit-serial implementation lives on in the tests as
+ * encodeReference()/decodeReference() (tests/support/bch_reference.hh),
+ * the oracle for the differential tests.
  *
  * The workspace makes encode/decode logically const but not
  * re-entrant: one BchCode must not decode concurrently from two
@@ -196,33 +196,7 @@ class BchCode
     bool isCodewordClean(const std::uint8_t* data,
                          const std::uint8_t* parity) const;
 
-    /**
-     * Bit-serial reference encoder (the original Gf2Poly-based
-     * implementation). Slow; kept as the oracle for differential
-     * tests.
-     */
-    void encodeReference(const std::uint8_t* data,
-                         std::uint8_t* parity) const;
-
-    /**
-     * Bit-serial reference decoder (original per-set-bit syndromes,
-     * allocating Berlekamp-Massey and full Chien sweep). Oracle only.
-     */
-    BchDecodeResult decodeReference(std::uint8_t* data,
-                                    std::uint8_t* parity) const;
-
   private:
-    /** Gather codeword bit i from the split data/parity buffers. */
-    bool
-    codewordBit(const std::uint8_t* data, const std::uint8_t* parity,
-                std::uint32_t i) const
-    {
-        if (i < parityBits_)
-            return (parity[i / 8] >> (i % 8)) & 1;
-        const std::uint32_t j = i - parityBits_;
-        return (data[j / 8] >> (j % 8)) & 1;
-    }
-
     static void
     flipBit(std::uint8_t* buf, std::uint32_t i)
     {
@@ -249,11 +223,6 @@ class BchCode
 
     /** The t even syndromes, squares of the odd ones, into ws_.synd. */
     void evenSyndromes() const;
-
-    /** Bit-serial reference syndromes (allocates; oracle only). */
-    std::vector<GaloisField::Elem>
-    syndromesReference(const std::uint8_t* data,
-                       const std::uint8_t* parity) const;
 
     /**
      * Berlekamp-Massey over ws_.synd into ws_.sigma (no allocation).

@@ -313,21 +313,4 @@ crc32(const std::uint8_t* data, std::size_t len)
     return crc32Update(0, data, len);
 }
 
-std::uint32_t
-crc32BytewiseUpdate(std::uint32_t crc, const std::uint8_t* data,
-                    std::size_t len)
-{
-    const auto& t = tables().t[0];
-    crc = ~crc;
-    for (std::size_t i = 0; i < len; ++i)
-        crc = t[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
-    return ~crc;
-}
-
-std::uint32_t
-crc32Bytewise(const std::uint8_t* data, std::size_t len)
-{
-    return crc32BytewiseUpdate(0, data, len);
-}
-
 } // namespace flashcache

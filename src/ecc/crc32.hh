@@ -15,9 +15,9 @@
  * multiplies, 64 bytes per step. The < 16-byte tail goes through
  * slicing-by-8 (eight 256-entry tables, 8 input bytes folded per
  * step), which any other host runs throughout. Every tier is callable
- * directly for the differential tests and micro_bch, and the classic
- * one-table byte-wise version is kept as crc32Bytewise, the tests'
- * oracle.
+ * directly for the differential tests and micro_bch, which check them
+ * against the classic one-table byte-wise CRC in
+ * tests/support/crc32_bytewise.hh.
  */
 
 #ifndef FLASHCACHE_ECC_CRC32_HH
@@ -54,14 +54,6 @@ std::uint32_t crc32UpdateClmul(std::uint32_t crc, const std::uint8_t* data,
  */
 std::uint32_t crc32UpdateWide(std::uint32_t crc, const std::uint8_t* data,
                               std::size_t len);
-
-/** One-table byte-at-a-time reference implementation. */
-std::uint32_t crc32Bytewise(const std::uint8_t* data, std::size_t len);
-
-/** Incremental form of the byte-wise reference. */
-std::uint32_t crc32BytewiseUpdate(std::uint32_t crc,
-                                  const std::uint8_t* data,
-                                  std::size_t len);
 
 } // namespace flashcache
 

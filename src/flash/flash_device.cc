@@ -1,6 +1,7 @@
 #include "flash/flash_device.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 
@@ -392,7 +393,7 @@ FlashDevice::pageData(const PageAddress& addr) const
 void
 FlashDevice::saveState(std::ostream& os) const
 {
-    putMagic(os, "FCDEV001");
+    putMagic(os, "FCDEV002");
     putScalar<std::uint32_t>(os, geom_.numBlocks);
     putScalar<std::uint16_t>(os, geom_.framesPerBlock);
     putScalar<std::uint8_t>(os, storeData_ ? 1 : 0);
@@ -402,7 +403,6 @@ FlashDevice::saveState(std::ostream& os) const
         putScalar<std::uint8_t>(os,
                                 static_cast<std::uint8_t>(fs.pendingMode));
         putScalar<float>(os, fs.damage);
-        putVector(os, fs.weakest);
     }
     putVector(os, blockErases_);
 
@@ -437,7 +437,7 @@ FlashDevice::saveState(std::ostream& os) const
 void
 FlashDevice::loadState(std::istream& is)
 {
-    expectMagic(is, "FCDEV001");
+    expectMagic(is, "FCDEV002");
     if (getScalar<std::uint32_t>(is) != geom_.numBlocks ||
         getScalar<std::uint16_t>(is) != geom_.framesPerBlock) {
         fatal("flash state file geometry mismatch");
@@ -445,12 +445,21 @@ FlashDevice::loadState(std::istream& is)
     if ((getScalar<std::uint8_t>(is) != 0) != storeData_)
         fatal("flash state file store_data mode mismatch");
 
+    const auto getMode = [&is] {
+        const auto mode = getScalar<std::uint8_t>(is);
+        if (mode > static_cast<std::uint8_t>(DensityMode::MLC))
+            fatal("flash state file density mode out of range");
+        return static_cast<DensityMode>(mode);
+    };
     for (FrameState& fs : frames_) {
-        fs.mode = static_cast<DensityMode>(getScalar<std::uint8_t>(is));
-        fs.pendingMode =
-            static_cast<DensityMode>(getScalar<std::uint8_t>(is));
+        fs.mode = getMode();
+        fs.pendingMode = getMode();
         fs.damage = getScalar<float>(is);
-        fs.weakest = getVector<float>(is);
+        if (!std::isfinite(fs.damage) || fs.damage < 0.0f)
+            fatal("flash state file damage out of range");
+        // fs.weakest is not in the file: it depends only on this
+        // device's seed, block and frame, so a frame keeps what
+        // ensureHealth already sampled, or samples on first use.
     }
     blockErases_ = getVector<std::uint32_t>(is);
     if (blockErases_.size() != geom_.numBlocks)

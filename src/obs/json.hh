@@ -1,26 +1,17 @@
 /**
  * @file
- * Minimal JSON support for the observability exporters: a streaming
+ * Minimal JSON output for the observability exporters: a streaming
  * writer with deterministic member order (insertion order — the
- * stats schema promises stable key order) and a small recursive-
- * descent parser used by the golden tests, the bench cross-checks
- * and the trace validation.
- *
- * Deliberately tiny: objects preserve insertion order, numbers are
- * doubles, no unicode escapes beyond pass-through. Good enough to
- * round-trip everything this repository emits; not a general JSON
- * library.
+ * stats schema promises stable key order). The tests parse what it
+ * writes with tests/support/json_parser.hh.
  */
 
 #ifndef FLASHCACHE_OBS_JSON_HH
 #define FLASHCACHE_OBS_JSON_HH
 
 #include <cstdint>
-#include <optional>
 #include <ostream>
-#include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace flashcache {
@@ -86,53 +77,6 @@ class JsonWriter
     bool firstInScope_ = true;
     bool keyPending_ = false;
 };
-
-/**
- * Parsed JSON value. Object members keep source order so key-order
- * assertions are possible.
- */
-struct JsonValue
-{
-    enum class Type : std::uint8_t
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    bool isNull() const { return type == Type::Null; }
-    bool isNumber() const { return type == Type::Number; }
-    bool isObject() const { return type == Type::Object; }
-    bool isArray() const { return type == Type::Array; }
-    bool isString() const { return type == Type::String; }
-
-    /** Object member lookup; nullptr when absent or not an object. */
-    const JsonValue* find(std::string_view key) const;
-
-    /** Member keys in source order (empty unless an object). */
-    std::vector<std::string> keys() const;
-};
-
-/**
- * Parse a complete JSON document (trailing whitespace allowed,
- * trailing garbage rejected).
- *
- * @param text  The document.
- * @param error Optional; receives a short description on failure.
- * @return The value, or nullopt on malformed input.
- */
-std::optional<JsonValue> parseJson(std::string_view text,
-                                   std::string* error = nullptr);
 
 } // namespace obs
 } // namespace flashcache

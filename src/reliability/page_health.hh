@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-page wear tracking with O(1) error-count queries.
+ * Weak-cell sampling for per-page wear tracking.
  *
  * Simulating bit errors cell-by-cell would cost 16k+ samples per
  * page. Instead each page pre-samples the lifetimes of only its k
@@ -8,7 +8,7 @@
  * n iid lifetimes maps through the inverse CDF of the cell lifetime
  * distribution. The number of hard (permanent) bit errors after c
  * effective W/E cycles is then just "how many sampled lifetimes are
- * <= c" — a binary search.
+ * <= c" — a binary search (FlashDevice::hardErrorsOf).
  *
  * Effective cycles account for density mode: an erase in MLC mode
  * wears the cell mlcWearMultiplier times faster (Table 1's 10x
@@ -35,39 +35,6 @@ std::vector<double> sampleWeakestLifetimes(const CellLifetimeModel& model,
                                            Rng& rng, unsigned n_cells,
                                            unsigned k,
                                            double page_offset_decades);
-
-/**
- * Wear state of one flash page.
- */
-class PageHealth
-{
-  public:
-    /**
-     * @param model    Shared lifetime distribution.
-     * @param rng      Simulation RNG (per-page draws).
-     * @param n_cells  Bits in the page including spare.
-     * @param k        How many weak cells to track; errors beyond k
-     *                 saturate (k >= max ECC strength + margin).
-     * @param page_offset_decades Spatial quality of this page.
-     */
-    PageHealth(const CellLifetimeModel& model, Rng& rng, unsigned n_cells,
-               unsigned k, double page_offset_decades = 0.0);
-
-    /** Hard bit errors present after the given effective cycles. */
-    unsigned hardErrors(double effective_cycles) const;
-
-    /** Effective cycles at which the (i+1)-th bit error appears. */
-    double errorOnset(unsigned i) const;
-
-    /** Number of weak cells tracked (error count saturates here). */
-    unsigned tracked() const
-    {
-        return static_cast<unsigned>(weakest_.size());
-    }
-
-  private:
-    std::vector<double> weakest_;
-};
 
 } // namespace flashcache
 

@@ -86,16 +86,8 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
         controller_ = std::make_unique<FlashMemoryController>(*flash_);
         diskStore_ = std::make_unique<DiskBackingStore>(disk_);
 
-        FlashCacheConfig fc = config.flashConfig;
-        if (config.uniformEccStrength) {
-            // Figure 10 mode: every page at one fixed strength.
-            fc.initialEccStrength = *config.uniformEccStrength;
-            fc.maxEccStrength = *config.uniformEccStrength;
-            fc.adaptiveReconfig = false;
-            fc.hotPageMigration = false;
-        }
         cache_ = std::make_unique<FlashCache>(*controller_, *diskStore_,
-                                              fc);
+                                              config.flashConfig);
     }
 
     // Every device model below the PDC records its service demands

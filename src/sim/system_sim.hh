@@ -37,7 +37,6 @@
 #define FLASHCACHE_SIM_SYSTEM_SIM_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/flash_cache.hh"
@@ -95,9 +94,6 @@ struct SystemConfig
 
     /** Policy knobs forwarded to the flash cache. */
     FlashCacheConfig flashConfig;
-
-    /** Uniform ECC strength override for Figure 10 sweeps. */
-    std::optional<std::uint8_t> uniformEccStrength;
 
     /** Wear statistics for the flash cells. */
     WearParams wear;

@@ -5,31 +5,6 @@
 
 namespace flashcache {
 
-namespace {
-
-const char*
-levelPrefix(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Info: return "info";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Error: return "error";
-    }
-    return "log";
-}
-
-void
-stderrSink(LogLevel level, const std::string& msg)
-{
-    std::fprintf(stderr, "%s: %s\n", levelPrefix(level), msg.c_str());
-}
-
-LogSink activeSink = stderrSink;
-LogLevel activeLevel = LogLevel::Info;
-
-} // namespace
-
 void
 panic(const std::string& msg)
 {
@@ -45,59 +20,9 @@ fatal(const std::string& msg)
 }
 
 void
-setLogSink(LogSink sink)
-{
-    activeSink = sink ? std::move(sink) : stderrSink;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    activeLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return activeLevel;
-}
-
-void
-logMessage(LogLevel level, const std::string& msg)
-{
-    if (static_cast<int>(level) < static_cast<int>(activeLevel))
-        return;
-    activeSink(level, msg);
-}
-
-void
-debug(const std::string& msg)
-{
-    logMessage(LogLevel::Debug, msg);
-}
-
-void
-inform(const std::string& msg)
-{
-    logMessage(LogLevel::Info, msg);
-}
-
-void
 warn(const std::string& msg)
 {
-    logMessage(LogLevel::Warn, msg);
-}
-
-void
-error(const std::string& msg)
-{
-    logMessage(LogLevel::Error, msg);
-}
-
-void
-setVerbose(bool verbose)
-{
-    setLogLevel(verbose ? LogLevel::Info : LogLevel::Warn);
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace flashcache

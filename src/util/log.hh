@@ -1,19 +1,16 @@
 /**
  * @file
- * Minimal gem5-style status/error reporting with leveled logging.
+ * Minimal gem5-style status/error reporting.
  *
  * panic() is for internal invariant violations (a flashcache bug);
  * fatal() is for user/configuration errors that make continuing
- * meaningless; debug()/inform()/warn()/error() report conditions
- * without stopping and are filtered by a global level and delivered
- * through a pluggable sink (default: prefixed lines on stderr).
+ * meaningless; warn() reports a condition and continues. Each prints
+ * one prefixed line on stderr.
  */
 
 #ifndef FLASHCACHE_UTIL_LOG_HH
 #define FLASHCACHE_UTIL_LOG_HH
 
-#include <functional>
-#include <sstream>
 #include <string>
 
 namespace flashcache {
@@ -24,48 +21,8 @@ namespace flashcache {
 /** Exit(1) with a message; use for invalid user configuration. */
 [[noreturn]] void fatal(const std::string& msg);
 
-/** Severity of a non-fatal log message, least severe first. */
-enum class LogLevel : int
-{
-    Debug = 0,
-    Info = 1,
-    Warn = 2,
-    Error = 3,
-};
-
-/** Receives every message at or above the active level. */
-using LogSink = std::function<void(LogLevel, const std::string&)>;
-
-/**
- * Replace the log sink (nullptr restores the default stderr sink).
- * Level filtering happens before the sink is invoked.
- */
-void setLogSink(LogSink sink);
-
-/** Drop messages below this level. Default: LogLevel::Info. */
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
-
-/** Emit through the active sink if `level` passes the filter. */
-void logMessage(LogLevel level, const std::string& msg);
-
-/** Verbose diagnostics, off by default. */
-void debug(const std::string& msg);
-
-/** Print an informational message and continue. */
-void inform(const std::string& msg);
-
 /** Print a warning and continue. */
 void warn(const std::string& msg);
-
-/** Print an error (continuing is the caller's decision). */
-void error(const std::string& msg);
-
-/**
- * Legacy switch kept for existing call sites: verbose maps to
- * LogLevel::Info (inform() visible), quiet to LogLevel::Warn.
- */
-void setVerbose(bool verbose);
 
 } // namespace flashcache
 

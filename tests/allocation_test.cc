@@ -17,6 +17,8 @@
 #include "core/flash_cache.hh"
 #include "core/lru.hh"
 #include "core/tables.hh"
+#include "support/fcht_chained.hh"
+#include "support/lru_list.hh"
 #include "util/rng.hh"
 
 // ---------------------------------------------------------------------

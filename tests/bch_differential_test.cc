@@ -29,6 +29,7 @@
 #include "ecc/bch.hh"
 #include "ecc/clmul.hh"
 #include "ecc/crc32.hh"
+#include "support/bch_reference.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -135,8 +136,8 @@ decodeBothAndCompare(const BchCode& code, std::vector<std::uint8_t>& data,
     auto ref_data = data;
     auto ref_parity = parity;
     const auto res = code.decode(data.data(), parity.data());
-    const auto ref = code.decodeReference(ref_data.data(),
-                                          ref_parity.data());
+    const auto ref = decodeReference(code, ref_data.data(),
+                                           ref_parity.data());
     EXPECT_EQ(res.ok, ref.ok);
     EXPECT_EQ(res.correctedBits, ref.correctedBits);
     EXPECT_EQ(data, ref_data);
@@ -158,7 +159,7 @@ TEST(BchDifferentialTest, PageEncoderMatchesReferenceForAllStrengths)
             std::vector<std::uint8_t> fast(code.parityBytes(), 0xAA);
             std::vector<std::uint8_t> ref(code.parityBytes(), 0x55);
             code.encode(data.data(), fast.data());
-            code.encodeReference(data.data(), ref.data());
+            encodeReference(code, data.data(), ref.data());
             ASSERT_EQ(fast, ref) << "t=" << t << " trial=" << trial;
         }
     }
@@ -185,8 +186,8 @@ TEST(BchDifferentialTest, PageDecoderMatchesReferenceUpToTPlusOneErrors)
             auto ref_parity = parity;
 
             const auto res = code.decode(data.data(), parity.data());
-            const auto ref = code.decodeReference(ref_data.data(),
-                                                  ref_parity.data());
+            const auto ref = decodeReference(code, ref_data.data(),
+                                                   ref_parity.data());
 
             ASSERT_EQ(res.ok, ref.ok) << "t=" << t << " k=" << k;
             ASSERT_EQ(res.correctedBits, ref.correctedBits)
@@ -225,7 +226,7 @@ TEST(BchDifferentialTest, SmallCodesMatchReferenceToo)
                 std::vector<std::uint8_t> parity(code.parityBytes(), 0);
                 code.encode(orig.data(), parity.data());
                 std::vector<std::uint8_t> ref_par(code.parityBytes(), 0);
-                code.encodeReference(orig.data(), ref_par.data());
+                encodeReference(code, orig.data(), ref_par.data());
                 ASSERT_EQ(parity, ref_par) << "m=" << pr.m;
 
                 auto data = orig;
@@ -233,8 +234,8 @@ TEST(BchDifferentialTest, SmallCodesMatchReferenceToo)
                 auto rd = data;
                 auto rp = parity;
                 const auto res = code.decode(data.data(), parity.data());
-                const auto ref = code.decodeReference(rd.data(),
-                                                      rp.data());
+                const auto ref = decodeReference(code, rd.data(),
+                                                       rp.data());
                 ASSERT_EQ(res.ok, ref.ok)
                     << "m=" << pr.m << " t=" << pr.t << " k=" << k;
                 ASSERT_EQ(res.correctedBits, ref.correctedBits);
@@ -269,7 +270,7 @@ TEST(BchDifferentialTest, KernelEdgeCodesMatchReference)
             std::vector<std::uint8_t> parity(code.parityBytes(), 0xAA);
             std::vector<std::uint8_t> ref_par(code.parityBytes(), 0x55);
             code.encode(orig.data(), parity.data());
-            code.encodeReference(orig.data(), ref_par.data());
+            encodeReference(code, orig.data(), ref_par.data());
             ASSERT_EQ(parity, ref_par) << "k=" << k;
 
             auto data = orig;
@@ -329,7 +330,7 @@ expectKernelMatchesReference(EncodeKernel kernel)
             std::vector<std::uint8_t> fast(code.parityBytes(), 0xAA);
             std::vector<std::uint8_t> ref(code.parityBytes(), 0x55);
             (code.*kernel)(data.data(), fast.data());
-            code.encodeReference(data.data(), ref.data());
+            encodeReference(code, data.data(), ref.data());
             ASSERT_EQ(fast, ref);
         }
     }

@@ -12,6 +12,7 @@
 
 #include "ecc/clmul.hh"
 #include "ecc/crc32.hh"
+#include "support/crc32_bytewise.hh"
 #include "util/rng.hh"
 
 namespace flashcache {

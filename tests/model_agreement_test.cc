@@ -13,7 +13,7 @@
 #include <cmath>
 
 #include "controller/memory_controller.hh"
-#include "reliability/page_health.hh"
+#include "support/page_health.hh"
 #include "util/stats.hh"
 #include "workload/macro.hh"
 

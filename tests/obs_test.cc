@@ -27,6 +27,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/system_sim.hh"
+#include "support/json_parser.hh"
 #include "ssd/ftl.hh"
 #include "util/rng.hh"
 #include "workload/macro.hh"

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -216,6 +217,43 @@ TEST(PersistenceTest, GeometryMismatchIsFatal)
     other.numBlocks = 6;
     FlashDevice device(other, FlashTiming(), lifetime, 1);
     EXPECT_DEATH(device.loadState(dev_state), "geometry mismatch");
+}
+
+/**
+ * A saved device state with `len` bytes at `offset` replaced, loaded
+ * into a fresh device. The first frame's record starts after the
+ * 8-byte magic, the u32 block count, the u16 frames per block and the
+ * u8 store_data flag: mode at 15, pending mode at 16, damage at 17.
+ */
+void
+loadPatchedDevice(std::size_t offset, const void* bytes, std::size_t len)
+{
+    CellLifetimeModel lifetime;
+    std::stringstream dev_state;
+    {
+        FlashDevice device(geom(), FlashTiming(), lifetime, 1);
+        device.saveState(dev_state);
+    }
+    std::string patched = dev_state.str();
+    std::memcpy(patched.data() + offset, bytes, len);
+    std::stringstream in(patched);
+    FlashDevice device(geom(), FlashTiming(), lifetime, 1);
+    device.loadState(in);
+}
+
+TEST(PersistenceTest, DensityModeOutOfRangeIsFatal)
+{
+    const std::uint8_t seven = 7;
+    EXPECT_DEATH(loadPatchedDevice(15, &seven, 1), "density mode");
+    EXPECT_DEATH(loadPatchedDevice(16, &seven, 1), "density mode");
+}
+
+TEST(PersistenceTest, DamageOutOfRangeIsFatal)
+{
+    const float negative = -1.0f;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_DEATH(loadPatchedDevice(17, &negative, 4), "damage");
+    EXPECT_DEATH(loadPatchedDevice(17, &nan, 4), "damage");
 }
 
 TEST(PersistenceTest, CacheKeepsWorkingAfterRestart)

@@ -150,7 +150,10 @@ TEST(SystemSimTest, UniformEccStrengthSlowsThroughput)
         SystemConfig cfg = baseConfig();
         cfg.dramBytes = mib(2); // small PDC so flash sees the reads
         cfg.flashBytes = mib(64);
-        cfg.uniformEccStrength = t;
+        cfg.flashConfig.initialEccStrength = t;
+        cfg.flashConfig.maxEccStrength = t;
+        cfg.flashConfig.adaptiveReconfig = false;
+        cfg.flashConfig.hotPageMigration = false;
         SystemSimulator sim(cfg);
         auto gen = makeSynthetic(wl);
         sim.run(*gen, 60000);

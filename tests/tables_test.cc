@@ -8,6 +8,8 @@
 
 #include "core/lru.hh"
 #include "core/tables.hh"
+#include "support/fcht_chained.hh"
+#include "support/lru_list.hh"
 #include "util/rng.hh"
 
 #include <unordered_map>

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the util substrate: statistics accumulators,
- * histograms, leveled logging, and the numeric helpers backing the
+ * histograms, logging, and the numeric helpers backing the
  * reliability model.
  */
 
@@ -12,7 +12,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/atomic_file.hh"
@@ -145,36 +144,13 @@ TEST(HistogramTest, AllMassInLastBinPercentile)
     EXPECT_DOUBLE_EQ(h.percentile(1.0), 4.0);
 }
 
-TEST(LogTest, LevelFiltersAndSinkReceives)
+TEST(LogTest, WarnPrintsPrefixedLineOnStderr)
 {
-    std::vector<std::pair<LogLevel, std::string>> got;
-    setLogSink([&](LogLevel lv, const std::string& m) {
-        got.emplace_back(lv, m);
-    });
-    setLogLevel(LogLevel::Warn);
-    debug("d");
-    inform("i");
-    warn("w");
-    error("e");
-    setLogLevel(LogLevel::Debug);
-    debug("d2");
-    // Restore defaults for the other tests.
-    setLogSink(nullptr);
-    setLogLevel(LogLevel::Info);
-
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0], std::make_pair(LogLevel::Warn, std::string("w")));
-    EXPECT_EQ(got[1], std::make_pair(LogLevel::Error, std::string("e")));
-    EXPECT_EQ(got[2], std::make_pair(LogLevel::Debug, std::string("d2")));
-}
-
-TEST(LogTest, SetVerboseMapsToLevels)
-{
-    setVerbose(true);
-    EXPECT_EQ(logLevel(), LogLevel::Info);
-    setVerbose(false);
-    EXPECT_EQ(logLevel(), LogLevel::Warn);
-    setLogLevel(LogLevel::Info); // restore default
+    testing::internal::CaptureStderr();
+    warn("disk nearly full");
+    warn("second");
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "warn: disk nearly full\nwarn: second\n");
 }
 
 TEST(MathxTest, NormalCdfKnownValues)

@@ -8,8 +8,8 @@
 
 #include <cmath>
 
-#include "reliability/page_health.hh"
 #include "reliability/wear_model.hh"
+#include "support/page_health.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 

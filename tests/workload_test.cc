@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <unordered_set>
 
-#include "core/lru.hh"
+#include "support/lru_list.hh"
 #include "workload/macro.hh"
 #include "workload/stack_distance.hh"
 #include "workload/synthetic.hh"
