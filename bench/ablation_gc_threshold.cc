@@ -24,13 +24,6 @@ namespace {
 /** Exporter flags; the last sweep point feeds the snapshots. */
 obs::CliOptions obsOpts;
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 void
 run(double threshold, bool last)
 {
@@ -40,7 +33,7 @@ run(double threshold, bool last)
         geom.numChannels = obsOpts.channels;
     FlashDevice device(geom, FlashTiming(), lifetime, 9);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
 
     FlashCacheConfig cfg;
     cfg.gcMinInvalidFraction = threshold;

@@ -17,13 +17,6 @@ using namespace flashcache;
 
 namespace {
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 struct Result
 {
     double missRate;
@@ -38,7 +31,7 @@ run(double read_fraction)
     const FlashGeometry geom = FlashGeometry::forMlcCapacity(mib(48));
     FlashDevice device(geom, FlashTiming(), lifetime, 15);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
 
     FlashCacheConfig cfg;
     cfg.readRegionFraction = read_fraction;

@@ -19,13 +19,6 @@ using namespace flashcache;
 
 namespace {
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 struct Result
 {
     double maxOverMeanErase;
@@ -46,7 +39,7 @@ run(bool wear_leveling, double threshold)
     geom.framesPerBlock = 16;
     FlashDevice device(geom, FlashTiming(), lifetime, 77);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
 
     FlashCacheConfig cfg;
     cfg.wearLeveling = wear_leveling;

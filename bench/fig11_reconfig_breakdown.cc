@@ -21,13 +21,6 @@ using namespace flashcache;
 
 namespace {
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 struct Breakdown
 {
     std::uint64_t ecc = 0;
@@ -50,7 +43,7 @@ run(WorkloadGenerator& gen)
 
     FlashDevice device(geom, FlashTiming(), lifetime, 29);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
 
     FlashCacheConfig cfg;
     cfg.hotPageMigration = false; // isolate the fault-driven policy

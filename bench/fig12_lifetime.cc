@@ -22,13 +22,6 @@ using namespace flashcache;
 
 namespace {
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 std::uint64_t
 accessesToFailure(WorkloadGenerator& gen, bool programmable,
                   std::uint64_t cap)
@@ -42,7 +35,7 @@ accessesToFailure(WorkloadGenerator& gen, bool programmable,
 
     FlashDevice device(geom, FlashTiming(), lifetime, 37);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
 
     FlashCacheConfig cfg;
     cfg.adaptiveReconfig = programmable;

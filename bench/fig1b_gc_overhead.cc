@@ -12,20 +12,15 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "core/flash_cache.hh"
+#include "util/log.hh"
 #include "util/rng.hh"
 
 using namespace flashcache;
 
 namespace {
-
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
 
 double
 gcOverheadAtOccupancy(double used_fraction)
@@ -34,7 +29,7 @@ gcOverheadAtOccupancy(double used_fraction)
     CellLifetimeModel lifetime;
     FlashDevice device(geom, FlashTiming(), lifetime, 42);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
 
     FlashCacheConfig cfg;
     cfg.splitRegions = false; // the whole device is one write log
@@ -59,6 +54,10 @@ gcOverheadAtOccupancy(double used_fraction)
     const std::uint64_t ops = 4 * cache.capacityPages();
     for (std::uint64_t i = 0; i < ops; ++i)
         cache.write(rng.uniformInt(live_pages));
+    if (cache.stats().evictions > 0)
+        fatal("the storage log evicted " +
+              std::to_string(cache.stats().evictions) +
+              " blocks: a log that evicts is not flash storage");
 
     // Overhead = GC time relative to useful (non-GC) flash work;
     // this is the product of GC frequency and latency the paper

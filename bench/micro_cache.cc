@@ -112,12 +112,6 @@ BM_PdcTouch(benchmark::State& state)
 }
 BENCHMARK(BM_PdcTouch);
 
-struct NullStore : BackingStore
-{
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 void
 BM_FlashCacheReadHit(benchmark::State& state)
 {
@@ -127,7 +121,7 @@ BM_FlashCacheReadHit(benchmark::State& state)
     CellLifetimeModel lifetime;
     FlashDevice device(geom, FlashTiming(), lifetime, 5);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCache cache(ctrl, store);
     for (Lba l = 0; l < 512; ++l)
         cache.read(l);
@@ -149,7 +143,7 @@ BM_FlashCacheWriteChurn(benchmark::State& state)
     CellLifetimeModel lifetime;
     FlashDevice device(geom, FlashTiming(), lifetime, 6);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCache cache(ctrl, store);
     Rng rng(7);
     for (auto _ : state)

@@ -43,7 +43,7 @@ main()
                 cfg.flashConfig.splitRegions,
                 cfg.flashConfig.readRegionFraction,
                 cfg.flashConfig.initialEccStrength,
-                cfg.flashConfig.maxEccStrength, cfg.flashConfig.wearK1,
-                cfg.flashConfig.wearK2, cfg.flashConfig.wearThreshold);
+                cfg.flashConfig.maxEccStrength, FbstEntry::kWearK1,
+                FbstEntry::kWearK2, cfg.flashConfig.wearThreshold);
     return 0;
 }

@@ -19,13 +19,6 @@ using namespace flashcache;
 
 namespace {
 
-class SimpleDisk : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 struct AgingRun
 {
     std::uint64_t accessesToFailure = 0;
@@ -43,7 +36,7 @@ ageToDeath(bool programmable, bool verbose)
     const FlashGeometry geom = FlashGeometry::forMlcCapacity(mib(8));
     FlashDevice device(geom, FlashTiming(), lifetime, 31);
     FlashMemoryController controller(device);
-    SimpleDisk disk;
+    FixedLatencyStore disk;
 
     FlashCacheConfig cfg;
     cfg.adaptiveReconfig = programmable;

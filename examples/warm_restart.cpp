@@ -8,7 +8,10 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/flash_cache.hh"
 #include "util/atomic_file.hh"
@@ -39,14 +42,51 @@ geometry()
     return FlashGeometry::forMlcCapacity(mib(16));
 }
 
+/** A fresh directory of this run's own under the system temp
+ *  directory, removed with everything in it on scope exit, so runs
+ *  at the same time never share state files. */
+class RunDirectory
+{
+  public:
+    RunDirectory()
+    {
+        std::string tmpl = (std::filesystem::temp_directory_path() /
+                            "flashcache.XXXXXX").string();
+        if (!mkdtemp(tmpl.data())) {
+            std::perror("mkdtemp");
+            std::exit(1);
+        }
+        path_ = tmpl;
+    }
+
+    ~RunDirectory()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+
+    RunDirectory(const RunDirectory&) = delete;
+    RunDirectory& operator=(const RunDirectory&) = delete;
+
+    std::string
+    file(const char* name) const
+    {
+        return (path_ / name).string();
+    }
+
+  private:
+    std::filesystem::path path_;
+};
+
 } // namespace
 
 int
 main()
 {
     CellLifetimeModel lifetime;
-    const char* dev_path = "/tmp/flashcache_device.state";
-    const char* cache_path = "/tmp/flashcache_tables.state";
+    const RunDirectory dir;
+    const std::string dev_path = dir.file("device.state");
+    const std::string cache_path = dir.file("tables.state");
 
     // --- before the "reboot": warm the cache ---
     {
@@ -113,8 +153,5 @@ main()
                 "and paid one 4.2 ms disk access per miss\nwhile "
                 "re-warming; the persisted tables (about 2%% of the "
                 "flash size, section 3) skip that.\n");
-
-    std::remove(dev_path);
-    std::remove(cache_path);
     return 0;
 }

@@ -5,6 +5,8 @@
  * The cache core calls read() on misses and write() when flushing or
  * evicting dirty pages; the system simulator implements it with the
  * DiskModel, and tests implement it with instrumented fakes.
+ * FixedLatencyStore is the disk of the benches and tests that count
+ * only flash-side work.
  */
 
 #ifndef FLASHCACHE_CORE_BACKING_STORE_HH
@@ -12,6 +14,7 @@
 
 #include <cstdint>
 
+#include "flash/flash_spec.hh"
 #include "util/types.hh"
 
 namespace flashcache {
@@ -49,6 +52,15 @@ class BackingStore
         return write(lba);
     }
     /// @}
+};
+
+/** A disk that answers every access in Table 3's average access
+ *  latency (4.2 ms) and records nothing. */
+class FixedLatencyStore : public BackingStore
+{
+  public:
+    Seconds read(Lba) override { return DiskSpec().avgAccessLatency; }
+    Seconds write(Lba) override { return DiskSpec().avgAccessLatency; }
 };
 
 /**

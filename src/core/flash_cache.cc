@@ -733,17 +733,15 @@ FlashCache::tryWearSwap(std::uint32_t victim)
     double newest_wear = std::numeric_limits<double>::infinity();
     for (int r = 0; r < 2; ++r) {
         for (const std::uint32_t b : regions_[r].lruBlocks) {
-            const double w = fbst_[b].wearOut(dev.blockEraseCount(b),
-                                              config_.wearK1,
-                                              config_.wearK2);
+            const double w = fbst_[b].wearOut(dev.blockEraseCount(b));
             if (w < newest_wear) {
                 newest_wear = w;
                 newest = b;
             }
         }
     }
-    const double victim_wear = fbst_[victim].wearOut(
-        dev.blockEraseCount(victim), config_.wearK1, config_.wearK2);
+    const double victim_wear =
+        fbst_[victim].wearOut(dev.blockEraseCount(victim));
     if (newest == kNoBlock || newest == victim ||
         victim_wear - newest_wear <= config_.wearThreshold) {
         return false;

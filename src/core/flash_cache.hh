@@ -78,11 +78,6 @@ struct FlashCacheConfig
     /** Wear-leveling on (section 3.6). */
     bool wearLeveling = true;
 
-    /** Wear cost-function weights; k2 > k1 because a density switch
-     *  signals far more wear than an ECC bump (section 3.3). */
-    double wearK1 = 2.0;
-    double wearK2 = 40.0;
-
     /** Evicting a block this much more worn than the newest block
      *  triggers migration instead (erase-count-equivalents). */
     double wearThreshold = 64.0;

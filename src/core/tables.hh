@@ -56,15 +56,20 @@ struct FbstEntry
     bool retired = false;
     std::int8_t region = -1;      ///< owning region, -1 = free pool
 
+    /** Wear cost-function weights; k2 > k1 because a density switch
+     *  signals far more wear than an ECC bump (section 3.3). */
+    static constexpr double kWearK1 = 2.0;
+    static constexpr double kWearK2 = 40.0;
+
     /**
      * Degree of wear out (section 3.3):
      * wear_i = N_erase,i + k1 * TotalECC,i + k2 * TotalSLC_MLC,i.
      */
     double
-    wearOut(std::uint32_t erase_count, double k1, double k2) const
+    wearOut(std::uint32_t erase_count) const
     {
-        return static_cast<double>(erase_count) + k1 * totalEcc +
-            k2 * slcFrames;
+        return static_cast<double>(erase_count) + kWearK1 * totalEcc +
+            kWearK2 * slcFrames;
     }
 };
 

@@ -7,7 +7,7 @@
  * structs increment plain fields on the hot path, which costs
  * nothing extra), and register each field here once at construction
  * under a stable dotted name (`system.*`, `pdc.*`, `cache.*`,
- * `controller.*`, `flash.*`, `ftl.*`, `ecc.*`, `power.*`). The
+ * `controller.*`, `flash.*`, `ecc.*`, `power.*`). The
  * registry is the single source of truth for what a metric is
  * called, what it means, and how to read it; both exporters — the
  * gem5-style text dump and the JSON snapshot — render from it, so a

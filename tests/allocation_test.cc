@@ -82,13 +82,6 @@ operator delete[](void* p, const std::nothrow_t&) noexcept
 namespace flashcache {
 namespace {
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 FlashGeometry
 geom(std::uint32_t blocks = 16, std::uint16_t frames = 8)
 {
@@ -113,7 +106,7 @@ TEST(AllocationTest, SlcFormattingHalvesBlockCapacity)
     CellLifetimeModel lifetime(noWear());
     FlashDevice device(geom(), FlashTiming(), lifetime, 1);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.accessSaturation = 8;
     FlashCache cache(ctrl, store, cfg);
@@ -143,7 +136,7 @@ TEST(AllocationTest, MixedBlockSlotsCountedCorrectly)
     CellLifetimeModel lifetime(wp);
     FlashDevice device(geom(), FlashTiming(), lifetime, 2);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.hotPageMigration = false;
     cfg.agingWindow = 1 << 12;
@@ -175,7 +168,7 @@ TEST(AllocationTest, SurvivesWriteRegionRetirement)
     CellLifetimeModel lifetime(wp);
     FlashDevice device(geom(12, 4), FlashTiming(), lifetime, 4);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.maxEccStrength = 3;
     cfg.hotPageMigration = false;
@@ -388,7 +381,7 @@ TEST(AllocationTest, ServingHotPathIsAllocationFree)
             device.hardErrors({b, f, 0});
     }
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.hotPageMigration = false;
     FlashCache cache(ctrl, store, cfg);
@@ -463,7 +456,7 @@ TEST(AllocationTest, UnifiedAndSplitAgreeOnTotalCapacity)
     for (const bool split : {false, true}) {
         FlashDevice device(geom(), FlashTiming(), lifetime, 7);
         FlashMemoryController ctrl(device);
-        NullStore store;
+        FixedLatencyStore store;
         FlashCacheConfig cfg;
         cfg.splitRegions = split;
         FlashCache cache(ctrl, store, cfg);

@@ -15,13 +15,6 @@
 namespace flashcache {
 namespace {
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 FlashGeometry
 geomWithBad(double rate, std::uint32_t blocks = 32)
 {
@@ -79,7 +72,7 @@ TEST(BadBlockTest, CacheFormatsAroundBadBlocks)
     CellLifetimeModel m;
     FlashDevice dev(geomWithBad(0.1), FlashTiming(), m, 5);
     FlashMemoryController ctrl(dev);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCache cache(ctrl, store);
 
     // Retired at format time; capacity excludes them.
@@ -112,7 +105,7 @@ TEST(BadBlockTest, TooManyBadBlocksIsFatal)
     CellLifetimeModel m;
     FlashDevice dev(geomWithBad(0.97, 16), FlashTiming(), m, 31);
     FlashMemoryController ctrl(dev);
-    NullStore store;
+    FixedLatencyStore store;
     EXPECT_DEATH({ FlashCache cache(ctrl, store); },
                  "too many factory bad blocks");
 }

@@ -18,13 +18,6 @@
 namespace flashcache {
 namespace {
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 using Combo = std::tuple<bool, bool, bool, bool>;
 
 class ConfigMatrixTest : public ::testing::TestWithParam<Combo>
@@ -46,7 +39,7 @@ TEST_P(ConfigMatrixTest, InvariantsHoldUnderMixedWorkload)
     FlashDevice device(geom, FlashTiming(), lifetime, 55);
     device.setSoftErrorRate(1e-6);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
 
     FlashCacheConfig cfg;
     cfg.splitRegions = split;

@@ -2,27 +2,19 @@
  * @file
  * Cross-validation between independent implementations: the flash
  * cache's measured miss rate is bracketed using the stack-distance
- * analyzer's ideal page-LRU curve, and the FTL and disk cache agree
- * on flash-level accounting for the same traffic.
+ * analyzer's ideal page-LRU curve, and the cache's device-level
+ * program/erase accounting balances under GC-heavy write traffic.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/flash_cache.hh"
-#include "ssd/ftl.hh"
 #include "util/rng.hh"
 #include "workload/stack_distance.hh"
 #include "workload/synthetic.hh"
 
 namespace flashcache {
 namespace {
-
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
 
 TEST(CrossValidationTest, CacheMissRateBracketsIdealLru)
 {
@@ -38,7 +30,7 @@ TEST(CrossValidationTest, CacheMissRateBracketsIdealLru)
     g.framesPerBlock = 8; // 256 pages
     FlashDevice device(g, FlashTiming(), lifetime, 2);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.splitRegions = false; // whole capacity for reads
     cfg.hotPageMigration = false;
@@ -75,7 +67,7 @@ TEST(CrossValidationTest, SequentialScanBothAgree)
     g.framesPerBlock = 8; // 128 pages
     FlashDevice device(g, FlashTiming(), lifetime, 3);
     FlashMemoryController ctrl(device);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.splitRegions = false;
     FlashCache cache(ctrl, store, cfg);
@@ -91,13 +83,12 @@ TEST(CrossValidationTest, SequentialScanBothAgree)
     EXPECT_GT(cache.stats().fgst.reads.missRate(), 0.95);
 }
 
-TEST(CrossValidationTest, FtlAndCacheShareDeviceAccounting)
+TEST(CrossValidationTest, CacheDeviceAccountingBalances)
 {
-    // Identical write traffic through the FTL and through a unified
-    // cache on identical devices: both must agree that every write
-    // costs at least one program, and that GC never destroys the
-    // program/erase balance (programs >= writes; every erase frees
-    // what programs consumed).
+    // Overwrite traffic through a unified cache: every write costs at
+    // least one program, and GC never destroys the program/erase
+    // balance (programs >= writes; every erase frees what programs
+    // consumed).
     WearParams no_wear;
     no_wear.nominalCycles = 1e9;
     CellLifetimeModel lifetime(no_wear);
@@ -110,34 +101,23 @@ TEST(CrossValidationTest, FtlAndCacheShareDeviceAccounting)
     for (int i = 0; i < 8000; ++i)
         writes.push_back(rng.uniformInt(180));
 
-    FlashDevice dev_a(g, FlashTiming(), lifetime, 4);
-    FlashMemoryController ctrl_a(dev_a);
-    FlashTranslationLayer ftl(ctrl_a, 200);
-    for (const Lba l : writes)
-        ftl.write(l);
-    ftl.checkInvariants();
-
-    FlashDevice dev_b(g, FlashTiming(), lifetime, 4);
-    FlashMemoryController ctrl_b(dev_b);
-    NullStore store;
+    FlashDevice dev(g, FlashTiming(), lifetime, 4);
+    FlashMemoryController ctrl(dev);
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.splitRegions = false;
     cfg.hotPageMigration = false;
-    FlashCache cache(ctrl_b, store, cfg);
+    FlashCache cache(ctrl, store, cfg);
     for (const Lba l : writes)
         cache.write(l);
     cache.checkInvariants();
 
-    for (const FlashDevice* dev : {&dev_a, &dev_b}) {
-        EXPECT_GE(dev->stats().programs, writes.size());
-        // Programs never exceed what erases plus virgin capacity
-        // provide.
-        const std::uint64_t capacity =
-            static_cast<std::uint64_t>(g.numBlocks) * g.framesPerBlock *
-            2;
-        EXPECT_LE(dev->stats().programs,
-                  capacity * (dev->stats().erases / g.numBlocks + 2));
-    }
+    EXPECT_GE(dev.stats().programs, writes.size());
+    // Programs never exceed what erases plus virgin capacity provide.
+    const std::uint64_t capacity =
+        static_cast<std::uint64_t>(g.numBlocks) * g.framesPerBlock * 2;
+    EXPECT_LE(dev.stats().programs,
+              capacity * (dev.stats().erases / g.numBlocks + 2));
 }
 
 } // namespace

@@ -490,22 +490,29 @@ TEST(FlashCacheTest, GcOverheadGrowsWithOccupancy)
 {
     // Figure 1(b)'s mechanism at unit scale: higher live occupancy
     // of the log leaves fewer invalid pages per GC'd block, raising
-    // the time share of garbage collection.
-    auto overhead = [](Lba working_set) {
+    // the time share of garbage collection. As a storage log
+    // (gcMinInvalidFraction = 0, section 2.2's SSD) the cache never
+    // evicts and GC relocates every valid page of its victim, so the
+    // overhead more than doubles.
+    auto overhead = [](Lba working_set, double gc_min_invalid) {
         FlashCacheConfig cfg;
         cfg.splitRegions = false;
         cfg.wearLeveling = false;
         cfg.hotPageMigration = false;
-        Stack s(8, cfg);
+        cfg.gcMinInvalidFraction = gc_min_invalid;
+        Stack s(16, cfg);
         Rng rng(31);
         for (int i = 0; i < 20000; ++i)
             s.cache.write(rng.uniformInt(working_set));
+        if (gc_min_invalid == 0.0) {
+            EXPECT_EQ(s.cache.stats().evictions, 0u);
+        }
         return s.cache.gcOverheadFraction();
     };
     // Capacity is 256 pages; compare 35% vs 85% live occupancy.
-    const double low = overhead(90);
-    const double high = overhead(218);
-    EXPECT_GT(high, low);
+    const double cache = FlashCacheConfig().gcMinInvalidFraction;
+    EXPECT_GT(overhead(218, cache), overhead(90, cache));
+    EXPECT_GT(overhead(218, 0.0), 2.0 * overhead(90, 0.0));
 }
 
 } // namespace

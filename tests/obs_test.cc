@@ -28,7 +28,6 @@
 #include "obs/trace.hh"
 #include "sim/system_sim.hh"
 #include "support/json_parser.hh"
-#include "ssd/ftl.hh"
 #include "util/rng.hh"
 #include "workload/macro.hh"
 #include "workload/synthetic.hh"
@@ -434,13 +433,6 @@ TEST(CliOptionsDeathTest, CountFlagsParseStrictly)
  */
 TEST(UncorrectableAccountingTest, CacheRetrySplitsControllerCount)
 {
-    class NullStore : public BackingStore
-    {
-      public:
-        Seconds read(Lba) override { return milliseconds(4.2); }
-        Seconds write(Lba) override { return milliseconds(4.2); }
-    };
-
     WearParams no_wear;
     no_wear.nominalCycles = 1e9;
     CellLifetimeModel m(no_wear);
@@ -450,7 +442,7 @@ TEST(UncorrectableAccountingTest, CacheRetrySplitsControllerCount)
     FlashDevice dev(g, FlashTiming(), m, 8);
     dev.setSoftErrorRate(1.2e-4); // spikes past even strong codes
     FlashMemoryController ctrl(dev);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.initialEccStrength = 10;
     cfg.hotPageMigration = false;
@@ -480,40 +472,6 @@ TEST(UncorrectableAccountingTest, CacheRetrySplitsControllerCount)
               cache.stats().uncorrectableReads +
                   cache.stats().eccRetryReads);
     cache.checkInvariants();
-}
-
-TEST(UncorrectableAccountingTest, FtlMatchesItsController)
-{
-    // The FTL has no retry path: every controller uncorrectable is an
-    // FTL uncorrectable, one for one.
-    WearParams no_wear;
-    no_wear.nominalCycles = 1e9;
-    CellLifetimeModel m(no_wear);
-    FlashGeometry g;
-    g.numBlocks = 8;
-    g.framesPerBlock = 8;
-    FlashDevice dev(g, FlashTiming(), m, 11);
-    dev.setSoftErrorRate(1e-4); // ~3.4 flips/read vs strength 4
-    FlashMemoryController ctrl(dev);
-    FlashTranslationLayer ftl(ctrl, /*logical_pages=*/100,
-                              /*ecc_strength=*/4);
-
-    MetricRegistry reg;
-    ftl.registerMetrics(reg);
-    ctrl.registerMetrics(reg);
-
-    Rng rng(13);
-    for (int i = 0; i < 5000; ++i) {
-        const Lba l = rng.uniformInt(100);
-        if (rng.bernoulli(0.4))
-            ftl.write(l);
-        else
-            ftl.read(l);
-    }
-    EXPECT_GT(reg.value("ftl.uncorrectable"), 0.0);
-    EXPECT_DOUBLE_EQ(reg.value("ftl.uncorrectable"),
-                     reg.value("ecc.uncorrectable_reads"));
-    ftl.checkInvariants();
 }
 
 // ----------------------------------------------------------- End-to-end

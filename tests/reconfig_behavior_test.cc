@@ -17,13 +17,6 @@
 namespace flashcache {
 namespace {
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 FlashGeometry
 geom(std::uint32_t blocks, std::uint16_t frames = 8)
 {
@@ -49,7 +42,7 @@ struct Stack
     CellLifetimeModel lifetime;
     FlashDevice device;
     FlashMemoryController controller;
-    NullStore store;
+    FixedLatencyStore store;
     FlashCache cache;
 };
 

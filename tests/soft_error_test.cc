@@ -13,13 +13,6 @@
 namespace flashcache {
 namespace {
 
-class NullStore : public BackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-};
-
 FlashGeometry
 smallGeom()
 {
@@ -82,7 +75,7 @@ TEST(SoftErrorTest, EccMasksTransientsWithoutDataLoss)
     FlashDevice dev(smallGeom(), FlashTiming(), m, 4);
     dev.setSoftErrorRate(5e-5); // ~1.7 expected flips per MLC read
     FlashMemoryController ctrl(dev);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.initialEccStrength = 8;
     FlashCache cache(ctrl, store, cfg);
@@ -113,7 +106,7 @@ TEST(SoftErrorTest, TransientsDoNotPermanentlyReconfigure)
     FlashDevice dev(smallGeom(), FlashTiming(), m, 6);
     dev.setSoftErrorRate(4e-5);
     FlashMemoryController ctrl(dev);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.initialEccStrength = 2; // spikes past 2 bits are common
     cfg.hotPageMigration = false;
@@ -141,7 +134,7 @@ TEST(SoftErrorTest, RetryRecoversTransientOverflows)
     FlashDevice dev(smallGeom(), FlashTiming(), m, 8);
     dev.setSoftErrorRate(1.2e-4); // ~4 expected flips per MLC read
     FlashMemoryController ctrl(dev);
-    NullStore store;
+    FixedLatencyStore store;
     FlashCacheConfig cfg;
     cfg.initialEccStrength = 10;
     cfg.hotPageMigration = false;

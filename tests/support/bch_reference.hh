@@ -1,12 +1,12 @@
 /**
  * @file
  * The original bit-serial BCH pipeline, kept as the oracle for the
- * differential tests (tests/bch_differential_test.cc), micro_bch's
- * baseline and fig6a's bit-serial column: Gf2Poly long-division
- * encode, per-set-bit syndromes, allocating Berlekamp-Massey and a
- * full Chien sweep with per-position GF multiplies. Slow, and it
- * allocates; it reads only the code's public shape (field,
- * generator, t, data and parity lengths).
+ * differential tests (tests/bch_differential_test.cc) and
+ * micro_bch's baseline (the software decode of section 4.1.1):
+ * Gf2Poly long-division encode, per-set-bit syndromes, allocating
+ * Berlekamp-Massey and a full Chien sweep with per-position GF
+ * multiplies. Slow, and it allocates; it reads only the code's
+ * public shape (field, generator, t, data and parity lengths).
  */
 
 #ifndef FLASHCACHE_TESTS_SUPPORT_BCH_REFERENCE_HH

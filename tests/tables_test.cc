@@ -192,14 +192,14 @@ TEST(FbstTest, WearOutCostFunction)
     e.totalEcc = 3;
     e.slcFrames = 2;
     // wear = N_erase + k1 * TotalECC + k2 * TotalSLC.
-    EXPECT_DOUBLE_EQ(e.wearOut(100, 2.0, 40.0), 100 + 6.0 + 80.0);
+    EXPECT_DOUBLE_EQ(e.wearOut(100), 100 + 6.0 + 80.0);
     // k2 dominates k1: a density switch signals more wear.
     FbstEntry ecc_heavy;
     ecc_heavy.totalEcc = 2;
     FbstEntry slc_heavy;
     slc_heavy.slcFrames = 2;
-    EXPECT_GT(slc_heavy.wearOut(0, 2.0, 40.0),
-              ecc_heavy.wearOut(0, 2.0, 40.0));
+    EXPECT_GT(slc_heavy.wearOut(0),
+              ecc_heavy.wearOut(0));
 }
 
 TEST(LruListTest, OrderAndEviction)

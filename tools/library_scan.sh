@@ -13,12 +13,15 @@
 # lets nm name the file (header or source) that defines each one.
 #
 # Usage: tools/library_scan.sh
-# Builds into build-scan/ at the repository root and prints the
-# report on stdout. Exits non-zero only if the build fails.
+# Builds afresh into build-scan/ at the repository root (binaries and
+# archives left there by a target that no longer exists would
+# otherwise be scanned too) and prints the report on stdout. Exits
+# non-zero only if the build fails.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 out=$root/build-scan
+rm -rf "$out"
 flags="-O0 -g -fno-inline -ffunction-sections"
 jobs=$(nproc)
 
