@@ -14,7 +14,7 @@ int
 main()
 {
     const SystemConfig cfg;
-    const FlashTiming& ft = cfg.flashTiming;
+    const FlashTiming ft{};
     const EccTimingModel ecc;
 
     std::printf("=== Table 3: configuration parameters ===\n\n");
@@ -36,7 +36,7 @@ main()
                 "BCH code latency", ecc.decodeLatency(2).total() * 1e6,
                 ecc.decodeLatency(12).total() * 1e6);
     std::printf("%-22s average access latency %.1f ms\n", "IDE disk",
-                cfg.diskSpec.avgAccessLatency * 1e3);
+                DiskSpec().avgAccessLatency * 1e3);
     std::printf("\nFlash cache policy defaults: split %d "
                 "(read fraction %.2f), ECC t0=%u max=%u, wear k1=%.0f "
                 "k2=%.0f threshold=%.0f\n",

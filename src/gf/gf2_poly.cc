@@ -1,10 +1,9 @@
 #include "gf/gf2_poly.hh"
 
 #include <algorithm>
-#include <sstream>
+#include <vector>
 
 #include "gf/gf2m.hh"
-#include "gf/gf_poly.hh"
 #include "util/log.hh"
 
 namespace flashcache {
@@ -14,16 +13,6 @@ Gf2Poly::monomial(std::size_t deg)
 {
     Gf2Poly p;
     p.setCoeff(deg, true);
-    return p;
-}
-
-Gf2Poly
-Gf2Poly::fromMask(std::uint64_t mask)
-{
-    Gf2Poly p;
-    for (std::size_t i = 0; i < 64; ++i)
-        if (mask & (1ull << i))
-            p.setCoeff(i, true);
     return p;
 }
 
@@ -154,72 +143,30 @@ Gf2Poly::mod(const Gf2Poly& divisor) const
     return r;
 }
 
-std::uint32_t
-Gf2Poly::eval(const GaloisField& gf, std::uint32_t beta) const
-{
-    // Sum beta^i over set coefficients, exploiting alpha-log stride.
-    std::uint32_t acc = 0;
-    if (beta == 0)
-        return coeff(0) ? 1 : 0;
-    const std::int64_t lb = gf.logAlpha(beta);
-    const long d = degree();
-    for (long i = 0; i <= d; ++i) {
-        if (coeff(static_cast<std::size_t>(i)))
-            acc ^= gf.alphaPow(lb * i);
-    }
-    return acc;
-}
-
-std::string
-Gf2Poly::toString() const
-{
-    if (isZero())
-        return "0";
-    std::ostringstream os;
-    bool first = true;
-    for (long i = degree(); i >= 0; --i) {
-        if (!coeff(static_cast<std::size_t>(i)))
-            continue;
-        if (!first)
-            os << " + ";
-        first = false;
-        if (i == 0)
-            os << "1";
-        else if (i == 1)
-            os << "x";
-        else
-            os << "x^" << i;
-    }
-    return os.str();
-}
-
 Gf2Poly
 minimalPolynomial(const GaloisField& gf, std::uint32_t power)
 {
-    // Collect the conjugacy class {power * 2^j mod (2^m - 1)}.
+    // Multiply (x + alpha^e) over the conjugacy class
+    // {power * 2^j mod (2^m - 1)} into coefficients over GF(2^m),
+    // lowest degree first; the product collapses to {0,1} coeffs.
     const std::uint64_t n = gf.groupOrder();
-    std::vector<std::uint64_t> cls;
+    std::vector<GaloisField::Elem> prod{1};
     std::uint64_t e = power % n;
     do {
-        cls.push_back(e);
+        const GaloisField::Elem root =
+            gf.alphaPow(static_cast<std::int64_t>(e));
+        prod.push_back(0);
+        for (std::size_t i = prod.size() - 1; i > 0; --i)
+            prod[i] = prod[i - 1] ^ gf.mul(root, prod[i]);
+        prod[0] = gf.mul(root, prod[0]);
         e = (e * 2) % n;
     } while (e != power % n);
 
-    // Product of (x + alpha^e) over the class, with coefficients in
-    // GF(2^m); the result is guaranteed to collapse to {0,1} coeffs.
-    GfPoly prod(gf, {1});
-    for (std::uint64_t ee : cls) {
-        GfPoly factor(gf, {gf.alphaPow(static_cast<std::int64_t>(ee)), 1});
-        prod = prod * factor;
-    }
-
     Gf2Poly out;
-    for (std::size_t i = 0; i <= static_cast<std::size_t>(prod.degree());
-         ++i) {
-        const std::uint32_t c = prod.coeff(i);
-        if (c > 1)
+    for (std::size_t i = 0; i < prod.size(); ++i) {
+        if (prod[i] > 1)
             panic("minimal polynomial has non-binary coefficient");
-        if (c)
+        if (prod[i])
             out.setCoeff(i, true);
     }
     return out;

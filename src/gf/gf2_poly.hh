@@ -12,7 +12,6 @@
 #define FLASHCACHE_GF_GF2_POLY_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace flashcache {
@@ -31,9 +30,6 @@ class Gf2Poly
 
     /** Monomial x^deg (or zero when bit set to false). */
     static Gf2Poly monomial(std::size_t deg);
-
-    /** Build from a mask: bit i of the integer is coefficient i. */
-    static Gf2Poly fromMask(std::uint64_t mask);
 
     bool isZero() const { return words_.empty(); }
 
@@ -56,15 +52,6 @@ class Gf2Poly
     Gf2Poly mod(const Gf2Poly& divisor) const;
 
     bool operator==(const Gf2Poly& o) const { return words_ == o.words_; }
-
-    /**
-     * Evaluate at a point of GF(2^m): sum of beta^i over set
-     * coefficients i.
-     */
-    std::uint32_t eval(const GaloisField& gf, std::uint32_t beta) const;
-
-    /** Render as e.g. "x^4 + x + 1". */
-    std::string toString() const;
 
   private:
     void trim();

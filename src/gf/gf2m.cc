@@ -6,6 +6,9 @@
 
 namespace flashcache {
 
+namespace {
+
+/** Built-in primitive polynomial for degree m (2 <= m <= 16). */
 std::uint32_t
 defaultPrimitivePoly(unsigned m)
 {
@@ -31,8 +34,10 @@ defaultPrimitivePoly(unsigned m)
     }
 }
 
-GaloisField::GaloisField(unsigned m, std::uint32_t poly)
-    : m_(m), q_(1u << m), poly_(poly ? poly : defaultPrimitivePoly(m)),
+} // namespace
+
+GaloisField::GaloisField(unsigned m)
+    : m_(m), q_(1u << m), poly_(defaultPrimitivePoly(m)),
       polyLow_(poly_ & (q_ - 1))
 {
     if (m < 2 || m > 16)
@@ -61,14 +66,6 @@ GaloisField::GaloisField(unsigned m, std::uint32_t poly)
 }
 
 GaloisField::Elem
-GaloisField::inv(Elem a) const
-{
-    if (a == 0)
-        panic("inverse of zero in GF(2^m)");
-    return exp_[groupOrder() - log_[a]];
-}
-
-GaloisField::Elem
 GaloisField::div(Elem a, Elem b) const
 {
     if (b == 0)
@@ -76,23 +73,6 @@ GaloisField::div(Elem a, Elem b) const
     if (a == 0)
         return 0;
     return exp_[log_[a] + groupOrder() - log_[b]];
-}
-
-GaloisField::Elem
-GaloisField::pow(Elem a, std::int64_t e) const
-{
-    if (a == 0) {
-        if (e == 0)
-            return 1;
-        if (e < 0)
-            panic("negative power of zero in GF(2^m)");
-        return 0;
-    }
-    const std::int64_t n = groupOrder();
-    std::int64_t le = (static_cast<std::int64_t>(log_[a]) * (e % n)) % n;
-    if (le < 0)
-        le += n;
-    return exp_[static_cast<std::size_t>(le)];
 }
 
 } // namespace flashcache

@@ -29,14 +29,9 @@ class GaloisField
   public:
     using Elem = std::uint32_t;
 
-    /**
-     * Build the field from a primitive polynomial.
-     *
-     * @param m    Field degree.
-     * @param poly Primitive polynomial as a bit mask including the
-     *             x^m term; 0 selects a built-in default for m.
-     */
-    explicit GaloisField(unsigned m, std::uint32_t poly = 0);
+    /** Build the field from the built-in primitive polynomial of
+     *  degree m. */
+    explicit GaloisField(unsigned m);
 
     unsigned m() const { return m_; }
 
@@ -48,9 +43,6 @@ class GaloisField
 
     /** The primitive polynomial used to build the field. */
     std::uint32_t primitivePoly() const { return poly_; }
-
-    /** Addition (= subtraction) in characteristic 2. */
-    static Elem add(Elem a, Elem b) { return a ^ b; }
 
     /** Multiply two field elements. */
     Elem
@@ -81,14 +73,8 @@ class GaloisField
         return prod;
     }
 
-    /** Multiplicative inverse. @pre a != 0 */
-    Elem inv(Elem a) const;
-
     /** a / b. @pre b != 0 */
     Elem div(Elem a, Elem b) const;
-
-    /** a^e with e reduced mod the group order; 0^0 == 1. */
-    Elem pow(Elem a, std::int64_t e) const;
 
     /** alpha^e (alpha is the primitive element 2). */
     Elem
@@ -138,9 +124,6 @@ class GaloisField
     std::vector<Elem> exp_; ///< alpha^i, doubled to skip a mod.
     std::vector<unsigned> log_;
 };
-
-/** Built-in primitive polynomial for degree m (2 <= m <= 16). */
-std::uint32_t defaultPrimitivePoly(unsigned m);
 
 } // namespace flashcache
 

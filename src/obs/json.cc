@@ -151,26 +151,12 @@ JsonWriter::value(std::int64_t v)
 }
 
 void
-JsonWriter::value(bool v)
-{
-    preValue();
-    *os_ << (v ? "true" : "false");
-}
-
-void
 JsonWriter::value(std::string_view v)
 {
     preValue();
     *os_ << '"';
     writeEscaped(v);
     *os_ << '"';
-}
-
-void
-JsonWriter::nullValue()
-{
-    preValue();
-    *os_ << "null";
 }
 
 void

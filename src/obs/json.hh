@@ -47,10 +47,10 @@ class JsonWriter
     void value(std::uint64_t v);
     void value(std::int64_t v);
     void value(int v) { value(static_cast<std::int64_t>(v)); }
-    void value(bool v);
+    /** No boolean values: a bool would otherwise print as 0 or 1. */
+    void value(bool v) = delete;
     void value(std::string_view v);
     void value(const char* v) { value(std::string_view(v)); }
-    void nullValue();
 
     /// @name One-call members: key + value.
     /// @{

@@ -21,14 +21,6 @@ Tracer::nameTrack(std::uint32_t track, std::string name)
     trackNames_[track] = std::move(name);
 }
 
-void
-Tracer::clear()
-{
-    head_ = 0;
-    count_ = 0;
-    dropped_ = 0;
-}
-
 std::vector<TraceEvent>
 Tracer::events() const
 {

@@ -81,9 +81,6 @@ class Tracer
     std::uint64_t dropped() const { return dropped_; }
     std::uint64_t recorded() const { return seq_; }
 
-    /** Discard all events (track names stay). */
-    void clear();
-
     /** Events oldest-first (copies out of the ring). */
     std::vector<TraceEvent> events() const;
 

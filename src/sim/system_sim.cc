@@ -66,7 +66,7 @@ class DiskBackingStore : public BackingStore
 
 SystemSimulator::SystemSimulator(const SystemConfig& config)
     : config_(config), dram_(config.dramBytes, config.dramSpec),
-      disk_(config.diskSpec, config.seed * 7919 + 1), rng_(config.seed),
+      disk_(DiskSpec(), config.seed * 7919 + 1), rng_(config.seed),
       pdc_(pdcPages(config.dramBytes)),
       // The OS lets dirty pages accumulate to a fraction of the page
       // cache before the flusher drains the coldest ones.
@@ -80,7 +80,7 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
         lifetime_ = std::make_unique<CellLifetimeModel>(config.wear);
         auto geom = FlashGeometry::forMlcCapacity(config.flashBytes);
         geom.numChannels = std::max(1u, config.flashChannels);
-        flash_ = std::make_unique<FlashDevice>(geom, config.flashTiming,
+        flash_ = std::make_unique<FlashDevice>(geom, FlashTiming(),
                                                *lifetime_,
                                                config.seed * 31 + 5);
         controller_ = std::make_unique<FlashMemoryController>(*flash_);
@@ -91,7 +91,7 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
     }
 
     // Every device model below the PDC records its service demands
-    // into the shared sink; runLoop() hands each request's demands
+    // into the shared sink; run() hands each request's demands
     // through the channel to the closed loop, which replays them
     // through per-resource queues to produce the event-driven wall
     // clock.
@@ -233,13 +233,14 @@ SystemSimulator::serve(const TraceRecord& r)
 }
 
 void
-SystemSimulator::runLoop(const std::function<bool(TraceRecord&)>& next)
+SystemSimulator::run(WorkloadGenerator& workload, std::uint64_t n)
 {
     // Draw thread: each record, then its compute time, the RNG order
     // of a serial loop.
     const auto draw = [&] {
         DrawnRequest d;
-        while (next(d.record)) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+            d.record = workload.next(rng_);
             d.compute = rng_.exponential(1.0 / config_.computeTime);
             if (!draws_.push(d))
                 return;
@@ -279,31 +280,6 @@ SystemSimulator::runLoop(const std::function<bool(TraceRecord&)>& next)
     channel_.run(
         [&] { draws_.run(draw, model, BatchHandoff::NewThread::Producer); },
         engine);
-}
-
-void
-SystemSimulator::run(WorkloadGenerator& workload, std::uint64_t n)
-{
-    std::uint64_t issued = 0;
-    runLoop([&](TraceRecord& r) {
-        if (issued >= n)
-            return false;
-        ++issued;
-        r = workload.next(rng_);
-        return true;
-    });
-}
-
-void
-SystemSimulator::run(const Trace& trace)
-{
-    auto it = trace.begin();
-    runLoop([&](TraceRecord& r) {
-        if (it == trace.end())
-            return false;
-        r = *it++;
-        return true;
-    });
 }
 
 PowerReport

@@ -98,10 +98,9 @@ struct SystemConfig
     /** Wear statistics for the flash cells. */
     WearParams wear;
 
-    /** Device datasheets. */
-    FlashTiming flashTiming;
+    /** DRAM datasheet. The flash and disk models run their default
+     *  FlashTiming and DiskSpec. */
     DramSpec dramSpec;
-    DiskSpec diskSpec;
 
     std::uint64_t seed = 1;
 };
@@ -143,11 +142,9 @@ class SystemSimulator
     explicit SystemSimulator(const SystemConfig& config);
     ~SystemSimulator();
 
-    /** Drive n requests from the generator through the system. */
+    /** Drive n requests from the generator through the system (the
+     *  three-stage pipeline described above). */
     void run(WorkloadGenerator& workload, std::uint64_t n);
-
-    /** Replay a prerecorded trace. */
-    void run(const Trace& trace);
 
     const SystemStats& stats() const { return stats_; }
 
@@ -201,11 +198,6 @@ class SystemSimulator
     /** Run one request through the functional model (cache state
      *  mutates, device demands land in the sink). */
     void serve(const TraceRecord& r);
-
-    /** Draw every record of `next` and its compute time on a new
-     *  thread, serve them on the calling thread and replay the
-     *  demands in the event scheduler on a third. */
-    void runLoop(const std::function<bool(TraceRecord&)>& next);
 
     /** Handle a read below the PDC. */
     void readBelow(Lba lba);

@@ -37,10 +37,13 @@ struct TraceRecord
 /** An in-memory access trace. */
 using Trace = std::vector<TraceRecord>;
 
-/** Write a trace as "R,<lba>" / "W,<lba>" lines. */
+/** Write a trace as "R,<lba>" / "W,<lba>" lines. Fatal on write
+ *  errors. */
 void saveTraceCsv(const Trace& trace, const std::string& path);
 
-/** Read a trace written by saveTraceCsv. Fatal on parse errors. */
+/** Read a trace written by saveTraceCsv: every line one record, the
+ *  LBA a decimal that fits 64 bits. Fatal, naming the record, on any
+ *  other line. */
 Trace loadTraceCsv(const std::string& path);
 
 /** Summary statistics of a trace. */

@@ -571,8 +571,9 @@ TEST(BchDifferentialTest, FourErrorsWithSingleErrorS3AreNotOneError)
         while (errs.size() < 4)
             errs.insert(static_cast<std::uint32_t>(rng.uniformInt(total)));
         const GaloisField::Elem s1 = syndrome(errs, 1);
-        if (s1 != 0 && syndrome(errs, 3) == gf.pow(s1, 3) &&
-            syndrome(errs, 5) != gf.pow(s1, 5)) {
+        const std::int64_t l1 = s1 ? gf.logAlpha(s1) : 0;
+        if (s1 != 0 && syndrome(errs, 3) == gf.alphaPow(3 * l1) &&
+            syndrome(errs, 5) != gf.alphaPow(5 * l1)) {
             break;
         }
         errs.clear();

@@ -15,6 +15,7 @@
 #include "ecc/bch.hh"
 #include "ecc/crc32.hh"
 #include "ecc/ecc_timing.hh"
+#include "support/gf2_poly_support.hh"
 #include "util/rng.hh"
 
 namespace flashcache {
@@ -56,7 +57,7 @@ TEST(BchCodeTest, ClassicBch15_5_7Generator)
     // The t = 3, m = 4 BCH code is the textbook (15,5,7) code with
     // g(x) = x^10 + x^8 + x^5 + x^4 + x^2 + x + 1 (Lin & Costello).
     BchCode code(4, 3, 0);
-    EXPECT_EQ(code.generator(), Gf2Poly::fromMask(0b10100110111));
+    EXPECT_EQ(code.generator(), fromMask(0b10100110111));
     EXPECT_EQ(code.parityBits(), 10u);
 }
 
@@ -66,6 +67,61 @@ TEST(BchCodeTest, GeneratorDegreeMatchesParity)
     EXPECT_EQ(code.parityBits(),
               static_cast<std::uint32_t>(code.generator().degree()));
     EXPECT_LE(code.parityBits(), 2u * 6u);
+}
+
+/**
+ * The generator of every page code the controller builds (m = 15,
+ * 2 KB of data, t = 1..12), coefficient i in bit i % 64 of word
+ * i / 64. Any change to how the generator is built shows here first:
+ * the bit-serial oracle in tests/support encodes with the same
+ * generator(), so it cannot catch one.
+ */
+struct PinnedGenerator
+{
+    unsigned t;
+    long degree;
+    std::uint64_t words[3];
+};
+
+constexpr PinnedGenerator kPageGenerators[] = {
+    {1, 15, {0x0000000000008003ull, 0, 0}},
+    {2, 30, {0x0000000042100c65ull, 0, 0}},
+    {3, 45, {0x0000252bd044a787ull, 0, 0}},
+    {4, 60, {0x1744edb8b36fb1d1ull, 0, 0}},
+    {5, 75, {0x9d6757cc252cf607ull, 0x0000000000000bfcull, 0}},
+    {6, 90, {0xa912c1c03a33f855ull, 0x0000000005a698c6ull, 0}},
+    {7, 105, {0xbadac64b1e2c94c3ull, 0x000002d0c3cc0a13ull, 0}},
+    {8, 120, {0x5e3ac4b4ba03a5c7ull, 0x01b04555c0d28460ull, 0}},
+    {9, 135, {0xaeb125a1f2f0e61full, 0x094a8c68a3bb25eeull,
+              0x00000000000000dcull}},
+    {10, 150, {0xdc40965fa2c89c8bull, 0x353f4ef75cf1c3adull,
+               0x000000000063d73cull}},
+    {11, 165, {0x729b68211646f2cbull, 0xed71b3199a94846bull,
+               0x0000003f8d984f31ull}},
+    {12, 180, {0xd1f0e168d8592b1bull, 0x8b1c4a9371685b35ull,
+               0x001f3ccca1b16b1full}},
+};
+
+TEST(BchCodeTest, PageCodeGeneratorsArePinned)
+{
+    for (const PinnedGenerator& pin : kPageGenerators) {
+        const BchCode code(15, pin.t, 2048 * 8);
+        const Gf2Poly& g = code.generator();
+        ASSERT_EQ(g.degree(), pin.degree) << "t=" << pin.t;
+        EXPECT_EQ(code.parityBits(),
+                  static_cast<std::uint32_t>(g.degree()))
+            << "t=" << pin.t;
+        for (std::size_t i = 0; i < 3 * 64; ++i) {
+            const bool want = (pin.words[i / 64] >> (i % 64)) & 1;
+            EXPECT_EQ(g.coeff(i), want)
+                << "t=" << pin.t << " coefficient " << i;
+        }
+        // alpha^1 .. alpha^2t are roots: the designed distance.
+        for (unsigned i = 1; i <= 2 * pin.t; ++i) {
+            EXPECT_EQ(eval(g, code.field(), code.field().alphaPow(i)), 0u)
+                << "t=" << pin.t << " alpha^" << i;
+        }
+    }
 }
 
 TEST(BchCodeTest, GeneratorDividesEveryCodeword)

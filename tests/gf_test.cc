@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for GF(2^m) arithmetic and the polynomial types, including
+ * Tests for GF(2^m) arithmetic and GF(2) polynomials, including
  * parameterized field-axiom property checks over several degrees.
  */
 
@@ -8,7 +8,7 @@
 
 #include "gf/gf2_poly.hh"
 #include "gf/gf2m.hh"
-#include "gf/gf_poly.hh"
+#include "support/gf2_poly_support.hh"
 #include "util/rng.hh"
 
 namespace flashcache {
@@ -52,7 +52,7 @@ TEST_P(FieldAxioms, InverseAndDivision)
 {
     GaloisField gf(GetParam());
     for (GaloisField::Elem a = 1; a < gf.size(); ++a) {
-        EXPECT_EQ(gf.mul(a, gf.inv(a)), 1u);
+        EXPECT_EQ(gf.mul(a, gf.div(1, a)), 1u);
         EXPECT_EQ(gf.div(a, a), 1u);
     }
 }
@@ -68,8 +68,7 @@ TEST_P(FieldAxioms, DistributivityAndAssociativity)
             rng.uniformInt(gf.size()));
         const auto c = static_cast<std::uint32_t>(
             rng.uniformInt(gf.size()));
-        EXPECT_EQ(gf.mul(a, GaloisField::add(b, c)),
-                  GaloisField::add(gf.mul(a, b), gf.mul(a, c)));
+        EXPECT_EQ(gf.mul(a, b ^ c), gf.mul(a, b) ^ gf.mul(a, c));
         EXPECT_EQ(gf.mul(gf.mul(a, b), c), gf.mul(a, gf.mul(b, c)));
     }
 }
@@ -80,7 +79,7 @@ TEST_P(FieldAxioms, AlphaPowWraps)
     const std::int64_t n = gf.groupOrder();
     EXPECT_EQ(gf.alphaPow(0), 1u);
     EXPECT_EQ(gf.alphaPow(n), 1u);
-    EXPECT_EQ(gf.alphaPow(-1), gf.inv(2));
+    EXPECT_EQ(gf.alphaPow(-1), gf.div(1, 2));
     EXPECT_EQ(gf.alphaPow(1), 2u);
 }
 
@@ -95,7 +94,9 @@ TEST_P(FieldAxioms, PowMatchesRepeatedMul)
         GaloisField::Elem acc = 1;
         for (std::uint64_t j = 0; j < e; ++j)
             acc = gf.mul(acc, a);
-        EXPECT_EQ(gf.pow(a, static_cast<std::int64_t>(e)), acc);
+        // a^e through the log and antilog tables.
+        const std::int64_t le = static_cast<std::int64_t>(gf.logAlpha(a));
+        EXPECT_EQ(gf.alphaPow(le * static_cast<std::int64_t>(e)), acc);
     }
 }
 
@@ -107,42 +108,40 @@ TEST(GaloisFieldTest, ZeroBehaviour)
     GaloisField gf(8);
     EXPECT_EQ(gf.mul(0, 123), 0u);
     EXPECT_EQ(gf.mul(123, 0), 0u);
-    EXPECT_EQ(gf.pow(0, 0), 1u);
-    EXPECT_EQ(gf.pow(0, 5), 0u);
+    EXPECT_EQ(gf.div(0, 123), 0u);
 }
 
 TEST(Gf2PolyTest, DegreeAndCoefficients)
 {
-    Gf2Poly p = Gf2Poly::fromMask(0b10011); // x^4 + x + 1
+    Gf2Poly p = fromMask(0b10011); // x^4 + x + 1
     EXPECT_EQ(p.degree(), 4);
     EXPECT_TRUE(p.coeff(0));
     EXPECT_TRUE(p.coeff(1));
     EXPECT_FALSE(p.coeff(2));
     EXPECT_TRUE(p.coeff(4));
-    EXPECT_EQ(p.toString(), "x^4 + x + 1");
     EXPECT_EQ(Gf2Poly().degree(), -1);
 }
 
 TEST(Gf2PolyTest, AddIsXor)
 {
-    const Gf2Poly a = Gf2Poly::fromMask(0b1011);
-    const Gf2Poly b = Gf2Poly::fromMask(0b0110);
-    EXPECT_EQ(a + b, Gf2Poly::fromMask(0b1101));
+    const Gf2Poly a = fromMask(0b1011);
+    const Gf2Poly b = fromMask(0b0110);
+    EXPECT_EQ(a + b, fromMask(0b1101));
     EXPECT_TRUE((a + a).isZero());
 }
 
 TEST(Gf2PolyTest, MultiplyKnownProduct)
 {
     // (x + 1)(x^2 + x + 1) = x^3 + 1 over GF(2).
-    const Gf2Poly a = Gf2Poly::fromMask(0b11);
-    const Gf2Poly b = Gf2Poly::fromMask(0b111);
-    EXPECT_EQ(a * b, Gf2Poly::fromMask(0b1001));
+    const Gf2Poly a = fromMask(0b11);
+    const Gf2Poly b = fromMask(0b111);
+    EXPECT_EQ(a * b, fromMask(0b1001));
 }
 
 TEST(Gf2PolyTest, MultiplyAcrossWordBoundary)
 {
     const Gf2Poly a = Gf2Poly::monomial(63);
-    const Gf2Poly b = Gf2Poly::fromMask(0b11);
+    const Gf2Poly b = fromMask(0b11);
     Gf2Poly expect = Gf2Poly::monomial(64) + Gf2Poly::monomial(63);
     EXPECT_EQ(a * b, expect);
 }
@@ -178,56 +177,11 @@ TEST(Gf2PolyTest, MinimalPolynomialHasRoot)
     for (std::uint32_t e : {1u, 3u, 5u, 7u, 11u}) {
         const Gf2Poly mp = minimalPolynomial(gf, e);
         // alpha^e and all its conjugates are roots.
-        EXPECT_EQ(mp.eval(gf, gf.alphaPow(e)), 0u) << e;
-        EXPECT_EQ(mp.eval(gf, gf.alphaPow(2 * e)), 0u) << e;
+        EXPECT_EQ(eval(mp, gf, gf.alphaPow(e)), 0u) << e;
+        EXPECT_EQ(eval(mp, gf, gf.alphaPow(2 * e)), 0u) << e;
         // Degree divides m.
         EXPECT_EQ(8 % mp.degree(), 0) << e;
     }
-}
-
-TEST(GfPolyTest, EvalHorner)
-{
-    GaloisField gf(4);
-    // p(x) = 3 x^2 + x + 7 at x = 2: 3*4 ^ 2 ^ 7.
-    GfPoly p(gf, {7, 1, 3});
-    const auto expect = GaloisField::add(
-        GaloisField::add(gf.mul(3, gf.mul(2, 2)), 2), 7);
-    EXPECT_EQ(p.eval(2), expect);
-}
-
-TEST(GfPolyTest, DerivativeChar2)
-{
-    GaloisField gf(4);
-    // d/dx (a x^3 + b x^2 + c x + d) = a x^2 + c in char 2.
-    GfPoly p(gf, {5, 6, 7, 3});
-    GfPoly d = p.derivative();
-    EXPECT_EQ(d.coeff(0), 6u);
-    EXPECT_EQ(d.coeff(1), 0u);
-    EXPECT_EQ(d.coeff(2), 3u);
-    EXPECT_EQ(d.degree(), 2);
-}
-
-TEST(GfPolyTest, MulDegreeAndZero)
-{
-    GaloisField gf(4);
-    GfPoly a(gf, {1, 2});
-    GfPoly zero(gf);
-    EXPECT_TRUE((a * zero).isZero());
-    GfPoly b(gf, {3, 0, 1});
-    EXPECT_EQ((a * b).degree(), 3);
-}
-
-TEST(GfPolyTest, ScaleAndShift)
-{
-    GaloisField gf(8);
-    GfPoly p(gf, {1, 2, 3});
-    const GfPoly s = p.scale(5);
-    for (std::size_t i = 0; i <= 2; ++i)
-        EXPECT_EQ(s.coeff(i), gf.mul(p.coeff(i), 5));
-    const GfPoly sh = p.shift(3);
-    EXPECT_EQ(sh.degree(), 5);
-    EXPECT_EQ(sh.coeff(3), 1u);
-    EXPECT_EQ(sh.coeff(0), 0u);
 }
 
 } // namespace

@@ -175,18 +175,6 @@ TEST(SystemSimTest, WritebacksDrainDirtyPages)
     EXPECT_GT(sim.stats().writebacks, 0u);
 }
 
-TEST(SystemSimTest, TraceReplayMatchesGeneratorPath)
-{
-    SystemConfig cfg = baseConfig();
-    SystemSimulator sim(cfg);
-    Trace t;
-    for (Lba l = 0; l < 500; ++l)
-        t.push_back({l % 50, l % 3 == 0});
-    sim.run(t);
-    EXPECT_EQ(sim.stats().requests, 500u);
-    EXPECT_GT(sim.stats().wallClock, 0.0);
-}
-
 TEST(SystemSimTest, MacroWorkloadEndToEnd)
 {
     SystemConfig cfg = baseConfig();

@@ -30,6 +30,49 @@ TEST(TraceIoTest, RoundTrip)
     std::remove(path.c_str());
 }
 
+/** Write `text` to a temp file and load it as a trace. */
+Trace
+loadTraceText(const std::string& name, const std::string& text)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    return loadTraceCsv(path);
+}
+
+TEST(TraceIoTest, BadRecordMidFileIsFatal)
+{
+    EXPECT_EXIT(loadTraceText("trace_mid.csv", "R,1\nW,abc\nR,3\n"),
+                ::testing::ExitedWithCode(1), "record 2");
+}
+
+TEST(TraceIoTest, TrailingGarbageIsFatal)
+{
+    EXPECT_EXIT(loadTraceText("trace_junk.csv", "R,5 junk\n"),
+                ::testing::ExitedWithCode(1), "record 1");
+}
+
+TEST(TraceIoTest, NegativeLbaIsFatal)
+{
+    EXPECT_EXIT(loadTraceText("trace_neg.csv", "W,-5\n"),
+                ::testing::ExitedWithCode(1), "record 1");
+}
+
+TEST(TraceIoTest, LbaOverflowIsFatal)
+{
+    EXPECT_EXIT(loadTraceText("trace_big.csv",
+                              "R,99999999999999999999999\n"),
+                ::testing::ExitedWithCode(1), "record 1");
+}
+
+TEST(TraceIoTest, SaveWriteErrorIsFatal)
+{
+    const Trace t(100000, TraceRecord{12345, true});
+    EXPECT_EXIT(saveTraceCsv(t, "/dev/full"), ::testing::ExitedWithCode(1),
+                "cannot write trace file");
+}
+
 TEST(TraceIoTest, Summary)
 {
     Trace t = {{1, false}, {2, true}, {1, true}, {7, false}};
