@@ -3,11 +3,13 @@
  * google-benchmark microbenchmarks for the cache core: the chained
  * FCHT's bucket sweep behind the section 3.1 claim that ~100
  * indexable entries reach peak throughput, the open-addressed FCHT
- * and LRU structures the cache serves with, the hot read path and
- * the stack-distance analyzer.
+ * and LRU structures the cache serves with, the hot read path, the
+ * warm-restart snapshot decode and the stack-distance analyzer.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <sstream>
 
 #include "core/flash_cache.hh"
 #include "core/lru.hh"
@@ -150,6 +152,46 @@ BM_FlashCacheWriteChurn(benchmark::State& state)
         benchmark::DoNotOptimize(cache.write(rng.uniformInt(64)));
 }
 BENCHMARK(BM_FlashCacheWriteChurn);
+
+void
+BM_FlashCacheLoadState(benchmark::State& state)
+{
+    // Warm-restart decode: the device and cache snapshots of a
+    // financial1-sized cache (128 MB of MLC flash, 65,536 pages, a
+    // third of them valid after churn), loaded from memory so file
+    // I/O stays out of the timing.
+    const FlashGeometry geom = FlashGeometry::forMlcCapacity(128ull << 20);
+    CellLifetimeModel lifetime;
+    FlashDevice device(geom, FlashTiming(), lifetime, 36);
+    FlashMemoryController ctrl(device);
+    FixedLatencyStore store;
+    FlashCache cache(ctrl, store);
+    Rng rng(9);
+    for (int i = 0; i < 200000; ++i) {
+        const Lba l = rng.uniformInt(30000);
+        if (rng.bernoulli(0.5))
+            cache.write(l);
+        else
+            cache.read(l);
+    }
+    std::stringstream dev_in, cache_in;
+    device.saveState(dev_in);
+    cache.saveState(cache_in);
+    for (auto _ : state) {
+        dev_in.clear();
+        dev_in.seekg(0);
+        cache_in.clear();
+        cache_in.seekg(0);
+        device.loadState(dev_in);
+        cache.loadState(cache_in);
+    }
+    const std::int64_t pages = 2ll * geom.numBlocks * geom.framesPerBlock;
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * pages);
+    state.counters["valid_pages"] =
+        static_cast<double>(cache.validPages());
+}
+BENCHMARK(BM_FlashCacheLoadState)->Unit(benchmark::kMillisecond);
 
 void
 BM_StackDistanceAccess(benchmark::State& state)

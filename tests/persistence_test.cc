@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/flash_cache.hh"
 #include "util/rng.hh"
@@ -243,7 +244,8 @@ loadPatchedDevice(std::size_t offset, const void* bytes, std::size_t len)
 
 TEST(PersistenceTest, DensityModeOutOfRangeIsFatal)
 {
-    const std::uint8_t seven = 7;
+    const std::uint8_t two = 2, seven = 7;
+    EXPECT_DEATH(loadPatchedDevice(15, &two, 1), "density mode");
     EXPECT_DEATH(loadPatchedDevice(15, &seven, 1), "density mode");
     EXPECT_DEATH(loadPatchedDevice(16, &seven, 1), "density mode");
 }
@@ -359,10 +361,13 @@ TEST(PersistenceTest, SplitModeMismatchIsFatal)
 struct SavedCache
 {
     std::string bytes;
+    std::string device; ///< the device's FlashDevice::saveState bytes
     std::uint32_t numBlocks = 0;
     std::uint32_t framesPerBlock = 0;
-    std::size_t fbstAt = 0; ///< first FBST entry
-    std::size_t lruAt = 0;  ///< region 0's LRU length prefix
+    std::size_t fbstAt = 0;   ///< first FBST entry
+    std::size_t lruAt = 0;    ///< region 0's LRU length prefix
+    std::size_t cursorAt = 0; ///< region 0's first append cursor
+    std::size_t validAt = 0;  ///< region 0's validCount
 };
 
 template <typename T>
@@ -397,11 +402,13 @@ savedCacheAfterWorkload()
         else
             cache.read(l);
     }
-    std::stringstream os;
+    std::stringstream os, dev_os;
     cache.saveState(os);
+    device.saveState(dev_os);
 
     SavedCache sc;
     sc.bytes = os.str();
+    sc.device = dev_os.str();
     // magic(8) numBlocks(4) framesPerBlock(4) split(1), then one
     // 13-byte FPST entry per page id (2 per frame), then one 12-byte
     // FBST entry per block, then region 0: free list, LRU list.
@@ -411,6 +418,11 @@ savedCacheAfterWorkload()
     const std::size_t freeAt = sc.fbstAt + 12ull * sc.numBlocks;
     sc.lruAt = freeAt + 8 +
         4 * peek<std::uint64_t>(sc.bytes, freeAt);
+    // Then two 7-byte cursors (block, frame, sub), ownedBlocks(4),
+    // validCount(8).
+    sc.cursorAt = sc.lruAt + 8 +
+        4 * peek<std::uint64_t>(sc.bytes, sc.lruAt);
+    sc.validAt = sc.cursorAt + 2 * 7 + 4;
     return sc;
 }
 
@@ -445,6 +457,157 @@ TEST(PersistenceTest, InvalidPageCountPastGcBucketsIsFatal)
                             2 * sc.framesPerBlock + 1));
     EXPECT_DEATH(loadCorrupted(sc.bytes),
                  "cache state file invalid page count out of range");
+}
+
+TEST(PersistenceTest, TruncatedCacheTablesAreFatal)
+{
+    // Cut inside the fifth FPST entry, then inside the third FBST
+    // entry.
+    const SavedCache sc = savedCacheAfterWorkload();
+    EXPECT_DEATH(loadCorrupted(sc.bytes.substr(0, 17 + 13 * 4 + 5)),
+                 "truncated state file");
+    EXPECT_DEATH(loadCorrupted(sc.bytes.substr(0, sc.fbstAt + 12 * 2 + 7)),
+                 "truncated state file");
+}
+
+TEST(PersistenceTest, FpstFieldsOutOfRangeAreFatal)
+{
+    // FPST entry: lba(8) state(1) eccStrength(1) mode(1) ...; patch
+    // the last entry, which ends the decoder's last chunk.
+    const SavedCache sc = savedCacheAfterWorkload();
+    const std::size_t last = sc.fbstAt - 13;
+    std::string bad_state = sc.bytes;
+    poke<std::uint8_t>(bad_state, last + 8, 3);
+    EXPECT_DEATH(loadCorrupted(bad_state),
+                 "cache state file page state out of range");
+    std::string bad_mode = sc.bytes;
+    poke<std::uint8_t>(bad_mode, last + 10, 2);
+    EXPECT_DEATH(loadCorrupted(bad_mode),
+                 "cache state file density mode out of range");
+}
+
+TEST(PersistenceTest, FbstRegionOutOfRangeIsFatal)
+{
+    // FBST entry: ... retired(1) region(1); split mode has regions 0
+    // and 1.
+    SavedCache sc = savedCacheAfterWorkload();
+    poke<std::int8_t>(sc.bytes, sc.fbstAt + 12 * 5 + 11, 2);
+    EXPECT_DEATH(loadCorrupted(sc.bytes),
+                 "cache state file region out of range");
+}
+
+TEST(PersistenceTest, CursorFrameOutOfRangeIsFatal)
+{
+    // Cursor: block(4) frame(2) sub(1).
+    SavedCache sc = savedCacheAfterWorkload();
+    poke<std::uint16_t>(sc.bytes, sc.cursorAt + 4,
+                        static_cast<std::uint16_t>(sc.framesPerBlock + 1));
+    EXPECT_DEATH(loadCorrupted(sc.bytes),
+                 "cache state file cursor slot out of range");
+}
+
+TEST(PersistenceTest, LastFrameNanDamageIsFatal)
+{
+    // Frame records are mode(1) pendingMode(1) damage(4) from offset
+    // 15; patch the last frame's damage.
+    const FlashGeometry g = geom();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::size_t frames =
+        static_cast<std::size_t>(g.numBlocks) * g.framesPerBlock;
+    EXPECT_DEATH(loadPatchedDevice(15 + 6 * (frames - 1) + 2, &nan, 4),
+                 "damage");
+}
+
+TEST(PersistenceTest, HugeRegionValidCountIsFatal)
+{
+    // The region counts are not trusted for sizing anything: a count
+    // near 2^63 must fail the closing invariant check, not hang or
+    // exhaust memory.
+    SavedCache sc = savedCacheAfterWorkload();
+    poke<std::uint64_t>(sc.bytes, sc.validAt, 1ull << 63);
+    EXPECT_DEATH(loadCorrupted(sc.bytes), "valid page count mismatch");
+}
+
+/** 64-bit FNV-1a over a byte string. */
+std::uint64_t
+fnv1a(const std::string& bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Load a device and cache snapshot into fresh objects (geometry g,
+ *  device seed) and save them again: {device bytes, cache bytes}. */
+std::pair<std::string, std::string>
+reloadAndSave(const FlashGeometry& g, std::uint64_t seed,
+              const std::string& dev_bytes, const std::string& cache_bytes)
+{
+    CellLifetimeModel lifetime;
+    FlashDevice device(g, FlashTiming(), lifetime, seed);
+    FlashMemoryController ctrl(device);
+    NullStore store;
+    FlashCache cache(ctrl, store);
+    std::stringstream dev_in(dev_bytes), cache_in(cache_bytes);
+    device.loadState(dev_in);
+    cache.loadState(cache_in);
+    std::stringstream dev_out, cache_out;
+    device.saveState(dev_out);
+    cache.saveState(cache_out);
+    return {dev_out.str(), cache_out.str()};
+}
+
+TEST(PersistenceTest, SnapshotFormatIsPinned)
+{
+    // Hashes of the FCCHE002 and FCDEV002 bytes this fixed-seed
+    // workload saves, recorded from the per-field encoder. Either
+    // wire format may only change together with its magic.
+    const SavedCache sc = savedCacheAfterWorkload();
+    EXPECT_EQ(sc.bytes.size(), 2813u);
+    EXPECT_EQ(sc.device.size(), 687u);
+    EXPECT_EQ(fnv1a(sc.bytes), 0x8b96d0587f8d9c85ull);
+    EXPECT_EQ(fnv1a(sc.device), 0x91301542e2dde09aull);
+
+    const auto [dev_out, cache_out] =
+        reloadAndSave(geom(), 12, sc.device, sc.bytes);
+    EXPECT_EQ(dev_out, sc.device);
+    EXPECT_EQ(cache_out, sc.bytes);
+}
+
+TEST(PersistenceTest, MultiChunkSnapshotIsPinnedAndRoundTrips)
+{
+    // At the default 1,024 x 64 geometry the FPST (131,072 entries,
+    // 1.7 MB) and the frame table (65,536 records) each span many of
+    // the record codec's 64 KiB chunks.
+    const FlashGeometry g;
+    CellLifetimeModel lifetime;
+    FlashDevice device(g, FlashTiming(), lifetime, 21);
+    FlashMemoryController ctrl(device);
+    NullStore store;
+    FlashCache cache(ctrl, store);
+    Rng rng(4);
+    for (int i = 0; i < 60000; ++i) {
+        const Lba l = rng.uniformInt(40000);
+        if (rng.bernoulli(0.5))
+            cache.write(l);
+        else
+            cache.read(l);
+    }
+    ASSERT_GT(cache.validPages(), 10000u);
+    std::stringstream dev_os, cache_os;
+    device.saveState(dev_os);
+    cache.saveState(cache_os);
+    // Recorded from the per-field encoder, as above.
+    EXPECT_EQ(fnv1a(cache_os.str()), 0x31ccd0fad9d16f59ull);
+    EXPECT_EQ(fnv1a(dev_os.str()), 0x0ed59c7fe5caf62aull);
+
+    const auto [dev_out, cache_out] =
+        reloadAndSave(g, 21, dev_os.str(), cache_os.str());
+    EXPECT_EQ(dev_out, dev_os.str());
+    EXPECT_EQ(cache_out, cache_os.str());
 }
 
 } // namespace

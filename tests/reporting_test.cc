@@ -77,6 +77,45 @@ TEST(SerializeTest, VectorRoundTrip)
     EXPECT_TRUE(getVector<float>(ss).empty());
 }
 
+TEST(SerializeTest, RecordsMatchPerFieldEncodingAcrossChunks)
+{
+    // 7-byte records, so chunks neither divide 64 KiB evenly nor
+    // align to fields; three full chunks plus a partial one.
+    constexpr std::size_t kBytes = 7;
+    const std::uint64_t count = 3 * (kRecordChunkBytes / kBytes) + 5;
+    const auto field = [](std::uint64_t i) {
+        return static_cast<std::uint32_t>(i * 2654435761u);
+    };
+
+    std::stringstream bulk, per_field;
+    putRecords(bulk, kBytes, count, [&](RecordCursor& r, std::uint64_t i) {
+        r.put<std::uint32_t>(field(i));
+        r.put<std::uint16_t>(static_cast<std::uint16_t>(i));
+        r.put<std::uint8_t>(static_cast<std::uint8_t>(i >> 16));
+    });
+    for (std::uint64_t i = 0; i < count; ++i) {
+        putScalar<std::uint32_t>(per_field, field(i));
+        putScalar<std::uint16_t>(per_field, static_cast<std::uint16_t>(i));
+        putScalar<std::uint8_t>(per_field,
+                                static_cast<std::uint8_t>(i >> 16));
+    }
+    ASSERT_EQ(bulk.str(), per_field.str());
+
+    std::uint64_t next = 0, bad = 0;
+    getRecords(bulk, kBytes, count, [&](RecordCursor& r, std::uint64_t i) {
+        bad += i != next++;
+        bad += r.get<std::uint32_t>() != field(i);
+        bad += r.get<std::uint16_t>() != static_cast<std::uint16_t>(i);
+        bad += r.get<std::uint8_t>() != static_cast<std::uint8_t>(i >> 16);
+    });
+    EXPECT_EQ(next, count);
+    EXPECT_EQ(bad, 0u);
+
+    std::stringstream empty;
+    putRecords(empty, kBytes, 0, [](RecordCursor&, std::uint64_t) {});
+    EXPECT_TRUE(empty.str().empty());
+}
+
 TEST(SerializeTest, MagicRoundTrip)
 {
     std::stringstream ss;
@@ -91,6 +130,18 @@ TEST(SerializeDeathTest, TruncatedScalarIsFatal)
     putScalar<std::uint8_t>(ss, 1);
     getScalar<std::uint8_t>(ss);
     EXPECT_DEATH(getScalar<std::uint64_t>(ss), "truncated");
+}
+
+TEST(SerializeDeathTest, TruncatedRecordsAreFatal)
+{
+    // One byte short of two full chunks: the second refill fails.
+    const std::uint64_t count = 2 * kRecordChunkBytes / 4;
+    std::stringstream ss(std::string(count * 4 - 1, '\0'));
+    EXPECT_DEATH(getRecords(ss, 4, count,
+                            [](RecordCursor& r, std::uint64_t) {
+                                r.get<std::uint32_t>();
+                            }),
+                 "truncated state file");
 }
 
 TEST(SerializeDeathTest, ImplausibleVectorLengthIsFatal)
