@@ -10,6 +10,8 @@
 #include <benchmark/benchmark.h>
 
 #include <sstream>
+#include <unordered_set>
+#include <vector>
 
 #include "core/flash_cache.hh"
 #include "core/lru.hh"
@@ -24,22 +26,37 @@ using namespace flashcache;
 namespace {
 
 void
-BM_FchtLookup(benchmark::State& state)
+BM_FchtLookup(benchmark::State& state, bool random_lbas)
 {
     // The open-addressed table the cache serves with: every slot is
-    // a home position and the load factor stays below 0.7.
-    Fcht t;
+    // a home position and the load factor stays below 0.7. Sequential
+    // LBAs test how the hash spreads one dense run, and distinct
+    // random LBAs below 2^32 test it on scattered keys.
     const int entries = 65536;
-    for (Lba l = 0; l < entries; ++l)
-        t.insert(l, l);
+    std::vector<Lba> lbas(entries);
+    Rng rng(4);
+    std::unordered_set<Lba> seen;
+    for (int k = 0; k < entries; ++k) {
+        Lba l = k;
+        if (random_lbas) {
+            do
+                l = rng.next() >> 32;
+            while (!seen.insert(l).second);
+        }
+        lbas[k] = l;
+    }
+    Fcht t;
+    for (int k = 0; k < entries; ++k)
+        t.insert(lbas[k], k);
     std::uint64_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(t.find(i % entries));
+        benchmark::DoNotOptimize(t.find(lbas[i % entries]));
         i += 7919;
     }
     state.counters["avg_probe"] = t.avgProbeLength();
 }
-BENCHMARK(BM_FchtLookup);
+BENCHMARK_CAPTURE(BM_FchtLookup, sequential, false);
+BENCHMARK_CAPTURE(BM_FchtLookup, random, true);
 
 void
 BM_FchtChainedLookup(benchmark::State& state)
@@ -153,45 +170,83 @@ BM_FlashCacheWriteChurn(benchmark::State& state)
 }
 BENCHMARK(BM_FlashCacheWriteChurn);
 
+/**
+ * A financial1-sized cache (128 MB of MLC flash, 65,536 pages) after
+ * churn that leaves about a third of its pages valid, with its
+ * device and cache snapshots held in memory so file I/O stays out of
+ * the timing.
+ */
+struct Financial1SizedCache
+{
+    Financial1SizedCache()
+        : geom(FlashGeometry::forMlcCapacity(128ull << 20)),
+          device(geom, FlashTiming(), lifetime, 36), ctrl(device),
+          cache(ctrl, store)
+    {
+        Rng rng(9);
+        for (int i = 0; i < 200000; ++i) {
+            const Lba l = rng.uniformInt(30000);
+            if (rng.bernoulli(0.5))
+                cache.write(l);
+            else
+                cache.read(l);
+        }
+        device.saveState(devState);
+        cache.saveState(cacheState);
+    }
+
+    /** Load both snapshots back into the same objects. */
+    void
+    load()
+    {
+        devState.clear();
+        devState.seekg(0);
+        cacheState.clear();
+        cacheState.seekg(0);
+        device.loadState(devState);
+        cache.loadState(cacheState);
+    }
+
+    FlashGeometry geom;
+    CellLifetimeModel lifetime;
+    FlashDevice device;
+    FlashMemoryController ctrl;
+    FixedLatencyStore store;
+    FlashCache cache;
+    std::stringstream devState, cacheState;
+};
+
 void
 BM_FlashCacheLoadState(benchmark::State& state)
 {
-    // Warm-restart decode: the device and cache snapshots of a
-    // financial1-sized cache (128 MB of MLC flash, 65,536 pages, a
-    // third of them valid after churn), loaded from memory so file
-    // I/O stays out of the timing.
-    const FlashGeometry geom = FlashGeometry::forMlcCapacity(128ull << 20);
-    CellLifetimeModel lifetime;
-    FlashDevice device(geom, FlashTiming(), lifetime, 36);
-    FlashMemoryController ctrl(device);
-    FixedLatencyStore store;
-    FlashCache cache(ctrl, store);
-    Rng rng(9);
-    for (int i = 0; i < 200000; ++i) {
-        const Lba l = rng.uniformInt(30000);
-        if (rng.bernoulli(0.5))
-            cache.write(l);
-        else
-            cache.read(l);
-    }
-    std::stringstream dev_in, cache_in;
-    device.saveState(dev_in);
-    cache.saveState(cache_in);
-    for (auto _ : state) {
-        dev_in.clear();
-        dev_in.seekg(0);
-        cache_in.clear();
-        cache_in.seekg(0);
-        device.loadState(dev_in);
-        cache.loadState(cache_in);
-    }
-    const std::int64_t pages = 2ll * geom.numBlocks * geom.framesPerBlock;
+    // Warm-restart decode: both snapshots, the FCHT rebuild and the
+    // closing invariant check.
+    Financial1SizedCache f;
+    for (auto _ : state)
+        f.load();
+    const std::int64_t pages =
+        2ll * f.geom.numBlocks * f.geom.framesPerBlock;
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * pages);
     state.counters["valid_pages"] =
-        static_cast<double>(cache.validPages());
+        static_cast<double>(f.cache.validPages());
 }
 BENCHMARK(BM_FlashCacheLoadState)->Unit(benchmark::kMillisecond);
+
+void
+BM_FlashCacheCheckInvariants(benchmark::State& state)
+{
+    // The invariant check alone on the restored cache: the part of
+    // BM_FlashCacheLoadState that re-finds every valid page in the
+    // FCHT and recounts every block.
+    Financial1SizedCache f;
+    f.load();
+    for (auto _ : state)
+        f.cache.checkInvariants();
+    state.counters["valid_pages"] =
+        static_cast<double>(f.cache.validPages());
+}
+BENCHMARK(BM_FlashCacheCheckInvariants)->Unit(benchmark::kMillisecond);
 
 void
 BM_StackDistanceAccess(benchmark::State& state)

@@ -258,6 +258,18 @@ FlashCache::regionOf(std::uint32_t block) const
     return r;
 }
 
+const char*
+FlashCache::claimListed(std::vector<std::uint8_t>& listed,
+                        std::uint32_t block, int region) const
+{
+    if (listed[block])
+        return "block listed twice across the region lists";
+    listed[block] = 1;
+    if (fbst_[block].region != region)
+        return "block listed outside its FBST region";
+    return nullptr;
+}
+
 bool
 FlashCache::cursorNext(Region::Cursor& cur) const
 {
@@ -1602,46 +1614,54 @@ FlashCache::fpstEntry(std::uint64_t page_id) const
 void
 FlashCache::checkInvariants() const
 {
+    // One block-major pass over the FPST and the frame modes. Each
+    // block's counts are compared as the walk leaves it, but the
+    // first mismatching block is reported only after the whole-cache
+    // totals, so every fault names the same check it always has.
+    const FlashDevice& dev = ctrl_->device();
+    const std::uint64_t block_pages = 2ull * framesPerBlock_;
     std::uint64_t valid = 0, invalid = 0;
-    std::vector<std::uint64_t> per_block_valid(numBlocks_, 0);
-    std::vector<std::uint64_t> per_block_invalid(numBlocks_, 0);
-    for (std::uint64_t id = 0; id < fpst_.size(); ++id) {
-        const FpstEntry& e = fpst_[id];
-        if (e.state == PageState::Valid) {
-            ++valid;
-            ++per_block_valid[blockOf(id)];
-            if (fcht_.find(e.lba) != id)
-                panic("FCHT does not map a valid page's LBA back");
-        } else if (e.state == PageState::Invalid) {
-            ++invalid;
-            ++per_block_invalid[blockOf(id)];
+    const char* bad_counts = nullptr;
+    bool bad_slc = false;
+    for (std::uint32_t b = 0; b < numBlocks_; ++b) {
+        const std::uint64_t first = b * block_pages;
+        std::uint64_t nvalid = 0, ninvalid = 0;
+        for (std::uint64_t id = first; id < first + block_pages; ++id) {
+            const FpstEntry& e = fpst_[id];
+            if (e.state == PageState::Valid) {
+                ++nvalid;
+                if (fcht_.find(e.lba) != id)
+                    panic("FCHT does not map a valid page's LBA back");
+            } else if (e.state == PageState::Invalid) {
+                ++ninvalid;
+            }
+        }
+        valid += nvalid;
+        invalid += ninvalid;
+        const FbstEntry& fb = fbst_[b];
+        if (!bad_counts && nvalid != fb.validPages)
+            bad_counts = "FBST valid count mismatch";
+        else if (!bad_counts && ninvalid != fb.invalidPages)
+            bad_counts = "FBST invalid count mismatch";
+        // blockPageSlots() reads the FBST's SLC frame count; recount
+        // it from the device's frame modes.
+        if (!bad_slc && !fb.retired) {
+            std::uint32_t slc = 0;
+            for (std::uint16_t f = 0; f < framesPerBlock_; ++f)
+                slc += dev.frameMode(b, f) == DensityMode::SLC;
+            bad_slc = slc != fb.slcFrames;
         }
     }
     if (valid != validPages())
         panic("valid page count mismatch");
     if (invalid != invalidPages())
         panic("invalid page count mismatch");
-    for (std::uint32_t b = 0; b < numBlocks_; ++b) {
-        if (per_block_valid[b] != fbst_[b].validPages)
-            panic("FBST valid count mismatch");
-        if (per_block_invalid[b] != fbst_[b].invalidPages)
-            panic("FBST invalid count mismatch");
-    }
+    if (bad_counts)
+        panic(bad_counts);
     if (fcht_.size() != valid)
         panic("FCHT size != valid pages");
-
-    // blockPageSlots() reads the FBST's SLC frame count; recount the
-    // slots from the device's frame modes.
-    const FlashDevice& dev = ctrl_->device();
-    for (std::uint32_t b = 0; b < numBlocks_; ++b) {
-        if (fbst_[b].retired)
-            continue;
-        std::uint32_t slots = 0;
-        for (std::uint16_t f = 0; f < framesPerBlock_; ++f)
-            slots += dev.frameMode(b, f) == DensityMode::MLC ? 2 : 1;
-        if (slots != blockPageSlots(b))
-            panic("FBST SLC frame count disagrees with the frame modes");
-    }
+    if (bad_slc)
+        panic("FBST SLC frame count disagrees with the frame modes");
 
     // GC bucket invariants: the buckets partition exactly the
     // LRU-resident blocks by invalid-page count, gcMaxInvalid bounds
@@ -1689,6 +1709,25 @@ FlashCache::checkInvariants() const
         }
         if (seed_victim != bucket_victim)
             panic("GC victim pick diverges from the seed scan");
+    }
+
+    // Each block sits in at most one free list, LRU or open cursor,
+    // and only in the region its FBST entry names.
+    std::vector<std::uint8_t> listed(numBlocks_, 0);
+    for (int r = 0; r < static_cast<int>(regions_.size()); ++r) {
+        const Region& reg = regions_[r];
+        const auto claim = [&](std::uint32_t b) {
+            if (const char* fault = claimListed(listed, b, r))
+                panic(fault);
+        };
+        for (const std::uint32_t b : reg.freeBlocks)
+            claim(b);
+        for (const std::uint32_t b : reg.lruBlocks)
+            claim(b);
+        for (const auto& cur : reg.cursor) {
+            if (cur.block != kNoBlock)
+                claim(cur.block);
+        }
     }
 }
 
@@ -1804,12 +1843,24 @@ FlashCache::loadState(std::istream& is)
                              b.region < static_cast<int>(regions_.size()),
                          "region");
                });
-    for (Region& reg : regions_) {
+    // A block listed twice would be handed out twice; one listed
+    // outside its FBST region would be counted against the wrong one.
+    std::vector<std::uint8_t> listed(numBlocks_, 0);
+    for (int r = 0; r < static_cast<int>(regions_.size()); ++r) {
+        Region& reg = regions_[r];
+        const auto claim = [&](std::uint32_t b) {
+            if (const char* fault = claimListed(listed, b, r))
+                fatal(std::string("cache state file: ") + fault);
+        };
         reg.freeBlocks = getVector<std::uint32_t>(is);
         blockIds(reg.freeBlocks, "free-list block");
+        for (const std::uint32_t b : reg.freeBlocks)
+            claim(b);
         reg.freeBlocks.reserve(numBlocks_);
         const auto lru = getVector<std::uint32_t>(is);
         blockIds(lru, "LRU block");
+        for (const std::uint32_t b : lru)
+            claim(b);
         lruClear(reg);
         // Saved MRU-first; rebuild by inserting coldest-first (the
         // FBST loaded above supplies the GC bucket counts).
@@ -1823,6 +1874,8 @@ FlashCache::loadState(std::istream& is)
                   "cursor block");
             check(cur.frame <= framesPerBlock_ && cur.sub <= 1,
                   "cursor slot");
+            if (cur.block != kNoBlock)
+                claim(cur.block);
         }
         reg.ownedBlocks = getScalar<std::uint32_t>(is);
         reg.validCount = getScalar<std::uint64_t>(is);

@@ -344,6 +344,12 @@ class FlashCache
 
     int regionOf(std::uint32_t block) const;
 
+    /** Mark a block as listed by a region's free list, LRU or open
+     *  cursor. @return the fault — the block is already listed, or
+     *  its FBST entry names another region — or nullptr. */
+    const char* claimListed(std::vector<std::uint8_t>& listed,
+                            std::uint32_t block, int region) const;
+
     /** Pages a block can hold at its current frame modes: two per
      *  MLC frame, one per SLC frame (checkInvariants() recounts it
      *  from the device). */

@@ -1,5 +1,6 @@
 #include "core/tables.hh"
 
+#include <bit>
 #include <utility>
 
 #include "util/log.hh"
@@ -64,6 +65,7 @@ Fcht::rehash(std::size_t slots)
 {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(slots, Slot{0, npos});
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
     for (const Slot& s : old) {
         if (s.pageId != npos)
             place(s.lba, s.pageId);

@@ -161,6 +161,12 @@ struct Fgst
  * It grows on load factor, so probes stay short and steady state is
  * allocation-free; reserve() pre-sizes it for a known population.
  * The primary disk cache's LBA index is one too.
+ *
+ * The home slot is the top bits of a two-multiply mix of the LBA
+ * (hashOf()), so dense, sparse and power-of-two-strided LBA sets all
+ * probe about as often as uniform hashing predicts. One Fibonacci
+ * product is not enough: its middle bits cluster dense LBA sets and
+ * its top bits cluster power-of-two strides (DESIGN.md section 8).
  */
 class Fcht
 {
@@ -192,6 +198,16 @@ class Fcht
     /** Mean occupied slots inspected per find() so far. */
     double avgProbeLength() const;
 
+    /** The LBA's 64-bit mix: multiply, xor-shift, multiply. A table
+     *  of 2^k slots homes the LBA at the top k bits. */
+    static constexpr std::uint64_t
+    hashOf(Lba lba)
+    {
+        std::uint64_t h = lba * 0x9E3779B97F4A7C15ull;
+        h ^= h >> 32;
+        return h * 0xD6E8FEB86659FD93ull;
+    }
+
   private:
     struct Slot
     {
@@ -203,10 +219,7 @@ class Fcht
     std::size_t
     homeOf(Lba lba) const
     {
-        // Same multiplicative hash as the seed chains.
-        return static_cast<std::size_t>(
-                   (lba * 0x9E3779B97F4A7C15ull) >> 32) &
-            (slots_.size() - 1);
+        return static_cast<std::size_t>(hashOf(lba) >> shift_);
     }
 
     /** Slot holding the LBA, or the table size when absent; probe
@@ -219,6 +232,7 @@ class Fcht
     void place(Lba lba, std::uint64_t page_id);
 
     std::vector<Slot> slots_;
+    unsigned shift_ = 60; ///< 64 - log2(slots_.size())
     std::size_t size_ = 0;
     mutable std::uint64_t lookups_ = 0;
     mutable std::uint64_t probes_ = 0;

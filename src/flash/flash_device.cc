@@ -33,7 +33,7 @@ FlashDevice::FlashDevice(const FlashGeometry& geometry,
         static_cast<std::size_t>(geom_.numBlocks) * geom_.framesPerBlock;
     frames_.resize(nframes);
     blockErases_.assign(geom_.numBlocks, 0);
-    programmed_.assign(nframes * 2, false);
+    programmed_.assign(nframes * 2, 0);
     torn_.assign(nframes * 2, false);
 
     if (storeData_) {
@@ -251,7 +251,7 @@ FlashDevice::programPage(const PageAddress& addr, const std::uint8_t* data,
         // prefix of the payload. Persist the torn state, then deliver
         // the cut; the in-DRAM cache above is abandoned by the
         // harness, exactly as a real cut would lose it.
-        programmed_[lp] = true;
+        programmed_[lp] = 1;
         torn_[lp] = true;
         writeTornPayload(lp, data, spare, fault_->tornBytes(full));
         fault_->noteTornPage();
@@ -260,7 +260,7 @@ FlashDevice::programPage(const PageAddress& addr, const std::uint8_t* data,
         throw PowerLossException{};
     }
 
-    programmed_[lp] = true;
+    programmed_[lp] = 1;
     if (pf == ProgramFault::StatusFail) {
         // The chip's status read reports failure; cell contents are
         // unreliable garbage. The layer above must re-program
@@ -326,8 +326,8 @@ FlashDevice::eraseBlock(std::uint32_t block)
             dataLen_[base] = 0;
             dataLen_[base + 1] = 0;
         }
-        programmed_[base] = false;
-        programmed_[base + 1] = false;
+        programmed_[base] = 0;
+        programmed_[base + 1] = 0;
         torn_[base] = false;
         torn_[base + 1] = false;
     }
@@ -337,12 +337,6 @@ FlashDevice::eraseBlock(std::uint32_t block)
     ++stats_.erases;
     account(lat, block);
     return {lat, false};
-}
-
-DensityMode
-FlashDevice::frameMode(std::uint32_t block, std::uint16_t frame) const
-{
-    return frameAt(block, frame).mode;
 }
 
 void
@@ -376,7 +370,7 @@ bool
 FlashDevice::isProgrammed(const PageAddress& addr) const
 {
     validate(addr);
-    return programmed_[linearPage(addr)];
+    return programmed_[linearPage(addr)] != 0;
 }
 
 bool
@@ -423,8 +417,8 @@ FlashDevice::saveState(std::ostream& os) const
                    const std::size_t i = byte_at * 8;
                    std::uint8_t byte = 0;
                    for (std::size_t b = 0; b < 8 && i + b < nbits; ++b)
-                       byte |= static_cast<std::uint8_t>(programmed_[i + b])
-                           << b;
+                       byte |= static_cast<std::uint8_t>(
+                           programmed_[i + b] << b);
                    r.put(byte);
                });
 

@@ -164,7 +164,13 @@ class FlashDevice
     bool isTorn(const PageAddress& addr) const;
 
     /** Current operating mode of a frame. */
-    DensityMode frameMode(std::uint32_t block, std::uint16_t frame) const;
+    DensityMode
+    frameMode(std::uint32_t block, std::uint16_t frame) const
+    {
+        return frames_[static_cast<std::size_t>(block) *
+                           geom_.framesPerBlock +
+                       frame].mode;
+    }
 
     /**
      * Request a density-mode change; takes effect at the next erase
@@ -253,7 +259,9 @@ class FlashDevice
 
     std::vector<FrameState> frames_;
     std::vector<std::uint32_t> blockErases_;
-    std::vector<bool> programmed_;
+    /** One flag byte per page, so loading a snapshot stores whole
+     *  bytes instead of read-modify-writing packed bits. */
+    std::vector<std::uint8_t> programmed_;
     std::vector<bool> torn_; ///< incompletely programmed pages
     std::vector<bool> factoryBad_;
 

@@ -365,6 +365,7 @@ struct SavedCache
     std::uint32_t numBlocks = 0;
     std::uint32_t framesPerBlock = 0;
     std::size_t fbstAt = 0;   ///< first FBST entry
+    std::size_t freeAt = 0;   ///< region 0's free-list length prefix
     std::size_t lruAt = 0;    ///< region 0's LRU length prefix
     std::size_t cursorAt = 0; ///< region 0's first append cursor
     std::size_t validAt = 0;  ///< region 0's validCount
@@ -415,9 +416,9 @@ savedCacheAfterWorkload()
     sc.numBlocks = peek<std::uint32_t>(sc.bytes, 8);
     sc.framesPerBlock = peek<std::uint32_t>(sc.bytes, 12);
     sc.fbstAt = 17 + 13ull * sc.numBlocks * sc.framesPerBlock * 2;
-    const std::size_t freeAt = sc.fbstAt + 12ull * sc.numBlocks;
-    sc.lruAt = freeAt + 8 +
-        4 * peek<std::uint64_t>(sc.bytes, freeAt);
+    sc.freeAt = sc.fbstAt + 12ull * sc.numBlocks;
+    sc.lruAt = sc.freeAt + 8 +
+        4 * peek<std::uint64_t>(sc.bytes, sc.freeAt);
     // Then two 7-byte cursors (block, frame, sub), ownedBlocks(4),
     // validCount(8).
     sc.cursorAt = sc.lruAt + 8 +
@@ -445,6 +446,38 @@ TEST(PersistenceTest, OutOfRangeLruBlockIsFatal)
     poke<std::uint32_t>(sc.bytes, sc.lruAt + 8, sc.numBlocks);
     EXPECT_DEATH(loadCorrupted(sc.bytes),
                  "cache state file LRU block out of range");
+}
+
+TEST(PersistenceTest, BlockListedTwiceIsFatal)
+{
+    // Region 0's free list then LRU, each a u64 count and u32 block
+    // ids. A block listed twice would be handed out twice: once an
+    // LRU block in the free list, once a free block repeated.
+    const SavedCache sc = savedCacheAfterWorkload();
+    ASSERT_GE(peek<std::uint64_t>(sc.bytes, sc.freeAt), 2u);
+    ASSERT_GT(peek<std::uint64_t>(sc.bytes, sc.lruAt), 0u);
+    std::string lru_in_free = sc.bytes;
+    poke(lru_in_free, sc.freeAt + 8,
+         peek<std::uint32_t>(sc.bytes, sc.lruAt + 8));
+    EXPECT_DEATH(loadCorrupted(lru_in_free),
+                 "cache state file: block listed twice");
+    std::string free_twice = sc.bytes;
+    poke(free_twice, sc.freeAt + 12,
+         peek<std::uint32_t>(sc.bytes, sc.freeAt + 8));
+    EXPECT_DEATH(loadCorrupted(free_twice),
+                 "cache state file: block listed twice");
+}
+
+TEST(PersistenceTest, BlockListedOutsideItsRegionIsFatal)
+{
+    // FBST entry: ... retired(1) region(1). Re-home region 0's MRU
+    // block to region 1 while region 0's LRU still lists it.
+    SavedCache sc = savedCacheAfterWorkload();
+    ASSERT_GT(peek<std::uint64_t>(sc.bytes, sc.lruAt), 0u);
+    const auto block = peek<std::uint32_t>(sc.bytes, sc.lruAt + 8);
+    poke<std::int8_t>(sc.bytes, sc.fbstAt + 12 * block + 11, 1);
+    EXPECT_DEATH(loadCorrupted(sc.bytes),
+                 "cache state file: block listed outside its FBST region");
 }
 
 TEST(PersistenceTest, InvalidPageCountPastGcBucketsIsFatal)

@@ -12,7 +12,10 @@
 #include "support/lru_list.hh"
 #include "util/rng.hh"
 
+#include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace flashcache {
@@ -133,10 +136,10 @@ TEST(FchtTest, EraseKeepsProbeRunsReachable)
     // Backward-shift deletion: removing an entry in the middle of a
     // probe run must not strand later entries of the run. Eleven
     // LBAs sharing one home slot of the initial 16-slot table stay
-    // below its growth threshold and form a single run.
-    const auto home = [](Lba l) {
-        return ((l * 0x9E3779B97F4A7C15ull) >> 32) & 15;
-    };
+    // below its growth threshold and form a single run; a 2^k-slot
+    // table homes an LBA at the top k bits of its hash.
+    ASSERT_EQ(Fcht().slots(), 16u);
+    const auto home = [](Lba l) { return Fcht::hashOf(l) >> 60; };
     std::vector<Lba> run;
     for (Lba l = 0; run.size() < 11; ++l) {
         if (home(l) == home(0))
@@ -156,6 +159,67 @@ TEST(FchtTest, EraseKeepsProbeRunsReachable)
         EXPECT_EQ(t.find(run[i]), 100 + i);
     for (std::size_t i = 0; i < run.size(); i += 2)
         EXPECT_EQ(t.find(run[i]), Fcht::npos);
+}
+
+/** LBA sets whose clustering a weak home function would show. */
+std::vector<std::pair<std::string, std::vector<Lba>>>
+probeLengthKeySets(std::size_t n)
+{
+    std::vector<std::pair<std::string, std::vector<Lba>>> sets;
+    std::vector<Lba> keys(n);
+    for (std::size_t i = 0; i < n; ++i)
+        keys[i] = i;
+    sets.emplace_back("sequential", keys);
+    for (Lba stride = 2; stride <= 65536; stride *= 2) {
+        for (std::size_t i = 0; i < n; ++i)
+            keys[i] = i * stride;
+        sets.emplace_back("stride x" + std::to_string(stride), keys);
+    }
+    // Distinct random LBAs below `range`.
+    const auto random = [n](Rng& rng, Lba range) {
+        std::unordered_set<Lba> seen;
+        std::vector<Lba> out;
+        while (out.size() < n) {
+            const Lba l = rng.next() % range;
+            if (seen.insert(l).second)
+                out.push_back(l);
+        }
+        return out;
+    };
+    Rng rng(5);
+    sets.emplace_back("dense random", random(rng, Lba{1} << 17));
+    sets.emplace_back("sparse random", random(rng, Lba{1} << 40));
+    return sets;
+}
+
+TEST(FchtTest, ProbeLengthTracksUniformHashing)
+{
+    // Linear probing under uniform hashing takes (1 + 1/(1 - a)) / 2
+    // probes per successful find at load a (Knuth): 1.61 at 0.55 and
+    // 2.17 at 0.7. The home function must keep every key set close to
+    // that. The margin is 10%: on this 32,768-slot table the mixed
+    // hash lands within 4% of the formula on every set, while a
+    // clustering hash misses it by far more. The middle bits of one
+    // Fibonacci product take 2.28 probes on dense random LBAs at load
+    // 0.55 (+41%) and 2.07 on stride x8192 (+29%); its top bits take
+    // 2.8-4.9 on strides x16-x64.
+    const std::size_t slots = 32768;
+    for (const double load : {0.55, 0.7}) {
+        const auto n = static_cast<std::size_t>(load * slots);
+        const double alpha = static_cast<double>(n) / slots;
+        const double uniform = (1.0 + 1.0 / (1.0 - alpha)) / 2.0;
+        for (const auto& [name, keys] : probeLengthKeySets(n)) {
+            Fcht t;
+            t.reserve(n);
+            for (std::size_t i = 0; i < n; ++i)
+                t.insert(keys[i], i);
+            ASSERT_EQ(t.slots(), slots) << name;
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(t.find(keys[i]), i) << name;
+            EXPECT_LT(t.avgProbeLength(), 1.10 * uniform)
+                << name << " at load " << alpha;
+        }
+    }
 }
 
 TEST(FchtTest, MatchesChainedUnderChurn)
