@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
 
 #include "obs/metrics.hh"
 #include "util/log.hh"
@@ -1287,268 +1286,6 @@ FlashCache::drainPendingRetires()
             continue;
         retireBlock(b);
     }
-}
-
-void
-FlashCache::recover()
-{
-    if (!config_.realData || !payloadStore_)
-        fatal("recover() requires realData mode (no payloads to scan "
-              "otherwise)");
-    const sched::BackgroundScope bg(demands_);
-    FlashDevice& dev = ctrl_->device();
-    const FlashGeometry& geom = dev.geometry();
-
-    // Forget everything DRAM held: the tables are rebuilt from the
-    // medium alone. The FCHT is sized for every page up front, so
-    // the scan never rehashes it.
-    fcht_ = Fcht();
-    fcht_.reserve(fpst_.size());
-    for (Region& reg : regions_) {
-        reg.freeBlocks.clear();
-        lruClear(reg);
-        for (auto& cur : reg.cursor) {
-            cur.block = kNoBlock;
-            cur.frame = 0;
-            cur.sub = 0;
-        }
-        reg.ownedBlocks = 0;
-        reg.validCount = 0;
-        reg.invalidCount = 0;
-    }
-    pendingRetire_.clear();
-    for (std::uint32_t b = 0; b < numBlocks_; ++b) {
-        if (fbst_[b].retired)
-            continue;
-        fbst_[b].validPages = 0;
-        fbst_[b].invalidPages = 0;
-        fbst_[b].totalEcc = 0;
-        fbst_[b].region = -1;
-    }
-
-    // Per-page scan verdicts: 0 = free, 1 = invalid (torn, duplicate,
-    // stale or unreadable), 2 = live.
-    std::vector<std::uint8_t> pstate(fpst_.size(), 0);
-    struct Winner
-    {
-        std::uint64_t id;
-        OobRecord rec;
-    };
-    std::unordered_map<Lba, Winner> winners;
-    std::vector<std::uint64_t> blockMaxSeq(numBlocks_, 0);
-    std::uint64_t maxSeq = 0;
-
-    // Pass 1: read every programmed page's spare area, reject torn
-    // pages by the OOB CRC, and resolve duplicate tags by sequence
-    // number (out-of-place writes leave superseded copies behind).
-    for (std::uint32_t b = 0; b < numBlocks_; ++b) {
-        if (fbst_[b].retired)
-            continue;
-        for (std::uint16_t f = 0; f < framesPerBlock_; ++f) {
-            // An SLC-mode frame (density reconfig / hot migration)
-            // has no second MLC page; addressing sub 1 is a fault.
-            const std::uint8_t nsub =
-                dev.frameMode(b, f) == DensityMode::SLC ? 1 : 2;
-            for (std::uint8_t sub = 0; sub < nsub; ++sub) {
-                const PageAddress addr{b, f, sub};
-                if (!dev.isProgrammed(addr))
-                    continue;
-                ++stats_.recovery.scannedPages;
-                const std::uint64_t id = pageId(addr);
-                const PageBytes pb = dev.pageData(addr);
-                OobRecord rec;
-                if (!pb ||
-                    pb.size < geom.pageDataBytes + geom.pageSpareBytes ||
-                    !parseOobRecord(pb.data + geom.pageDataBytes,
-                                    geom.pageSpareBytes, rec)) {
-                    pstate[id] = 1;
-                    ++stats_.recovery.tornPages;
-                    continue;
-                }
-                maxSeq = std::max(maxSeq, rec.seq);
-                blockMaxSeq[b] = std::max(blockMaxSeq[b], rec.seq);
-                const auto [it, inserted] =
-                    winners.try_emplace(rec.lba, Winner{id, rec});
-                if (!inserted) {
-                    ++stats_.recovery.duplicatePages;
-                    if (rec.seq > it->second.rec.seq) {
-                        pstate[it->second.id] = 1;
-                        it->second = Winner{id, rec};
-                    } else {
-                        pstate[id] = 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // Pass 2: drop copies the backing store has since superseded
-    // (generation tags beat flash sequence numbers), then validate
-    // every survivor through the real ECC pipeline — recovery never
-    // reinstates a page it cannot actually read back.
-    for (auto& [lba, w] : winners) {
-        if (payloadStore_->generation(lba) > w.rec.seq) {
-            pstate[w.id] = 1;
-            ++stats_.recovery.stalePages;
-            continue;
-        }
-        const PageAddress addr = addressOf(w.id);
-        const PageDescriptor desc{
-            static_cast<std::uint8_t>(std::min<unsigned>(
-                w.rec.eccStrength, config_.maxEccStrength)),
-            dev.frameMode(addr.block, addr.frame)};
-        const auto res = readWithRetry(addr, desc, pageBuf_.data());
-        stats_.recovery.scanTime += res.latency;
-        if (res.status == ReadStatus::Uncorrectable) {
-            ++stats_.uncorrectableReads;
-            ++stats_.recovery.uncorrectablePages;
-            pstate[w.id] = 1;
-            continue;
-        }
-        pstate[w.id] = 2;
-    }
-
-    // Pass 3a: rebuild the FPST (modes come from the device, live
-    // entries from the winning OOB records) and the per-block counts.
-    for (std::uint32_t b = 0; b < numBlocks_; ++b) {
-        if (fbst_[b].retired)
-            continue;
-        std::uint16_t slc = 0;
-        std::uint16_t nvalid = 0, ninvalid = 0;
-        for (std::uint16_t f = 0; f < framesPerBlock_; ++f) {
-            const DensityMode m = dev.frameMode(b, f);
-            if (m == DensityMode::SLC)
-                ++slc;
-            for (std::uint8_t sub = 0; sub < 2; ++sub) {
-                const std::uint64_t id = pageId({b, f, sub});
-                FpstEntry& e = fpst_[id];
-                e.mode = m;
-                e.lba = kInvalidLba;
-                e.dirty = false;
-                e.accessCount = 0;
-                e.eccStrength = config_.initialEccStrength;
-                if (pstate[id] == 2) {
-                    e.state = PageState::Valid;
-                    ++nvalid;
-                } else if (pstate[id] == 1) {
-                    e.state = PageState::Invalid;
-                    ++ninvalid;
-                } else {
-                    e.state = PageState::Free;
-                }
-            }
-        }
-        fbst_[b].slcFrames = slc;
-        fbst_[b].validPages = nvalid;
-        fbst_[b].invalidPages = ninvalid;
-    }
-    for (const auto& [lba, w] : winners) {
-        if (pstate[w.id] != 2)
-            continue;
-        FpstEntry& e = fpst_[w.id];
-        e.lba = lba;
-        e.dirty = w.rec.dirty; // conservative: dirty stays dirty
-        e.accessCount = 1;
-        e.eccStrength = static_cast<std::uint8_t>(
-            std::min<unsigned>(w.rec.eccStrength,
-                               config_.maxEccStrength));
-        fbst_[blockOf(w.id)].totalEcc += e.eccStrength >
-            config_.initialEccStrength
-            ? e.eccStrength - config_.initialEccStrength : 0;
-        fcht_.insert(lba, w.id);
-        ++stats_.recovery.recoveredPages;
-        if (e.dirty)
-            ++stats_.recovery.recoveredDirty;
-    }
-
-    // Pass 3b: region membership. Live blocks keep the region their
-    // newest page was written under; empty blocks refill toward the
-    // configured split ratio.
-    std::uint32_t usable = 0;
-    for (std::uint32_t b = 0; b < numBlocks_; ++b) {
-        if (!fbst_[b].retired)
-            ++usable;
-    }
-    const std::uint32_t read_target = config_.splitRegions
-        ? std::clamp<std::uint32_t>(
-              static_cast<std::uint32_t>(std::lround(
-                  config_.readRegionFraction * usable)),
-              2, usable >= 4 ? usable - 2 : 2)
-        : usable;
-
-    struct LiveBlock
-    {
-        std::uint64_t seq;
-        std::uint32_t block;
-    };
-    std::vector<LiveBlock> live;
-    std::vector<std::uint32_t> garbage, clean;
-    for (std::uint32_t b = 0; b < numBlocks_; ++b) {
-        const FbstEntry& fb = fbst_[b];
-        if (fb.retired)
-            continue;
-        if (fb.validPages > 0) {
-            int r = kRead;
-            if (config_.splitRegions) {
-                std::uint64_t best = 0;
-                for (std::uint16_t f = 0; f < framesPerBlock_; ++f) {
-                    for (std::uint8_t sub = 0; sub < 2; ++sub) {
-                        const std::uint64_t id = pageId({b, f, sub});
-                        if (pstate[id] != 2)
-                            continue;
-                        const auto& w =
-                            winners.at(fpst_[id].lba);
-                        if (w.rec.seq >= best) {
-                            best = w.rec.seq;
-                            r = w.rec.region ? kWrite : kRead;
-                        }
-                    }
-                }
-            }
-            fbst_[b].region = static_cast<std::int8_t>(r);
-            ++regions_[r].ownedBlocks;
-            regions_[r].validCount += fb.validPages;
-            regions_[r].invalidCount += fb.invalidPages;
-            live.push_back({blockMaxSeq[b], b});
-        } else if (fb.invalidPages > 0) {
-            garbage.push_back(b);
-        } else {
-            clean.push_back(b);
-        }
-    }
-    auto refillRegion = [&](std::uint32_t) {
-        if (!config_.splitRegions)
-            return kRead;
-        return regions_[kRead].ownedBlocks < read_target ? kRead
-                                                         : kWrite;
-    };
-    for (const std::uint32_t b : garbage) {
-        const int r = refillRegion(b);
-        fbst_[b].region = static_cast<std::int8_t>(r);
-        ++regions_[r].ownedBlocks;
-        regions_[r].invalidCount += fbst_[b].invalidPages;
-        ++stats_.recovery.erasedBlocks;
-        if (eraseBlockTracked(b, stats_.recovery.scanTime))
-            regions_[r].freeBlocks.push_back(b);
-    }
-    for (const std::uint32_t b : clean) {
-        const int r = refillRegion(b);
-        fbst_[b].region = static_cast<std::int8_t>(r);
-        ++regions_[r].ownedBlocks;
-        regions_[r].freeBlocks.push_back(b);
-    }
-
-    // Oldest-first LRU insertion: program sequence numbers double as
-    // a recency proxy, so the hottest blocks end up most recent.
-    std::sort(live.begin(), live.end(),
-              [](const LiveBlock& a, const LiveBlock& b) {
-                  return a.seq < b.seq;
-              });
-    for (const LiveBlock& lb : live)
-        lruTouch(regions_[regionOf(lb.block)], lb.block);
-
-    nextSeq_ = std::max(maxSeq, payloadStore_->maxGeneration()) + 1;
-    checkInvariants();
 }
 
 std::uint64_t
