@@ -15,55 +15,13 @@
 #include <vector>
 
 #include "core/flash_cache.hh"
+#include "support/memory_disk.hh"
 #include "util/rng.hh"
 
 namespace flashcache {
 namespace {
 
-constexpr std::uint32_t kPage = 2048;
-
-/** In-memory "disk" that stores page payloads. */
-class MemoryDisk : public PayloadBackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-
-    Seconds
-    readData(Lba lba, std::uint8_t* out) override
-    {
-        const auto it = pages_.find(lba);
-        if (it == pages_.end())
-            std::memset(out, 0, kPage);
-        else
-            std::memcpy(out, it->second.data(), kPage);
-        return milliseconds(4.2);
-    }
-
-    Seconds
-    writeData(Lba lba, const std::uint8_t* data) override
-    {
-        pages_[lba].assign(data, data + kPage);
-        return milliseconds(4.2);
-    }
-
-    std::map<Lba, std::vector<std::uint8_t>> pages_;
-};
-
-/** Deterministic page contents: a function of LBA and version.
- *  Version 0 is the never-written page: all zeroes, matching what
- *  the MemoryDisk serves for unknown LBAs. */
-std::vector<std::uint8_t>
-pageContent(Lba lba, std::uint32_t version)
-{
-    std::vector<std::uint8_t> v(kPage);
-    if (version == 0)
-        return v;
-    Rng rng(lba * 2654435761u + version);
-    for (auto& b : v)
-        b = static_cast<std::uint8_t>(rng.uniformInt(256));
-    return v;
-}
+constexpr std::uint32_t kPage = kTestPageBytes;
 
 struct RealStack
 {

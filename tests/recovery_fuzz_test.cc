@@ -28,77 +28,13 @@
 
 #include "core/flash_cache.hh"
 #include "fault/fault_injector.hh"
+#include "support/memory_disk.hh"
 #include "util/rng.hh"
 
 namespace flashcache {
 namespace {
 
-constexpr std::uint32_t kPage = 2048;
-
-/** Deterministic page contents; version 0 = never written (zeros). */
-std::vector<std::uint8_t>
-pageContent(Lba lba, std::uint32_t version)
-{
-    std::vector<std::uint8_t> v(kPage);
-    if (version == 0)
-        return v;
-    Rng rng(lba * 2654435761u + version);
-    for (auto& b : v)
-        b = static_cast<std::uint8_t>(rng.uniformInt(256));
-    return v;
-}
-
-/**
- * In-memory disk with T10-DIF-style generation tags, so recovery can
- * tell a surviving-but-already-flushed flash copy from a newer one.
- */
-class VersionedDisk : public PayloadBackingStore
-{
-  public:
-    Seconds read(Lba) override { return milliseconds(4.2); }
-    Seconds write(Lba) override { return milliseconds(4.2); }
-
-    Seconds
-    readData(Lba lba, std::uint8_t* out) override
-    {
-        const auto it = pages_.find(lba);
-        if (it == pages_.end())
-            std::memset(out, 0, kPage);
-        else
-            std::memcpy(out, it->second.data(), kPage);
-        return milliseconds(4.2);
-    }
-
-    Seconds
-    writeData(Lba lba, const std::uint8_t* data) override
-    {
-        pages_[lba].assign(data, data + kPage);
-        return milliseconds(4.2);
-    }
-
-    Seconds
-    writeTagged(Lba lba, const std::uint8_t* data, std::uint64_t seq,
-                bool& failed) override
-    {
-        failed = false;
-        gen_[lba] = seq;
-        maxGen_ = std::max(maxGen_, seq);
-        return writeData(lba, data);
-    }
-
-    std::uint64_t
-    generation(Lba lba) const override
-    {
-        const auto it = gen_.find(lba);
-        return it == gen_.end() ? 0 : it->second;
-    }
-
-    std::uint64_t maxGeneration() const override { return maxGen_; }
-
-    std::map<Lba, std::vector<std::uint8_t>> pages_;
-    std::map<Lba, std::uint64_t> gen_;
-    std::uint64_t maxGen_ = 0;
-};
+constexpr std::uint32_t kPage = kTestPageBytes;
 
 /**
  * The crash harness. Device, controller, injector and disk persist
@@ -154,7 +90,7 @@ struct CrashStack
     std::unique_ptr<CellLifetimeModel> lifetime;
     std::unique_ptr<FlashDevice> device;
     std::unique_ptr<FlashMemoryController> controller;
-    VersionedDisk disk;
+    MemoryDisk disk;
     std::unique_ptr<FlashCache> cache;
 };
 
