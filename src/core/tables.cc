@@ -75,13 +75,20 @@ Fcht::rehash(std::size_t slots)
 void
 Fcht::insert(Lba lba, std::uint64_t page_id)
 {
+    if (insertOrFind(lba, page_id) != npos)
+        panic("FCHT double insert for LBA");
+}
+
+std::uint64_t
+Fcht::insertOrFind(Lba lba, std::uint64_t page_id)
+{
     if (page_id == npos)
         panic("FCHT cannot map to the reserved npos page id");
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = homeOf(lba);
     while (slots_[i].pageId != npos) {
         if (slots_[i].lba == lba)
-            panic("FCHT double insert for LBA");
+            return slots_[i].pageId;
         i = (i + 1) & mask;
     }
     // Keep load factor below ~0.7 so probe runs stay short.
@@ -92,6 +99,7 @@ Fcht::insert(Lba lba, std::uint64_t page_id)
         slots_[i] = {lba, page_id};
     }
     ++size_;
+    return npos;
 }
 
 bool

@@ -184,6 +184,11 @@ class Fcht
     /** Insert a mapping; the LBA must not already be present. */
     void insert(Lba lba, std::uint64_t page_id);
 
+    /** Insert a mapping unless the LBA is already mapped, in one
+     *  probe run that avgProbeLength() does not count. @return the
+     *  page id the LBA already maps to, or npos when it was inserted. */
+    std::uint64_t insertOrFind(Lba lba, std::uint64_t page_id);
+
     /** Remove a mapping. @return true when it existed. */
     bool erase(Lba lba);
 
