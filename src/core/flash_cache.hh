@@ -211,12 +211,14 @@ class FlashCache
     /**
      * Rebuild every DRAM table from the medium after an uncontrolled
      * shutdown (power cut). Call on a freshly constructed cache whose
-     * device holds the post-crash contents: scans every programmed
-     * page, parses the self-describing OOB records, discards torn
-     * pages by CRC, resolves duplicate LBAs by sequence number,
-     * drops copies the backing store has since superseded (generation
-     * tags), validates survivors through the ECC pipeline, and
-     * rebuilds FCHT/FPST/FBST/region membership. Recovered dirty
+     * device holds the post-crash contents. Three flat passes in
+     * block order: scan every programmed page's self-describing OOB
+     * record, discard torn pages by CRC and resolve duplicate LBAs
+     * by sequence number with the FCHT as the newest-copy index;
+     * then, in physical page order, drop copies the backing store
+     * has since superseded (generation tags) and validate survivors
+     * through the ECC pipeline, unmapping any that fail; then rebuild
+     * FPST/FBST/region membership in one block walk. Recovered dirty
      * pages stay dirty (conservative: they will be flushed, never
      * silently dropped). Requires realData mode — the modeled path
      * stores no bytes to scan.
