@@ -49,7 +49,11 @@ gcOverheadAtOccupancy(double used_fraction)
     for (Lba l = 0; l < live_pages; ++l)
         cache.write(l);
     const Seconds warm_gc = cache.stats().gcTime;
-    const Seconds warm_busy = cache.stats().flashBusyTime;
+    // Flash time is the array's plus the ECC engine's.
+    const auto flash_busy = [&] {
+        return device.stats().busyTime + ctrl.stats().eccTime;
+    };
+    const Seconds warm_busy = flash_busy();
 
     const std::uint64_t ops = 4 * cache.capacityPages();
     for (std::uint64_t i = 0; i < ops; ++i)
@@ -63,7 +67,7 @@ gcOverheadAtOccupancy(double used_fraction)
     // this is the product of GC frequency and latency the paper
     // plots, and it diverges as free space vanishes.
     const Seconds gc = cache.stats().gcTime - warm_gc;
-    const Seconds busy = cache.stats().flashBusyTime - warm_busy;
+    const Seconds busy = flash_busy() - warm_busy;
     const Seconds useful = busy - gc;
     return useful > 0.0 ? gc / useful : 0.0;
 }

@@ -70,8 +70,10 @@ gcOverhead(double utilization, bool storage_log)
         fatal("the storage log evicted " +
               std::to_string(cache.stats().evictions) +
               " blocks: a log that evicts is not an SSD");
-    const Seconds useful =
-        cache.stats().flashBusyTime - cache.stats().gcTime;
+    // Flash time is the array's plus the ECC engine's; the cache's
+    // write-backs to the disk are not flash work.
+    const Seconds useful = device.stats().busyTime +
+        ctrl.stats().eccTime - cache.stats().gcTime;
     return useful > 0.0 ? cache.stats().gcTime / useful : 0.0;
 }
 

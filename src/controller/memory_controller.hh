@@ -152,7 +152,6 @@ class FlashMemoryController
     FlashDevice& device() { return *device_; }
     const FlashDevice& device() const { return *device_; }
     unsigned maxEccStrength() const { return maxEcc_; }
-    const EccTimingModel& timingModel() const { return timing_; }
 
     /**
      * Program one page at the descriptor strength. With `data`
@@ -190,6 +189,10 @@ class FlashMemoryController
      *  encode/decode is recorded as an Ecc engine demand (the array
      *  op itself is recorded by the device). Not owned. */
     void attachDemandSink(sched::DemandSink* sink) { demands_ = sink; }
+
+    /** The attached demand sink (or nullptr): the cache opens its
+     *  background scopes on it. */
+    sched::DemandSink* demandSink() const { return demands_; }
 
     /** Decode latency the pipeline charges at a strength. */
     Seconds

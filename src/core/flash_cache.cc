@@ -129,8 +129,9 @@ FlashCache::registerMetrics(obs::MetricRegistry& reg) const
                 &st->gcPageCopies);
     reg.counter("cache.gc_erases", "blocks erased by GC",
                 &st->gcErases);
-    reg.counter("cache.gc_time", "GC busy seconds", &st->gcTime);
-    reg.gauge("cache.gc_overhead", "GC share of flash busy time",
+    reg.counter("cache.gc_time", "GC flash seconds (array + ECC)",
+                &st->gcTime);
+    reg.gauge("cache.gc_overhead", "GC share of flash + ECC busy time",
               [this] { return gcOverheadFraction(); });
     reg.gauge("cache.gc_copies_per_erase",
               "GC efficiency: relocations per reclaimed block", [st] {
@@ -151,7 +152,8 @@ FlashCache::registerMetrics(obs::MetricRegistry& reg) const
                 &st->evictions);
     reg.counter("cache.eviction_flushes",
                 "dirty pages flushed to disk", &st->evictionFlushes);
-    reg.counter("cache.eviction_time", "eviction busy seconds",
+    reg.counter("cache.eviction_time",
+                "eviction/flush flash seconds (array + ECC)",
                 &st->evictionTime);
     reg.counter("cache.wear_migrations",
                 "section 3.6 newest-block swaps",
@@ -191,10 +193,8 @@ FlashCache::registerMetrics(obs::MetricRegistry& reg) const
                       static_cast<double>(n) : 0.0;
               });
     reg.counter("cache.reconfig_time",
-                "density/hot migration copy seconds",
+                "density/hot migration copy flash seconds",
                 &st->reconfigTime);
-    reg.counter("cache.busy", "flash busy seconds incl. GC",
-                &st->flashBusyTime);
 
     reg.counter("fault.program_fail_reprograms",
                 "pages re-programmed after a program-status failure",
@@ -234,7 +234,7 @@ FlashCache::registerMetrics(obs::MetricRegistry& reg) const
                 "garbage blocks erased during recovery",
                 &st->recovery.erasedBlocks);
     reg.counter("recovery.scan_seconds",
-                "simulated scan + validation time",
+                "scan + validation flash seconds",
                 &st->recovery.scanTime);
 }
 
@@ -375,7 +375,6 @@ FlashCache::installPage(std::uint64_t id, Lba lba, bool dirty,
                             dirty, e.eccStrength};
         const ControllerWriteResult wres = ctrl_->writePage(
             addr, descOf(e), data, data ? &oob : nullptr);
-        stats_.flashBusyTime += wres.latency;
         total += wres.latency;
 
         e.lba = lba;
@@ -541,7 +540,7 @@ FlashCache::eraseBlockTracked(std::uint32_t block, Seconds& time_sink)
 {
     // Erases are always charged to a stats sink, never to request
     // latency, so they always queue as background work.
-    const sched::BackgroundScope bg(demands_);
+    const sched::BackgroundScope bg(ctrl_->demandSink());
     FlashDevice& dev = ctrl_->device();
     FbstEntry& fb = fbst_[block];
     Region& reg = regions_[regionOf(block)];
@@ -550,7 +549,6 @@ FlashCache::eraseBlockTracked(std::uint32_t block, Seconds& time_sink)
         panic("erasing block with live pages");
 
     const auto er = ctrl_->eraseBlock(block);
-    stats_.flashBusyTime += er.latency;
     time_sink += er.latency;
 
     // Free every slot and reconcile the FPST with the frame modes
@@ -591,7 +589,6 @@ FlashCache::readWithRetry(const PageAddress& addr,
                           const PageDescriptor& desc, std::uint8_t* out)
 {
     ControllerReadResult res = ctrl_->readPage(addr, desc, out);
-    stats_.flashBusyTime += res.latency;
     if (res.status == ReadStatus::Uncorrectable &&
         ctrl_->device().hardErrors(addr) <= desc.eccStrength) {
         // Transient flips pushed the word past the code strength;
@@ -599,7 +596,6 @@ FlashCache::readWithRetry(const PageAddress& addr,
         ++stats_.eccRetryReads;
         const ControllerReadResult retry = ctrl_->readPage(addr, desc,
                                                            out);
-        stats_.flashBusyTime += retry.latency;
         const Seconds first = res.latency;
         res = retry;
         res.latency += first;
@@ -611,7 +607,6 @@ std::optional<std::uint64_t>
 FlashCache::relocatePage(std::uint64_t id, bool want_slc,
                          Seconds& time_sink)
 {
-    const sched::BackgroundScope bg(demands_);
     const PageAddress addr = addressOf(id);
     std::uint8_t* const buf = payloadBuf();
     const ControllerReadResult res = readWithRetry(addr, descOf(fpst_[id]),
@@ -658,7 +653,7 @@ FlashCache::garbageCollect(int region)
     if (reg.invalidCount < 2ull * framesPerBlock_)
         return false;
 
-    const sched::BackgroundScope bg(demands_);
+    const sched::BackgroundScope bg(ctrl_->demandSink());
     const std::uint32_t victim = gcPickVictim(reg);
     if (victim == kNoBlock)
         return false;
@@ -726,7 +721,7 @@ FlashCache::evictBlock(int region)
     if (reg.lruBlocks.empty())
         return false;
 
-    const sched::BackgroundScope bg(demands_);
+    const sched::BackgroundScope bg(ctrl_->demandSink());
 
     std::uint32_t victim = reg.lruBlocks.lru();
 
@@ -771,7 +766,7 @@ FlashCache::tryWearSwap(std::uint32_t victim)
 void
 FlashCache::wearLevelSwap(std::uint32_t victim, std::uint32_t newest)
 {
-    const sched::BackgroundScope bg(demands_);
+    const sched::BackgroundScope bg(ctrl_->demandSink());
     // Evict the victim's content, migrate the newest (coldest-wear)
     // block's content into the now-empty victim, then hand the
     // freshly erased newest block to the victim's region.
@@ -831,7 +826,7 @@ FlashCache::wearLevelSwap(std::uint32_t victim, std::uint32_t newest)
                 // Flush dirty data rather than lose it; clean pages
                 // just drop (they are cache copies).
                 if (e.dirty)
-                    writeBack(e, buf, stats_.evictionTime);
+                    writeBack(e, buf);
                 dropPage(id);
             } else {
                 movePage(id, dst, buf, stats_.evictionTime);
@@ -874,7 +869,7 @@ FlashCache::wearLevelSwap(std::uint32_t victim, std::uint32_t newest)
 void
 FlashCache::retireBlock(std::uint32_t block)
 {
-    const sched::BackgroundScope bg(demands_);
+    const sched::BackgroundScope bg(ctrl_->demandSink());
     const int r = regionOf(block);
     Region& reg = regions_[r];
 
@@ -914,7 +909,7 @@ FlashCache::maybeReconfigure(std::uint64_t id,
 {
     // Runs after the hit latency is already recorded: any copies it
     // makes are maintenance, invisible to this request's latency.
-    const sched::BackgroundScope bg(demands_);
+    const sched::BackgroundScope bg(ctrl_->demandSink());
     FpstEntry& e = fpst_[id];
 
     // Trigger 1 (section 5.2.1): the corrected-error count reached
@@ -1101,7 +1096,7 @@ FlashCache::readImpl(Lba lba, std::uint8_t* data)
         // The fill program happens off the request's critical path
         // (its latency is not charged to the read), so its device
         // ops queue as background work.
-        const sched::BackgroundScope bg(demands_);
+        const sched::BackgroundScope bg(ctrl_->demandSink());
         const int fill_region = kRead;
         auto slot = allocateSlot(fill_region, false, false);
         for (int attempt = 0; !slot && attempt < 4; ++attempt) {
@@ -1217,7 +1212,6 @@ FlashCache::writeImpl(Lba lba, const std::uint8_t* data)
 bool
 FlashCache::flushPage(std::uint64_t id, Seconds& time_sink)
 {
-    const sched::BackgroundScope bg(demands_);
     FpstEntry& e = fpst_[id];
     std::uint8_t* const buf = payloadBuf();
     const auto res = readWithRetry(addressOf(id), descOf(e), buf);
@@ -1226,21 +1220,20 @@ FlashCache::flushPage(std::uint64_t id, Seconds& time_sink)
         ++stats_.uncorrectableReads;
         return false;
     }
-    writeBack(e, buf, time_sink);
+    writeBack(e, buf);
     return true;
 }
 
 void
-FlashCache::writeBack(FpstEntry& e, const std::uint8_t* buf,
-                      Seconds& time_sink)
+FlashCache::writeBack(FpstEntry& e, const std::uint8_t* buf)
 {
     // A payload flush carries a generation tag (the next sequence
     // number) so recovery can tell the disk copy is newer.
     bool wfail = false;
-    const Seconds wlat = payloadStore_
-        ? payloadStore_->writeTagged(e.lba, buf, nextSeq_++, wfail)
-        : store_->write(e.lba, wfail);
-    time_sink += wlat;
+    if (payloadStore_)
+        payloadStore_->writeTagged(e.lba, buf, nextSeq_++, wfail);
+    else
+        store_->write(e.lba, wfail);
     if (wfail) {
         ++stats_.diskFlushFailures;
         return;
@@ -1260,7 +1253,7 @@ FlashCache::dropPage(std::uint64_t id)
 void
 FlashCache::flushAll()
 {
-    const sched::BackgroundScope bg(demands_);
+    const sched::BackgroundScope bg(ctrl_->demandSink());
     for (std::uint64_t id = 0; id < fpst_.size(); ++id) {
         const FpstEntry& e = fpst_[id];
         // A page whose disk write failed stays valid and dirty (flash
@@ -1276,7 +1269,6 @@ FlashCache::flushAll()
 void
 FlashCache::drainPendingRetires()
 {
-    const sched::BackgroundScope bg(demands_);
     while (!pendingRetire_.empty()) {
         const std::uint32_t b = pendingRetire_.back();
         pendingRetire_.pop_back();
@@ -1338,8 +1330,9 @@ FlashCache::failed() const
 double
 FlashCache::gcOverheadFraction() const
 {
-    return stats_.flashBusyTime > 0.0
-        ? stats_.gcTime / stats_.flashBusyTime : 0.0;
+    const Seconds busy = ctrl_->device().stats().busyTime +
+        ctrl_->stats().eccTime;
+    return busy > 0.0 ? stats_.gcTime / busy : 0.0;
 }
 
 const FpstEntry&
@@ -1555,6 +1548,8 @@ FlashCache::loadState(std::istream& is)
                    if (e.state == PageState::Valid)
                        ++valid;
                    e.eccStrength = r.get<std::uint8_t>();
+                   check(e.eccStrength <= config_.maxEccStrength,
+                         "ECC strength");
                    const auto mode = r.get<std::uint8_t>();
                    check(mode <= static_cast<std::uint8_t>(DensityMode::MLC),
                          "density mode");

@@ -106,7 +106,11 @@ struct CacheAccessResult
     Seconds latency = 0.0;
 };
 
-/** Counters beyond the FGST. */
+/** Counters beyond the FGST. The Seconds accounts hold the flash
+ *  time (array + ECC) of the work each cause ran; the disk time of
+ *  its write-backs is counted by the disk (`disk.busy`), and total
+ *  flash time by the device and controller (`flash.busy`,
+ *  `ecc.busy`). */
 struct FlashCacheStats
 {
     Fgst fgst;
@@ -162,7 +166,7 @@ struct FlashCacheStats
         std::uint64_t recoveredPages = 0; ///< live pages reinstated
         std::uint64_t recoveredDirty = 0; ///< of those, still dirty
         std::uint64_t erasedBlocks = 0;   ///< garbage blocks erased in-scan
-        Seconds scanTime = 0.0;           ///< simulated scan/validate time
+        Seconds scanTime = 0.0;           ///< flash time of scan/validate
     } recovery;
 
     /// @name Diagnostics for the reconfiguration policy: the access
@@ -174,7 +178,6 @@ struct FlashCacheStats
     /// @}
 
     Seconds reconfigTime = 0.0; ///< density/hot migration copy time
-    Seconds flashBusyTime = 0.0; ///< all flash op time incl. GC
 };
 
 /**
@@ -233,17 +236,6 @@ class FlashCache
      *  amplification / GC efficiency / occupancy gauges. */
     void registerMetrics(obs::MetricRegistry& reg) const;
 
-    /**
-     * Attach (or detach with nullptr) the scheduler demand sink the
-     * devices below record into. The cache itself records nothing; it
-     * opens background scopes around GC, eviction, wear migration,
-     * reconfiguration copies, flushes and recovery so those device
-     * ops queue as background work that yields to foreground traffic
-     * — exactly the ops whose time is charged to the stats sinks
-     * (gcTime/evictionTime/reconfigTime) instead of request latency.
-     */
-    void setDemandSink(sched::DemandSink* sink) { demands_ = sink; }
-
     /** Total logical page slots at current density modes. */
     std::uint64_t capacityPages() const;
 
@@ -266,7 +258,8 @@ class FlashCache
      */
     bool failed() const;
 
-    /** Fraction of flash busy time spent on GC work. */
+    /** GC's share of flash time: gcTime over the device's array time
+     *  plus the controller's ECC time. */
     double gcOverheadFraction() const;
 
     /** Access the FPST entry of a page id (tests/benches). */
@@ -433,9 +426,9 @@ class FlashCache
 
     /** The one backing-store write of a flush: persists the page
      *  (from `buf` in real-data mode) and clears its dirty flag; a
-     *  failed disk write leaves the page dirty. */
-    void writeBack(FpstEntry& e, const std::uint8_t* buf,
-                   Seconds& time_sink);
+     *  failed disk write leaves the page dirty. Its disk time is the
+     *  disk's to count, not a flash account's. */
+    void writeBack(FpstEntry& e, const std::uint8_t* buf);
 
     /** Drop a valid page and its mapping; a page that is still dirty
      *  is data loss. */
@@ -546,7 +539,6 @@ class FlashCache
     std::vector<std::uint8_t> pageBuf_;
 
     FlashCacheStats stats_;
-    sched::DemandSink* demands_ = nullptr;
     std::uint64_t readsSinceAging_ = 0;
     std::uint64_t windowReads_ = 0;
 

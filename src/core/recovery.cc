@@ -19,7 +19,7 @@ FlashCache::recover()
     if (!config_.realData || !payloadStore_)
         fatal("recover() requires realData mode (no payloads to scan "
               "otherwise)");
-    const sched::BackgroundScope bg(demands_);
+    const sched::BackgroundScope bg(ctrl_->demandSink());
     FlashDevice& dev = ctrl_->device();
     const FlashGeometry& geom = dev.geometry();
 

@@ -105,8 +105,6 @@ class FlashDevice
      */
     void setSoftErrorRate(double rate_per_bit_read);
 
-    double softErrorRate() const { return softErrorRate_; }
-
     /** True when constructed with store_data (payload retention). */
     bool storesData() const { return storeData_; }
 
@@ -120,7 +118,6 @@ class FlashDevice
 
     const FlashGeometry& geometry() const { return geom_; }
     const FlashTiming& timing() const { return timing_; }
-    const CellLifetimeModel& lifetimeModel() const { return *lifetime_; }
 
     /** Read a programmed page; returns latency and hard bit errors. */
     ReadResult readPage(const PageAddress& addr);
@@ -150,8 +147,6 @@ class FlashDevice
      * must outlive the device or be detached first.
      */
     void attachFaultInjector(FaultInjector* fault) { fault_ = fault; }
-
-    FaultInjector* faultInjector() const { return fault_; }
 
     /**
      * Attach (or detach with nullptr) a scheduler demand sink: every

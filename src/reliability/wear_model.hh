@@ -70,9 +70,6 @@ class CellLifetimeModel
 
     const WearParams& params() const { return params_; }
 
-    /** Mean of log10(lifetime), decades. */
-    double muDecades() const { return mu_; }
-
     /**
      * P(cell dead after the given W/E cycles).
      *
@@ -107,7 +104,7 @@ class CellLifetimeModel
 
   private:
     WearParams params_;
-    double mu_;
+    double mu_; ///< mean of log10(lifetime), decades
 };
 
 } // namespace flashcache

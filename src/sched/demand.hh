@@ -69,8 +69,6 @@ class DemandSink
     void popBackground() { --bgDepth_; }
     /// @}
 
-    bool inBackground() const { return bgDepth_ > 0; }
-
     const std::vector<Demand>& demands() const { return demands_; }
     void clear() { demands_.clear(); }
 

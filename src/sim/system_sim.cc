@@ -100,13 +100,10 @@ SystemSimulator::SystemSimulator(const SystemConfig& config)
     if (cache_) {
         flash_->attachDemandSink(&sink_);
         controller_->attachDemandSink(&sink_);
-        cache_->setDemandSink(&sink_);
     }
     sched::SchedConfig sc;
     sc.clients = config.clients;
     sc.flashChannels = std::max(1u, config.flashChannels);
-    sc.eccUnits = config.eccUnits;
-    sc.dramPorts = std::max(1u, config.dramPorts);
     sched_ = std::make_unique<sched::ClosedLoop>(sc);
 
     registerAllMetrics();

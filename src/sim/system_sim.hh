@@ -77,12 +77,6 @@ struct SystemConfig
      *  ops on different channels overlap in the event scheduler. */
     unsigned flashChannels = 4;
 
-    /** Controller ECC engine units; 0 = one per flash channel. */
-    unsigned eccUnits = 0;
-
-    /** DRAM ports the scheduler can serve concurrently. */
-    unsigned dramPorts = 2;
-
     /** Mean per-request compute time before storage is touched. */
     Seconds computeTime = microseconds(40);
 

@@ -44,16 +44,6 @@ class StackDistance
     /** Miss rate at the given cache size. */
     double missRateAtSize(std::uint64_t pages) const;
 
-    /**
-     * Histogram of reuse distances: bucket d counts accesses whose
-     * LRU stack distance was exactly d (0 = re-access of the MRU
-     * page). Cold misses are not included.
-     */
-    const std::vector<std::uint64_t>& distanceHistogram() const
-    {
-        return histogram_;
-    }
-
   private:
     /// @name Fenwick tree over access timestamps.
     /// A Fenwick tree cannot grow by appending zeros (new nodes

@@ -69,7 +69,14 @@ TEST_P(ConfigMatrixTest, InvariantsHoldUnderMixedWorkload)
     // Accounting identities.
     EXPECT_LE(cache.validPages() + cache.invalidPages(),
               cache.capacityPages());
-    EXPECT_GE(st.flashBusyTime, st.gcTime);
+    // The per-cause accounts hold flash time (array + ECC) only, so
+    // together they fit inside the device's and controller's busy
+    // time; the disk time of eviction and flush write-backs is the
+    // disk's.
+    EXPECT_GT(st.evictionFlushes, 0u);
+    EXPECT_LE(st.gcTime + st.evictionTime + st.reconfigTime,
+              device.stats().busyTime + ctrl.stats().eccTime);
+    EXPECT_LE(cache.gcOverheadFraction(), 1.0);
     EXPECT_LE(st.fgst.reads.missRate(), 1.0);
     EXPECT_LE(st.fgst.recentMissRate(), 1.0);
     EXPECT_GE(st.fgst.recentMissRate(), 0.0);

@@ -517,6 +517,12 @@ TEST(PersistenceTest, FpstFieldsOutOfRangeAreFatal)
     poke<std::uint8_t>(bad_mode, last + 10, 2);
     EXPECT_DEATH(loadCorrupted(bad_mode),
                  "cache state file density mode out of range");
+    // Past the hardware limit (12 by default) a page would read as
+    // correctable beyond the code, or program with an unbuildable one.
+    std::string bad_ecc = sc.bytes;
+    poke<std::uint8_t>(bad_ecc, last + 9, 13);
+    EXPECT_DEATH(loadCorrupted(bad_ecc),
+                 "cache state file ECC strength out of range");
 }
 
 TEST(PersistenceTest, FbstRegionOutOfRangeIsFatal)

@@ -301,7 +301,6 @@ TEST(RealDataCacheTest, ModelAndRealDataAgreeOnUnwornFlash)
     EXPECT_EQ(ms.eccRetryReads, rs.eccRetryReads);
     EXPECT_EQ(ms.diskFlushFailures, rs.diskFlushFailures);
     EXPECT_EQ(ms.reconfigTime, rs.reconfigTime);
-    EXPECT_EQ(ms.flashBusyTime, rs.flashBusyTime);
 
     const ControllerStats& mc = model.controller->stats();
     const ControllerStats& rc = real.controller->stats();
