@@ -28,9 +28,7 @@ void
 run(double threshold, bool last)
 {
     CellLifetimeModel lifetime;
-    FlashGeometry geom = FlashGeometry::forMlcCapacity(mib(32));
-    if (obsOpts.channels)
-        geom.numChannels = obsOpts.channels;
+    const FlashGeometry geom = FlashGeometry::forMlcCapacity(mib(32));
     FlashDevice device(geom, FlashTiming(), lifetime, 9);
     FlashMemoryController ctrl(device);
     FixedLatencyStore store;
@@ -71,11 +69,11 @@ int
 main(int argc, char** argv)
 {
     obsOpts = obs::CliOptions::parse(argc, argv);
-    // The trace is written by the event scheduler, and this sweep
-    // drives FlashCache directly with none.
-    if (obsOpts.wantTrace())
-        fatal("ablation_gc_threshold runs without the event scheduler "
-              "and cannot write a trace; --trace-out is not supported "
+    // The trace, the clients and the channels belong to the event
+    // scheduler, and this sweep drives FlashCache directly with none.
+    if (obsOpts.wantTrace() || obsOpts.clients || obsOpts.channels)
+        fatal("ablation_gc_threshold runs without the event scheduler; "
+              "--trace-out, --clients and --channels are not supported "
               "(--stats-json is)");
     std::printf("=== Ablation: GC victim threshold (dbt2 model, 32 MB "
                 "flash) ===\n\n");

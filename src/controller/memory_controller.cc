@@ -62,13 +62,12 @@ parseOobRecord(const std::uint8_t* spare, std::uint32_t spare_bytes,
 }
 
 FlashMemoryController::FlashMemoryController(FlashDevice& device,
-                                             const EccTimingModel& timing,
-                                             unsigned max_ecc)
-    : device_(&device), timing_(timing), maxEcc_(max_ecc),
+                                             const EccTimingModel& timing)
+    : device_(&device), timing_(timing),
       injectRng_(0xC0FFEE)
 {
     // One past the limit too: the cache prices a raise by one level.
-    for (unsigned t = 0; t <= maxEcc_ + 1; ++t) {
+    for (unsigned t = 0; t <= kMaxEccStrength + 1; ++t) {
         decodeLat_.push_back(modelDecode(t));
         encodeLat_.push_back(timing_.encodeLatency(t));
     }
@@ -160,7 +159,7 @@ FlashMemoryController::readPage(const PageAddress& addr,
             spareBuf_[spare_bytes - kOobRecordBytes + kOobEccOffset] !=
                 desc.eccStrength &&
             parseOobRecord(spareBuf_.data(), spare_bytes, rec) &&
-            rec.eccStrength <= maxEcc_) {
+            rec.eccStrength <= kMaxEccStrength) {
             t = rec.eccStrength;
         }
 

@@ -134,6 +134,9 @@ void packOobRecord(std::uint8_t* spare, std::uint32_t spare_bytes,
 bool parseOobRecord(const std::uint8_t* spare, std::uint32_t spare_bytes,
                     OobRecord& rec);
 
+/** The controller's hardware BCH strength limit (paper: 12). */
+inline constexpr unsigned kMaxEccStrength = 12;
+
 /**
  * Programmable controller front-end over one FlashDevice.
  */
@@ -141,17 +144,14 @@ class FlashMemoryController
 {
   public:
     /**
-     * @param device  The NAND array this controller drives.
-     * @param timing  ECC accelerator timing model.
-     * @param max_ecc Hardware strength limit (paper: 12).
+     * @param device The NAND array this controller drives.
+     * @param timing ECC accelerator timing model.
      */
     FlashMemoryController(FlashDevice& device,
-                          const EccTimingModel& timing = EccTimingModel(),
-                          unsigned max_ecc = 12);
+                          const EccTimingModel& timing = EccTimingModel());
 
     FlashDevice& device() { return *device_; }
     const FlashDevice& device() const { return *device_; }
-    unsigned maxEccStrength() const { return maxEcc_; }
 
     /**
      * Program one page at the descriptor strength. With `data`
@@ -220,12 +220,11 @@ class FlashMemoryController
 
     FlashDevice* device_;
     EccTimingModel timing_;
-    unsigned maxEcc_;
     ControllerStats stats_;
     sched::DemandSink* demands_ = nullptr;
     /** codes_[t]: the page code of strength t, built on first use. */
     std::vector<std::unique_ptr<BchCode>> codes_;
-    /** decodeLatency()/encodeLatency() for t = 0..maxEcc + 1. */
+    /** decodeLatency()/encodeLatency() for t = 0..kMaxEccStrength + 1. */
     std::vector<Seconds> decodeLat_;
     std::vector<Seconds> encodeLat_;
     Rng injectRng_;

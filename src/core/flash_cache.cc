@@ -193,7 +193,7 @@ FlashCache::registerMetrics(obs::MetricRegistry& reg) const
                       static_cast<double>(n) : 0.0;
               });
     reg.counter("cache.reconfig_time",
-                "density/hot migration copy flash seconds",
+                "density/hot migration flash seconds (copies, reformats)",
                 &st->reconfigTime);
 
     reg.counter("fault.program_fail_reprograms",
@@ -284,7 +284,7 @@ FlashCache::cursorNext(Region::Cursor& cur) const
 }
 
 std::optional<std::uint32_t>
-FlashCache::takeFreeBlock(int region, bool want_slc, bool background)
+FlashCache::takeFreeBlock(int region, bool want_slc, Seconds& time_sink)
 {
     Region& reg = regions_[region];
     if (reg.freeBlocks.empty())
@@ -312,26 +312,25 @@ FlashCache::takeFreeBlock(int region, bool want_slc, bool background)
     if (want_slc && fbst_[block].slcFrames != framesPerBlock_) {
         for (std::uint16_t f = 0; f < framesPerBlock_; ++f)
             dev.requestFrameMode(block, f, DensityMode::SLC);
-        Seconds& sink = background ? stats_.gcTime : stats_.evictionTime;
-        if (!eraseBlockTracked(block, sink)) {
+        if (!eraseBlockTracked(block, time_sink)) {
             // Reformat erase failed: the block just retired itself;
             // try the next free block (recursion bounded by the free
             // list length).
-            return takeFreeBlock(region, want_slc, background);
+            return takeFreeBlock(region, want_slc, time_sink);
         }
     }
     return block;
 }
 
 std::optional<std::uint64_t>
-FlashCache::allocateSlot(int region, bool want_slc, bool background)
+FlashCache::allocateSlot(int region, bool want_slc, Seconds& time_sink)
 {
     Region& reg = regions_[region];
     Region::Cursor& cur = reg.cursor[want_slc ? 1 : 0];
 
     for (int guard = 0; guard < 1 << 20; ++guard) {
         if (cur.block == kNoBlock) {
-            const auto blk = takeFreeBlock(region, want_slc, background);
+            const auto blk = takeFreeBlock(region, want_slc, time_sink);
             if (!blk)
                 return std::nullopt;
             cur.block = *blk;
@@ -402,7 +401,8 @@ FlashCache::installPage(std::uint64_t id, Lba lba, bool dirty,
             fatal("repeated program failures; flash is unusable");
         const int region = regionOf(addr.block);
         const bool want_slc = e.mode == DensityMode::SLC;
-        const auto slot = allocateSlot(region, want_slc, false);
+        const auto slot = allocateSlot(region, want_slc,
+                                       stats_.evictionTime);
         if (!slot)
             fatal("no free slot to re-program after a program "
                   "failure");
@@ -619,7 +619,8 @@ FlashCache::relocatePage(std::uint64_t id, bool want_slc,
         return std::nullopt;
     }
 
-    const auto slot = allocateSlot(regionOf(addr.block), want_slc, true);
+    const auto slot = allocateSlot(regionOf(addr.block), want_slc,
+                                   time_sink);
     if (!slot)
         return std::nullopt;
     return movePage(id, *slot, buf, time_sink);
@@ -1098,13 +1099,13 @@ FlashCache::readImpl(Lba lba, std::uint8_t* data)
         // ops queue as background work.
         const sched::BackgroundScope bg(ctrl_->demandSink());
         const int fill_region = kRead;
-        auto slot = allocateSlot(fill_region, false, false);
+        auto slot = allocateSlot(fill_region, false, stats_.evictionTime);
         for (int attempt = 0; !slot && attempt < 4; ++attempt) {
             if (!garbageCollectIfUseful(fill_region) &&
                 !evictBlock(fill_region)) {
                 break;
             }
-            slot = allocateSlot(fill_region, false, false);
+            slot = allocateSlot(fill_region, false, stats_.evictionTime);
         }
         if (slot) {
             const auto inst = installPage(*slot, lba, false, 1, data);
@@ -1180,13 +1181,13 @@ FlashCache::writeImpl(Lba lba, const std::uint8_t* data)
         stats_.fgst.writes.miss();
     }
 
-    auto slot = allocateSlot(wr, false, false);
+    auto slot = allocateSlot(wr, false, stats_.evictionTime);
     for (int attempt = 0; !slot && attempt < 6; ++attempt) {
         // Section 5.1: GC is the common case; eviction only when a
         // block's worth of invalid pages does not exist.
         if (!garbageCollect(wr) && !evictBlock(wr))
             break;
-        slot = allocateSlot(wr, false, false);
+        slot = allocateSlot(wr, false, stats_.evictionTime);
     }
     if (!slot)
         fatal("write region out of space and unreclaimable");

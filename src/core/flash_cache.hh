@@ -66,7 +66,7 @@ struct FlashCacheConfig
     std::uint8_t initialEccStrength = 1;
 
     /** Hardware ECC limit (paper: 12 bits per 2 KB page). */
-    std::uint8_t maxEccStrength = 12;
+    std::uint8_t maxEccStrength = kMaxEccStrength;
 
     /** Saturation point of the FPST access counter; a saturated MLC
      *  page migrates to SLC (section 5.2.2). */
@@ -177,7 +177,9 @@ struct FlashCacheStats
     RunningStat faultDensityCost;
     /// @}
 
-    Seconds reconfigTime = 0.0; ///< density/hot migration copy time
+    /** Density/hot migration flash time: copies and the SLC
+     *  reformat erases they cause. */
+    Seconds reconfigTime = 0.0;
 };
 
 /**
@@ -361,18 +363,20 @@ class FlashCache
     /**
      * Allocate one page slot in a region.
      *
-     * @param region     kRead or kWrite.
-     * @param want_slc   Use the dedicated SLC cursor.
-     * @param background Charge erase latency to gcTime.
+     * @param region    kRead or kWrite.
+     * @param want_slc  Use the dedicated SLC cursor.
+     * @param time_sink The caller's account; an SLC reformat erase
+     *                  is charged to it.
      * @return page id, or nullopt when the region is out of space.
      */
     std::optional<std::uint64_t> allocateSlot(int region, bool want_slc,
-                                              bool background);
+                                              Seconds& time_sink);
 
-    /** Take a block from the free list (re-erasing it to SLC if the
-     *  SLC cursor asked and it isn't mostly SLC yet). */
+    /** Take a block from the free list (re-erasing it to SLC, charged
+     *  to `time_sink`, if the SLC cursor asked and it isn't mostly
+     *  SLC yet). */
     std::optional<std::uint32_t> takeFreeBlock(int region, bool want_slc,
-                                               bool background);
+                                               Seconds& time_sink);
 
     /** Outcome of installPage: where the page actually landed (a
      *  program-status failure re-programs on a fresh slot). */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -27,49 +26,6 @@ nameOf(Group g)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------- histogram
-
-void
-LogHistogram::record(Seconds v)
-{
-    int bin = 0;
-    if (v > kFloor) {
-        bin = static_cast<int>(std::log2(v / kFloor) * kSubBuckets);
-        bin = std::min(bin, kBins - 1);
-    }
-    ++bins_[static_cast<std::size_t>(bin)];
-    ++total_;
-}
-
-double
-LogHistogram::percentile(double p) const
-{
-    if (total_ == 0)
-        return 0.0;
-    const double target = std::max(1.0, total_ * p / 100.0);
-    std::uint64_t cum = 0;
-    for (int i = 0; i < kBins; ++i) {
-        cum += bins_[static_cast<std::size_t>(i)];
-        if (static_cast<double>(cum) >= target) {
-            const double lo =
-                kFloor * std::exp2(static_cast<double>(i) / kSubBuckets);
-            const double hi =
-                kFloor * std::exp2(static_cast<double>(i + 1) / kSubBuckets);
-            return std::sqrt(lo * hi);
-        }
-    }
-    return kFloor * std::exp2(static_cast<double>(kOctaves));
-}
-
-void
-LogHistogram::merge(const LogHistogram& other)
-{
-    for (int i = 0; i < kBins; ++i)
-        bins_[static_cast<std::size_t>(i)] +=
-            other.bins_[static_cast<std::size_t>(i)];
-    total_ += other.total_;
-}
 
 // --------------------------------------------------------------- closed loop
 
@@ -269,7 +225,7 @@ ClosedLoop::onFgDone(Event& ev, const DoneFn& done)
     assert(r.busyServers > 0);
     --r.busyServers;
     ++r.fgServed;
-    r.sojourn.record(now_ - j.arrival);
+    r.sojourn.add(now_ - j.arrival);
     dispatch(res, now_);
     if (++j.cursor < j.stages) {
         ev = {now_, EventKind::StageArrive, job};
@@ -462,7 +418,7 @@ ClosedLoop::maxQueueDepth(Group g) const
 double
 ClosedLoop::sojournPercentile(Group g, double p) const
 {
-    LogHistogram merged;
+    Histogram merged;
     forGroup(g, [&](const Resource& r) { merged.merge(r.sojourn); });
     return merged.percentile(p);
 }
@@ -506,13 +462,13 @@ ClosedLoop::registerMetrics(obs::MetricRegistry& reg)
                   });
         reg.gauge(base + ".sojourn_p50",
                   "median per-visit wait+service (s)",
-                  [this, g] { return sojournPercentile(g, 50); });
+                  [this, g] { return sojournPercentile(g, 0.50); });
         reg.gauge(base + ".sojourn_p95",
                   "p95 per-visit wait+service (s)",
-                  [this, g] { return sojournPercentile(g, 95); });
+                  [this, g] { return sojournPercentile(g, 0.95); });
         reg.gauge(base + ".sojourn_p99",
                   "p99 per-visit wait+service (s)",
-                  [this, g] { return sojournPercentile(g, 99); });
+                  [this, g] { return sojournPercentile(g, 0.99); });
     }
 }
 

@@ -56,7 +56,6 @@
 #ifndef FLASHCACHE_SCHED_SCHEDULER_HH
 #define FLASHCACHE_SCHED_SCHEDULER_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -65,6 +64,7 @@
 #include <vector>
 
 #include "sched/demand.hh"
+#include "util/stats.hh"
 #include "util/types.hh"
 
 namespace flashcache {
@@ -75,36 +75,6 @@ class Tracer;
 } // namespace obs
 
 namespace sched {
-
-/**
- * Log-scale duration histogram: 4 sub-buckets per octave starting at
- * 1 ns. Constant memory, O(1) record, good-enough percentile
- * resolution (~19% bucket width) across 13 decades — the right shape
- * for sojourn times that span nanoseconds (DRAM) to tens of
- * milliseconds (queued disk seeks).
- */
-class LogHistogram
-{
-  public:
-    void record(Seconds v);
-
-    /** Value at percentile p (0..100): geometric midpoint of the
-     *  containing bucket; 0 with no samples. */
-    double percentile(double p) const;
-
-    void merge(const LogHistogram& other);
-
-    std::uint64_t count() const { return total_; }
-
-    static constexpr double kFloor = 1e-9;
-    static constexpr int kSubBuckets = 4;
-    static constexpr int kOctaves = 44; ///< 1 ns .. ~4.9 h
-    static constexpr int kBins = kOctaves * kSubBuckets;
-
-  private:
-    std::array<std::uint64_t, kBins> bins_{};
-    std::uint64_t total_ = 0;
-};
 
 /** Scheduler shape: client count and per-resource server counts. */
 struct SchedConfig
@@ -175,6 +145,7 @@ class ClosedLoop
     std::uint64_t backgroundServed(Group g) const;
     double meanQueueDepth(Group g) const;
     std::uint64_t maxQueueDepth(Group g) const;
+    /** Per-visit sojourn at fraction p (0..1), Histogram::percentile. */
     double sojournPercentile(Group g, double p) const;
     /// @}
 
@@ -247,7 +218,7 @@ class ClosedLoop
         std::uint64_t fgServed = 0;
         std::uint64_t bgServed = 0;
         std::uint64_t maxQueue = 0;
-        LogHistogram sojourn; ///< fg wait+service per visit
+        Histogram sojourn; ///< fg wait+service per visit
     };
 
     void push(Seconds t, EventKind kind, std::uint32_t id);

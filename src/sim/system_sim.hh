@@ -112,10 +112,11 @@ struct SystemStats
     RatioStat pdcReads;   ///< PDC hit/miss on reads
     std::uint64_t writebacks = 0;
 
-    /** Per-request latency (compute + storage), 0.5 ms bins. The
-     *  engine thread writes it while the model thread writes the
-     *  counters above, so it starts a cache line of its own. */
-    alignas(64) Histogram requestLatency{0.0, 0.020, 40};
+    /** Per-request latency (compute + storage) in seconds, with no
+     *  clamp below Histogram's 4.5 h ceiling. The engine thread
+     *  writes it while the model thread writes the counters above,
+     *  so it starts a cache line of its own. */
+    alignas(64) Histogram requestLatency;
 
     /** Requests per second of wall clock. */
     double

@@ -1,10 +1,8 @@
 #include "util/stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <sstream>
-
-#include "util/log.hh"
 
 namespace flashcache {
 
@@ -58,55 +56,67 @@ RatioStat::hitRate() const
     return t ? static_cast<double>(hits_) / static_cast<double>(t) : 0.0;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins)
-{
-    if (bins == 0 || hi <= lo)
-        fatal("Histogram with empty range");
-}
+namespace {
+
+static_assert(Histogram::kSubBins == 16, "add() reads four mantissa bits");
+
+/** The histogram's floor, 2^kMinExp s. */
+constexpr double kFloor =
+    1.0 / static_cast<double>(1ull << -Histogram::kMinExp);
+
+/** The floor's key in add(): its biased exponent, then four zero
+ *  mantissa bits. */
+constexpr std::uint64_t kFloorKey =
+    static_cast<std::uint64_t>(1023 + Histogram::kMinExp) << 4;
+
+} // namespace
 
 void
 Histogram::add(double x)
 {
-    double idx = (x - lo_) / width_;
-    std::size_t bin;
-    if (idx < 0.0) {
-        bin = 0;
-    } else if (idx >= static_cast<double>(counts_.size())) {
-        bin = counts_.size() - 1;
-    } else {
-        bin = static_cast<std::size_t>(idx);
+    std::size_t bin = 0;
+    if (x > kFloor) {
+        // For x in [2^e, 2^(e+1)) the top 16 bits of a positive double
+        // hold (e + 1023) * 16 plus its top four mantissa bits, the
+        // sub-bin; less the floor's key, that is the bin index.
+        const std::uint64_t key = std::bit_cast<std::uint64_t>(x) >> 48;
+        bin = std::min<std::uint64_t>(key - kFloorKey, kBins - 1);
     }
     ++counts_[bin];
     ++total_;
+}
+
+void
+Histogram::merge(const Histogram& other)
+{
+    for (std::size_t i = 0; i < kBins; ++i)
+        counts_[i] += other.counts_[i];
+    total_ += other.total_;
+}
+
+double
+Histogram::binLo(std::size_t i) const
+{
+    return std::ldexp(1.0 + static_cast<double>(i % kSubBins) / kSubBins,
+                      kMinExp + static_cast<int>(i / kSubBins));
 }
 
 double
 Histogram::percentile(double p) const
 {
     if (total_ == 0)
-        return lo_;
+        return 0.0;
     const double target = p * static_cast<double>(total_);
     double cum = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        cum += static_cast<double>(counts_[i]);
-        if (cum >= target)
-            return binLo(i + 1);
+    for (std::size_t i = 0; i < kBins; ++i) {
+        const auto c = static_cast<double>(counts_[i]);
+        if (c > 0 && cum + c >= target) {
+            const double frac = (target - cum) / c;
+            return binLo(i) + frac * (binLo(i + 1) - binLo(i));
+        }
+        cum += c;
     }
-    return binLo(counts_.size());
-}
-
-std::string
-Histogram::toString() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        if (!counts_[i])
-            continue;
-        os << binLo(i) << ".." << binLo(i + 1) << ": "
-           << counts_[i] << "\n";
-    }
-    return os.str();
+    return binLo(kBins);
 }
 
 } // namespace flashcache

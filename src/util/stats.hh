@@ -1,16 +1,16 @@
 /**
  * @file
  * Statistics primitives used by every flashcache module: streaming
- * mean/variance, ratio counters, and fixed-bin histograms. These back
+ * mean/variance, ratio counters, and a log-linear histogram. These back
  * the FGST (flash global status table) and the per-bench reporting.
  */
 
 #ifndef FLASHCACHE_UTIL_STATS_HH
 #define FLASHCACHE_UTIL_STATS_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace flashcache {
 
@@ -74,38 +74,41 @@ class RatioStat
 };
 
 /**
- * Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp
- * into the first/last bin.
+ * Log-linear histogram of durations in seconds: 16 equal-width
+ * sub-bins per power of two from 2^-30 s (~0.93 ns) to 2^14 s
+ * (~4.5 h), 704 bins, each at most 6.25% of its lower edge. A sample
+ * at or below the floor lands in the first bin, one above the range
+ * in the last.
  */
 class Histogram
 {
   public:
-    Histogram(double lo, double hi, std::size_t bins);
+    static constexpr int kSubBins = 16; ///< per power of two
+    static constexpr int kMinExp = -30; ///< floor 2^kMinExp s
+    static constexpr int kMaxExp = 14;  ///< ceiling 2^kMaxExp s
+    static constexpr std::size_t kBins = (kMaxExp - kMinExp) * kSubBins;
 
     void add(double x);
 
-    std::size_t bins() const { return counts_.size(); }
+    void merge(const Histogram& other);
+
+    std::size_t bins() const { return kBins; }
     std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
 
     /** Lower edge of bin i (i == bins() gives the upper range edge). */
-    double
-    binLo(std::size_t i) const
-    {
-        return lo_ + static_cast<double>(i) * width_;
-    }
+    double binLo(std::size_t i) const;
 
     std::uint64_t total() const { return total_; }
 
-    /** Value below which the given fraction of samples fall. */
+    /**
+     * Value below which the fraction p (0..1) of samples fall,
+     * interpolated linearly inside the bin that holds it; 0 with no
+     * samples.
+     */
     double percentile(double p) const;
 
-    /** Render "lo..hi: count" lines, skipping empty bins. */
-    std::string toString() const;
-
   private:
-    double lo_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
+    std::array<std::uint64_t, kBins> counts_{};
     std::uint64_t total_ = 0;
 };
 

@@ -158,7 +158,7 @@ TEST(MetricRegistryDeathTest, DuplicateNameIsFatal)
 
 TEST(MetricRegistryDeathTest, UnknownAndHistogramValueArePanics)
 {
-    Histogram h(0.0, 1.0, 4);
+    Histogram h;
     MetricRegistry reg;
     reg.histogram("t.hist", "a histogram", &h);
     EXPECT_DEATH(reg.value("t.nope"), "unknown metric");
@@ -168,9 +168,9 @@ TEST(MetricRegistryDeathTest, UnknownAndHistogramValueArePanics)
 TEST(MetricRegistryTest, JsonSchemaAndRegistrationOrder)
 {
     std::uint64_t c = 42;
-    Histogram h(0.0, 4.0, 4);
+    Histogram h;
     h.add(0.5);
-    h.add(0.6);
+    h.add(0.51);
     h.add(3.5);
     MetricRegistry reg;
     reg.counter("z.last_registered_first", "order check", &c);
@@ -194,10 +194,17 @@ TEST(MetricRegistryTest, JsonSchemaAndRegistrationOrder)
     EXPECT_DOUBLE_EQ(hist->find("count")->number, 3.0);
     EXPECT_TRUE(hist->find("p50")->isNumber());
     EXPECT_TRUE(hist->find("p99")->isNumber());
-    // Two occupied bins (two samples in [0,1), one in [3,4)).
-    ASSERT_TRUE(hist->find("bins")->isArray());
-    ASSERT_EQ(hist->find("bins")->array.size(), 2u);
-    EXPECT_DOUBLE_EQ(hist->find("bins")->array[0].array[2].number, 2.0);
+    // Two occupied bins, each [lo, hi, count]: two samples in
+    // [0.5, 0.53125), one in [3.5, 3.625).
+    const JsonValue* bins = hist->find("bins");
+    ASSERT_TRUE(bins->isArray());
+    ASSERT_EQ(bins->array.size(), 2u);
+    EXPECT_DOUBLE_EQ(bins->array[0].array[0].number, 0.5);
+    EXPECT_DOUBLE_EQ(bins->array[0].array[1].number, 0.53125);
+    EXPECT_DOUBLE_EQ(bins->array[0].array[2].number, 2.0);
+    EXPECT_DOUBLE_EQ(bins->array[1].array[0].number, 3.5);
+    EXPECT_DOUBLE_EQ(bins->array[1].array[1].number, 3.625);
+    EXPECT_DOUBLE_EQ(bins->array[1].array[2].number, 1.0);
 }
 
 TEST(MetricRegistryTest, TextDumpHasNameValueDesc)

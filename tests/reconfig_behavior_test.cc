@@ -227,6 +227,34 @@ TEST(HotMigrationTest, DisabledMeansNoSlcFrames)
     EXPECT_EQ(s.cache.stats().hotMigrations, 0u);
 }
 
+TEST(HotMigrationTest, ReformatErasesChargeTheMigrationAccount)
+{
+    // Hot migrations re-erase free MLC blocks to SLC. Those erases are
+    // migration work: they belong in reconfigTime, not in gcTime.
+    FlashCacheConfig cfg;
+    cfg.accessSaturation = 4;
+    Stack s(32, cfg);
+    Rng rng(5);
+    for (int i = 0; i < 2000; ++i)
+        s.cache.read(rng.uniformInt(40));
+    const FlashCacheStats& st = s.cache.stats();
+    ASSERT_GT(st.hotMigrations, 0u);
+    ASSERT_EQ(st.gcRuns, 0u);
+    ASSERT_EQ(st.evictions, 0u);
+    EXPECT_EQ(st.gcTime, 0.0);
+    // With no GC and no eviction every erase was a reformat erase,
+    // each at least an SLC erase long; every migration copy reads and
+    // programs one page, each at least as long as in SLC mode.
+    const FlashTiming t;
+    const std::uint64_t erases = s.device.stats().erases;
+    ASSERT_GT(erases, 0u);
+    EXPECT_GE(st.reconfigTime,
+              static_cast<double>(st.hotMigrations) *
+                      (t.slcReadLatency + t.slcWriteLatency) +
+                  static_cast<double>(erases) * t.slcEraseLatency);
+    s.cache.checkInvariants();
+}
+
 TEST(RetirementTest, RetiredBlocksNeverComeBack)
 {
     WearParams wp;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Coverage for the reporting and serialization utilities: power
- * report formatting, histogram rendering, and the binary scalar /
- * vector round-trips that back state persistence.
+ * report formatting and the binary scalar / vector round-trips that
+ * back state persistence.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "sim/power_report.hh"
 #include "workload/synthetic.hh"
 #include "util/serialize.hh"
-#include "util/stats.hh"
 
 namespace flashcache {
 namespace {
@@ -37,18 +36,6 @@ TEST(PowerReportTest, DefaultIsZero)
 {
     PowerReport p;
     EXPECT_DOUBLE_EQ(p.total(), 0.0);
-}
-
-TEST(HistogramRenderingTest, SkipsEmptyBins)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(1.5);
-    h.add(1.7);
-    h.add(8.2);
-    const std::string s = h.toString();
-    EXPECT_NE(s.find("1..2: 2"), std::string::npos);
-    EXPECT_NE(s.find("8..9: 1"), std::string::npos);
-    EXPECT_EQ(s.find("3..4"), std::string::npos);
 }
 
 TEST(SerializeTest, ScalarRoundTrips)

@@ -124,7 +124,7 @@ play(const SchedConfig& cfg, const std::vector<Request>& script,
         out.add(static_cast<double>(loop.backgroundServed(g)));
         out.add(loop.meanQueueDepth(g));
         out.add(static_cast<double>(loop.maxQueueDepth(g)));
-        for (const double p : {50.0, 95.0, 99.0})
+        for (const double p : {0.50, 0.95, 0.99})
             out.add(loop.sojournPercentile(g, p));
     }
     return out;

@@ -168,7 +168,7 @@ class HeapOnlyLoop
     double
     sojournPercentile(Group g, double p) const
     {
-        LogHistogram merged;
+        Histogram merged;
         forGroup(g, [&](const Resource& r) { merged.merge(r.sojourn); });
         return merged.percentile(p);
     }
@@ -221,7 +221,7 @@ class HeapOnlyLoop
         std::uint64_t fgServed = 0;
         std::uint64_t bgServed = 0;
         std::uint64_t maxQueue = 0;
-        LogHistogram sojourn;
+        Histogram sojourn;
     };
 
     static bool
@@ -353,7 +353,7 @@ class HeapOnlyLoop
         --r.busyServers;
         ++r.fgServed;
         Job& j = jobs_[ev.job];
-        r.sojourn.record(ev.t - j.arrival);
+        r.sojourn.add(ev.t - j.arrival);
         dispatch(ev.res, ev.t);
         ++j.cursor;
         if (j.cursor < j.stages.size()) {

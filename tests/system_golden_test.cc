@@ -94,7 +94,7 @@ TEST(SystemGoldenTest, Financial1ShapeMatchesRecordedHash)
     char hex[19];
     std::snprintf(hex, sizeof hex, "0x%016llx",
                   static_cast<unsigned long long>(h.value()));
-    EXPECT_EQ(h.value(), 0x3d2bafc56c32d485ull) << "hash is " << hex;
+    EXPECT_EQ(h.value(), 0x4eadc5df19e5a650ull) << "hash is " << hex;
 }
 
 } // namespace

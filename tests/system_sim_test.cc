@@ -188,5 +188,21 @@ TEST(SystemSimTest, MacroWorkloadEndToEnd)
     EXPECT_GT(sim.flashCache()->stats().fgst.reads.total(), 0u);
 }
 
+TEST(SystemSimTest, RequestLatencyDoesNotClamp)
+{
+    // Compute time is exponential with mean 30 ms, so the true p99 of
+    // request latency is at least 30 ms * ln 100 (~138 ms).
+    SystemConfig cfg = baseConfig();
+    cfg.computeTime = milliseconds(30);
+    SystemSimulator sim(cfg);
+    SyntheticConfig wl = smallZipf(0.0);
+    wl.workingSetPages = 512;
+    auto gen = makeSynthetic(wl);
+    sim.run(*gen, 3000);
+    const Histogram& lat = sim.stats().requestLatency;
+    EXPECT_EQ(lat.total(), 3000u);
+    EXPECT_GE(lat.percentile(0.99), 3 * cfg.computeTime);
+}
+
 } // namespace
 } // namespace flashcache

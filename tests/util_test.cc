@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "util/atomic_file.hh"
 #include "util/log.hh"
 #include "util/mathx.hh"
+#include "util/rng.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -77,71 +79,133 @@ TEST(RatioStatTest, Rates)
     EXPECT_DOUBLE_EQ(r.hitRate(), 0.75);
 }
 
+TEST(HistogramTest, BinEdgesComeFromIndexNotTruncation)
+{
+    // Sixteen sub-bins per power of two from 2^-30 s to 2^14 s; bin
+    // 480 starts at 2^0.
+    Histogram h;
+    ASSERT_EQ(h.bins(), 704u);
+    EXPECT_EQ(h.binLo(0), std::ldexp(1.0, -30));
+    EXPECT_EQ(h.binLo(16), std::ldexp(1.0, -29));
+    EXPECT_EQ(h.binLo(480), 1.0);
+    EXPECT_EQ(h.binLo(481), 1.0625);
+    EXPECT_EQ(h.binLo(495), 1.9375);
+    EXPECT_EQ(h.binLo(496), 2.0);
+    EXPECT_EQ(h.binLo(704), 16384.0); // upper range edge
+    // A sample on an edge opens that bin; one just below it closes the
+    // bin before.
+    h.add(1.0);
+    h.add(1.0625);
+    h.add(std::nextafter(1.0625, 0.0));
+    h.add(std::nextafter(2.0, 0.0));
+    h.add(2.0);
+    h.add(0.5);
+    h.add(0.5 * 1.0625);
+    EXPECT_EQ(h.binCount(480), 2u);
+    EXPECT_EQ(h.binCount(481), 1u);
+    EXPECT_EQ(h.binCount(495), 1u);
+    EXPECT_EQ(h.binCount(496), 1u);
+    EXPECT_EQ(h.binCount(464), 1u);
+    EXPECT_EQ(h.binCount(465), 1u);
+    EXPECT_EQ(h.total(), 7u);
+    // Every bin is at most 1/16 of its lower edge wide.
+    for (std::size_t i = 0; i < h.bins(); ++i)
+        EXPECT_LE(h.binLo(i + 1) - h.binLo(i), h.binLo(i) / 16.0) << i;
+}
+
 TEST(HistogramTest, BinningAndClamping)
 {
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(5.5);
-    h.add(-3.0);  // clamps into bin 0
-    h.add(42.0);  // clamps into last bin
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
+    // At or below the floor: the first bin; above the range: the last.
+    Histogram h;
+    h.add(-3.0);
+    h.add(0.0);
+    h.add(1e-12);
+    h.add(std::ldexp(1.0, -30));
+    h.add(std::nextafter(std::ldexp(1.0, -30), 1.0));
+    h.add(std::nextafter(16384.0, 0.0));
+    h.add(16384.0);
+    h.add(1e9);
+    h.add(std::numeric_limits<double>::infinity());
+    EXPECT_EQ(h.total(), 9u);
+    EXPECT_EQ(h.binCount(0), 5u);
+    EXPECT_EQ(h.binCount(h.bins() - 1), 4u);
 }
 
-TEST(HistogramTest, Percentile)
+TEST(HistogramTest, EmptyIsZero)
 {
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.percentile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.percentile(0.99), 99.0, 1.5);
-}
-
-TEST(HistogramTest, EmptyPercentileIsRangeLow)
-{
-    Histogram h(2.0, 10.0, 4);
+    Histogram h;
     EXPECT_EQ(h.total(), 0u);
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 2.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 2.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 2.0);
+    EXPECT_EQ(h.percentile(0.0), 0.0);
+    EXPECT_EQ(h.percentile(0.5), 0.0);
+    EXPECT_EQ(h.percentile(1.0), 0.0);
 }
 
 TEST(HistogramTest, SingleBinPercentiles)
 {
-    // One bin: every sample lands in [0, 8); every percentile is the
-    // bin's upper edge, which must equal the range's upper edge.
-    Histogram h(0.0, 8.0, 1);
-    h.add(3.0);
-    h.add(7.9);
-    h.add(100.0); // clamped into the only bin
-    EXPECT_DOUBLE_EQ(h.percentile(0.01), 8.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 8.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 8.0);
-}
-
-TEST(HistogramTest, BinEdgesComeFromIndexNotTruncation)
-{
-    // binLo takes the bin index; a fractional-looking range must not
-    // truncate edges (the pre-fix signature took the index as a
-    // double and was called with values it silently floored).
-    Histogram h(0.25, 2.25, 4); // width 0.5
-    EXPECT_DOUBLE_EQ(h.binLo(0), 0.25);
-    EXPECT_DOUBLE_EQ(h.binLo(1), 0.75);
-    EXPECT_DOUBLE_EQ(h.binLo(3), 1.75);
-    EXPECT_DOUBLE_EQ(h.binLo(4), 2.25); // upper range edge
-    h.add(1.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 1.25); // upper edge of bin 1
+    // Four samples in [1, 1.0625): percentiles interpolate linearly
+    // across the bin, from its lower to its upper edge.
+    Histogram h;
+    for (const double x : {1.0, 1.01, 1.02, 1.06})
+        h.add(x);
+    EXPECT_EQ(h.percentile(0.0), 1.0);
+    EXPECT_EQ(h.percentile(0.25), 1.015625);
+    EXPECT_EQ(h.percentile(0.5), 1.03125);
+    EXPECT_EQ(h.percentile(1.0), 1.0625);
 }
 
 TEST(HistogramTest, AllMassInLastBinPercentile)
 {
-    Histogram h(0.0, 4.0, 4);
-    h.add(3.5);
-    h.add(9.0); // clamped into the last bin
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 4.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 4.0);
+    // The last bin [15872, 16384) also holds every larger sample.
+    Histogram h;
+    h.add(16000.0);
+    h.add(1e6);
+    EXPECT_EQ(h.percentile(0.5), 16128.0);
+    EXPECT_EQ(h.percentile(1.0), 16384.0);
+}
+
+TEST(HistogramTest, PercentilesLandInTheRightBucket)
+{
+    Histogram h;
+    for (int i = 0; i < 100; ++i)
+        h.add(1e-6);
+    h.add(1e-3);
+    EXPECT_EQ(h.total(), 101u);
+    // Each bin is at most 6.25% wide.
+    EXPECT_GT(h.percentile(0.50), 1e-6 / 1.0625);
+    EXPECT_LT(h.percentile(0.50), 1e-6 * 1.0625);
+    EXPECT_GT(h.percentile(1.0), 1e-3);
+    EXPECT_LT(h.percentile(1.0), 1e-3 * 1.0625);
+    EXPECT_LE(h.percentile(0.50), h.percentile(0.95));
+    EXPECT_LE(h.percentile(0.95), h.percentile(0.99));
+}
+
+TEST(HistogramTest, MergeSumsCounts)
+{
+    Histogram a, b, small;
+    a.add(1e-6);
+    small.add(1e-6);
+    b.add(1e-3);
+    b.add(2e-3);
+    a.merge(b);
+    EXPECT_EQ(a.total(), 3u);
+    for (std::size_t i = 0; i < a.bins(); ++i)
+        EXPECT_EQ(a.binCount(i), small.binCount(i) + b.binCount(i)) << i;
+    EXPECT_GT(a.percentile(0.99), 1e-4); // tail came from b
+}
+
+TEST(HistogramTest, Percentile)
+{
+    // 10^5 exponential draws, mean 2 ms: the interpolated p50 and p99
+    // sit within one bin width (1/16) of the exact quantiles.
+    const double mean = 2e-3;
+    Histogram h;
+    Rng rng(7);
+    for (int i = 0; i < 100000; ++i)
+        h.add(rng.exponential(1.0 / mean));
+    EXPECT_NEAR(h.percentile(0.50), mean * std::log(2.0),
+                mean * std::log(2.0) / 16.0);
+    EXPECT_NEAR(h.percentile(0.99), mean * std::log(100.0),
+                mean * std::log(100.0) / 16.0);
 }
 
 TEST(LogTest, WarnPrintsPrefixedLineOnStderr)
