@@ -19,8 +19,10 @@
  * dump; --stats-json snapshots the metric registry and --trace-out
  * writes a Chrome trace (open in chrome://tracing or Perfetto).
  * --save-state persists the flash stack (<PREFIX>.dev +
- * <PREFIX>.cache) after the run, atomically (temp file + rename), so
- * a crash mid-save can never leave a corrupt snapshot; --load-state
+ * <PREFIX>.cache) after the run, each file atomically (temp file +
+ * rename), so a crash mid-save never leaves a torn file; a crash
+ * between the two renames leaves a .dev and a .cache from different
+ * saves, which --load-state rejects with a fatal error. --load-state
  * warm-starts from such a snapshot before the run.
  */
 

@@ -32,26 +32,6 @@ class BackingStore
 
     /** Persist one page. @return access latency. */
     virtual Seconds write(Lba lba) = 0;
-
-    /// @name Fault-aware variants. `failed` reports a latent-sector
-    /// error that survived the store's internal retries; the default
-    /// implementations delegate to the plain hooks and never fail, so
-    /// existing stores keep working unchanged.
-    /// @{
-    virtual Seconds
-    read(Lba lba, bool& failed)
-    {
-        failed = false;
-        return read(lba);
-    }
-
-    virtual Seconds
-    write(Lba lba, bool& failed)
-    {
-        failed = false;
-        return write(lba);
-    }
-    /// @}
 };
 
 /** A disk that answers every access in Table 3's average access

@@ -54,7 +54,7 @@ struct FbstEntry
     std::uint16_t validPages = 0;
     std::uint16_t invalidPages = 0;
     bool retired = false;
-    std::int8_t region = -1;      ///< owning region, -1 = free pool
+    std::int8_t region = -1;      ///< region listing the block, -1 = retired
 
     /** Wear cost-function weights; k2 > k1 because a density switch
      *  signals far more wear than an ECC bump (section 3.3). */

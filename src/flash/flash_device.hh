@@ -192,6 +192,15 @@ class FlashDevice
 
     bool isProgrammed(const PageAddress& addr) const;
 
+    /** Every page's programmed flag (nonzero = programmed) in linear
+     *  page order: block, then frame, then sub, one byte each. No
+     *  address checks; for bulk scans. */
+    const std::vector<std::uint8_t>&
+    programmedFlags() const
+    {
+        return programmed_;
+    }
+
     /** Stored payload of a programmed page (store_data mode only);
      *  empty (null data) when nothing is stored. */
     PageBytes pageData(const PageAddress& addr) const;

@@ -179,6 +179,36 @@ TEST(FaultInjectorTest, ProgramStatusFailureReprogramsElsewhere)
     EXPECT_GE(s.cache->stats().retiredBlocks, 1u);
 }
 
+TEST(FaultInjectorTest, ReprogramReformatChargesTheMigration)
+{
+    // Six fills (programs 1-6), then one hit each on LBAs 0-3 migrates
+    // them to SLC (programs 7-10). The first migration reformats a
+    // free block to SLC; its four SLC pages take programs 7-10, so
+    // when the last one fails, the re-program needs a second reformat
+    // erase. Both belong to the migration, not to eviction: the only
+    // erase charged to eviction is the failed block's retirement.
+    FaultPlan plan;
+    plan.programFailAt = 10;
+    FlashCacheConfig cfg;
+    cfg.accessSaturation = 2;
+    FaultStack s(plan, 8, cfg);
+    std::vector<std::uint8_t> out(kPage);
+    for (Lba l = 0; l < 6; ++l)
+        s.cache->readData(l, out.data());
+    for (Lba l = 0; l < 4; ++l)
+        s.cache->readData(l, out.data());
+
+    const FlashCacheStats& st = s.cache->stats();
+    ASSERT_EQ(st.hotMigrations, 4u);
+    ASSERT_EQ(st.programFailReprograms, 1u);
+    ASSERT_EQ(st.evictions + st.gcRuns, 0u);
+    ASSERT_EQ(s.device->stats().erases, 3u);
+    const FlashTiming t;
+    EXPECT_DOUBLE_EQ(st.evictionTime, t.slcEraseLatency);
+    EXPECT_GE(st.reconfigTime, 2 * t.slcEraseLatency);
+    s.cache->checkInvariants();
+}
+
 TEST(FaultInjectorTest, EraseFailureRetiresTheBlock)
 {
     FaultPlan plan;
