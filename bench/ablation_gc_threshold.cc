@@ -10,57 +10,28 @@
  */
 
 #include <cstdio>
+#include <vector>
 
-#include "core/flash_cache.hh"
-#include "obs/cli.hh"
-#include "obs/metrics.hh"
-#include "util/log.hh"
-#include "workload/macro.hh"
+#include "sweep.hh"
 
 using namespace flashcache;
 
 namespace {
 
-/** Exporter flags; the last sweep point feeds the snapshots. */
-obs::CliOptions obsOpts;
-
-void
-run(double threshold, bool last)
+bench::Values
+run(double threshold)
 {
-    CellLifetimeModel lifetime;
-    const FlashGeometry geom = FlashGeometry::forMlcCapacity(mib(32));
-    FlashDevice device(geom, FlashTiming(), lifetime, 9);
-    FlashMemoryController ctrl(device);
-    FixedLatencyStore store;
-
     FlashCacheConfig cfg;
     cfg.gcMinInvalidFraction = threshold;
-    FlashCache cache(ctrl, store, cfg);
+    bench::CacheStack s(FlashGeometry::forMlcCapacity(mib(32)), 9, cfg);
 
     auto gen = makeMacro(macroConfig("dbt2", 0.125));
     Rng rng(31);
-    for (int i = 0; i < 600000; ++i) {
-        const TraceRecord r = gen->next(rng);
-        if (r.isWrite)
-            cache.write(r.lba);
-        else
-            cache.read(r.lba);
-    }
+    s.drive(*gen, rng, 600000);
 
-    const FlashCacheStats& st = cache.stats();
-    std::printf("%10.2f %12.1f%% %14llu %14llu %12.1f%%\n", threshold,
-                100.0 * st.fgst.reads.missRate(),
-                static_cast<unsigned long long>(st.gcPageCopies),
-                static_cast<unsigned long long>(st.evictionFlushes),
-                100.0 * cache.occupancy());
-
-    if (last && obsOpts.wantStats()) {
-        obs::MetricRegistry reg;
-        device.registerMetrics(reg);
-        cache.registerMetrics(reg);
-        ctrl.registerMetrics(reg);
-        obs::writeStatsJson(reg, obsOpts.statsJson);
-    }
+    return s.values(
+        {{"threshold", threshold},
+         {"read_miss_rate", s.cache.stats().fgst.reads.missRate()}});
 }
 
 } // namespace
@@ -68,23 +39,24 @@ run(double threshold, bool last)
 int
 main(int argc, char** argv)
 {
-    obsOpts = obs::CliOptions::parse(argc, argv);
-    // The trace, the clients and the channels belong to the event
-    // scheduler, and this sweep drives FlashCache directly with none.
-    if (obsOpts.wantTrace() || obsOpts.clients || obsOpts.channels)
-        fatal("ablation_gc_threshold runs without the event scheduler; "
-              "--trace-out, --clients and --channels are not supported "
-              "(--stats-json is)");
+    bench::Sweep sweep(bench::Stack::CacheDirect, argc, argv);
     std::printf("=== Ablation: GC victim threshold (dbt2 model, 32 MB "
                 "flash) ===\n\n");
     std::printf("%10s %13s %14s %14s %13s\n", "threshold", "read miss",
                 "GC copies", "evict flushes", "occupancy");
-    const double sweep[] = {0.0, 0.10, 0.25, 0.50, 0.90};
-    for (const double t : sweep)
-        run(t, t == sweep[4]);
+    sweep.run(
+        std::vector<double>{0.0, 0.10, 0.25, 0.50, 0.90},
+        [](double t) { return bench::format("%.2f", t); }, run,
+        [](double t, const bench::Values& v) {
+            std::printf("%10.2f %12.1f%% %14llu %14llu %12.1f%%\n", t,
+                        100.0 * v["read_miss_rate"],
+                        v.count("cache.gc_copies"),
+                        v.count("cache.eviction_flushes"),
+                        100.0 * v["cache.occupancy"]);
+        });
     std::printf("\nThreshold 0 = storage-log behaviour (copy "
                 "everything, never evict); 0.9 = evict-mostly.\nThe "
                 "default 0.25 keeps copies bounded without giving up "
                 "occupancy.\n");
-    return 0;
+    return sweep.finish();
 }

@@ -11,103 +11,95 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
-#include "core/flash_cache.hh"
-#include "workload/synthetic.hh"
+#include "sweep.hh"
 
 using namespace flashcache;
 
 namespace {
 
-struct Result
-{
-    double maxOverMeanErase;
-    std::uint64_t migrations;
-    std::uint64_t accessesToFirstRetire;
-};
-
-Result
-run(bool wear_leveling, double threshold)
+/** Wear-leveling at `threshold`; 0 runs with it off. */
+bench::Values
+run(double threshold)
 {
     WearParams wear;
     wear.nominalCycles = 120;
     wear.sigmaDecades = 0.8;
-    CellLifetimeModel lifetime(wear);
 
     FlashGeometry geom;
     geom.numBlocks = 32;
     geom.framesPerBlock = 16;
-    FlashDevice device(geom, FlashTiming(), lifetime, 77);
-    FlashMemoryController ctrl(device);
-    FixedLatencyStore store;
 
     FlashCacheConfig cfg;
-    cfg.wearLeveling = wear_leveling;
+    cfg.wearLeveling = threshold != 0.0;
     cfg.wearThreshold = threshold;
     cfg.hotPageMigration = false;
-    FlashCache cache(ctrl, store, cfg);
+    bench::CacheStack s(geom, 77, cfg, wear);
 
     // Skewed traffic: hot overwrites plus a cold resident set.
     Rng rng(5);
     ZipfSampler zipf(800, 1.3);
-    Result out{};
+    std::uint64_t first_retire = 0;
     std::uint64_t n = 0;
     while (n < 3000000) {
         const Lba l = zipf.sample(rng);
         if (rng.bernoulli(0.5))
-            cache.write(l);
+            s.cache.write(l);
         else
-            cache.read(l);
+            s.cache.read(l);
         ++n;
-        if (cache.stats().retiredBlocks > 0) {
-            out.accessesToFirstRetire = n;
+        if (s.cache.stats().retiredBlocks > 0) {
+            first_retire = n;
             break;
         }
     }
-    if (out.accessesToFirstRetire == 0)
-        out.accessesToFirstRetire = n; // survived the whole run
+    if (first_retire == 0)
+        first_retire = n; // survived the whole run
 
     std::uint32_t max_e = 0;
     std::uint64_t sum_e = 0;
     for (std::uint32_t b = 0; b < geom.numBlocks; ++b) {
-        max_e = std::max(max_e, device.blockEraseCount(b));
-        sum_e += device.blockEraseCount(b);
+        max_e = std::max(max_e, s.device.blockEraseCount(b));
+        sum_e += s.device.blockEraseCount(b);
     }
     const double mean = static_cast<double>(sum_e) / geom.numBlocks;
-    out.maxOverMeanErase = mean > 0 ? max_e / mean : 0.0;
-    out.migrations = cache.stats().wearMigrations;
-    return out;
+    return s.values({{"threshold", threshold},
+                     {"max_over_mean_erase", mean > 0 ? max_e / mean : 0.0},
+                     {"accesses_to_first_retire", first_retire}});
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    bench::Sweep sweep(bench::Stack::CacheDirect, argc, argv);
     std::printf("=== Ablation: wear-level aware replacement "
                 "(zipf 1.3, 50%% writes, accelerated wear) ===\n\n");
     std::printf("%-22s %14s %12s %22s\n", "configuration",
                 "max/mean erase", "migrations", "accesses to 1st "
                 "retire");
-
-    const Result off = run(false, 0.0);
-    std::printf("%-22s %14.2f %12llu %22llu\n", "wear-leveling OFF",
-                off.maxOverMeanErase,
-                static_cast<unsigned long long>(off.migrations),
-                static_cast<unsigned long long>(
-                    off.accessesToFirstRetire));
-
-    for (const double thr : {256.0, 64.0, 16.0}) {
-        const Result on = run(true, thr);
-        std::printf("threshold %-12.0f %14.2f %12llu %22llu\n", thr,
-                    on.maxOverMeanErase,
-                    static_cast<unsigned long long>(on.migrations),
-                    static_cast<unsigned long long>(
-                        on.accessesToFirstRetire));
-    }
+    sweep.run(
+        std::vector<double>{0.0, 256.0, 64.0, 16.0},
+        [](double t) {
+            return t ? bench::format("threshold %.0f", t)
+                     : std::string("wear-leveling OFF");
+        },
+        run,
+        [](double t, const bench::Values& v) {
+            if (t)
+                std::printf("threshold %-12.0f", t);
+            else
+                std::printf("%-22s", "wear-leveling OFF");
+            std::printf(" %14.2f %12llu %22llu\n",
+                        v["max_over_mean_erase"],
+                        v.count("cache.wear_migrations"),
+                        v.count("accesses_to_first_retire"));
+        });
 
     std::printf("\nLower thresholds level erases more tightly (more "
                 "migrations) and postpone the first\nblock retirement "
                 "— the section 3.6 trade-off.\n");
-    return 0;
+    return sweep.finish();
 }

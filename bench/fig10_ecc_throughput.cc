@@ -12,17 +12,19 @@
  */
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
-#include "sim/system_sim.hh"
-#include "workload/macro.hh"
+#include "sweep.hh"
 
 using namespace flashcache;
 
 namespace {
 
 double
-throughputAt(const char* workload, std::uint8_t strength)
+throughputAt(const bench::Sweep& sweep, const char* workload,
+             std::uint8_t strength, bench::Values& v,
+             const char* prefix = "")
 {
     SystemConfig cfg;
     cfg.dramBytes = mib(32);   // 256 MB / 8
@@ -33,33 +35,54 @@ throughputAt(const char* workload, std::uint8_t strength)
     cfg.flashConfig.adaptiveReconfig = false;
     cfg.flashConfig.hotPageMigration = false;
     cfg.seed = 19;
-    SystemSimulator sim(cfg);
     auto gen = makeMacro(macroConfig(workload, 0.125));
     // Warm the flash tier fully so throughput reflects the flash
     // access path (the paper's runs were warmed snapshots).
-    sim.run(*gen, 2500000);
-    return sim.stats().throughput();
+    return sweep.simulate(cfg, *gen, 2500000, v, prefix)
+        ->stats().throughput();
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    bench::Sweep sweep(bench::Stack::System, argc, argv);
     std::printf("=== Figure 10: relative bandwidth vs uniform BCH "
                 "strength (x0.125 scale) ===\n\n");
     const std::vector<std::uint8_t> strengths =
         {0, 1, 5, 10, 15, 20, 30, 40, 50};
-
+    std::vector<std::pair<const char*, std::uint8_t>> points;
     for (const char* wl : {"SPECWeb99", "dbt2"}) {
-        std::printf("--- %s ---\n", wl);
-        std::printf("%10s %22s\n", "strength", "relative bandwidth");
-        const double base = throughputAt(wl, 1);
-        for (const std::uint8_t t : strengths) {
-            std::printf("%10u %22.3f\n", t, throughputAt(wl, t) / base);
-        }
-        std::printf("\n");
+        for (const std::uint8_t t : strengths)
+            points.push_back({wl, t});
     }
+
+    double base = 0.0; // t = 1, run with each workload's first point
+    sweep.run(
+        points,
+        [](const auto& p) {
+            return bench::format("%s t=%u", p.first, p.second);
+        },
+        [&](const auto& p) {
+            bench::Values v{{"strength", p.second}};
+            if (p.second == strengths.front())
+                base = throughputAt(sweep, p.first, 1, v, "base");
+            v.set("relative_bandwidth",
+                  throughputAt(sweep, p.first, p.second, v) / base);
+            return v;
+        },
+        [&](const auto& p, const bench::Values& v) {
+            if (p.second == strengths.front()) {
+                std::printf("--- %s ---\n", p.first);
+                std::printf("%10s %22s\n", "strength",
+                            "relative bandwidth");
+            }
+            std::printf("%10u %22.3f\n", p.second,
+                        v["relative_bandwidth"]);
+            if (p.second == strengths.back())
+                std::printf("\n");
+        });
     std::printf("Expected shape: throughput degrades slowly with code "
                 "strength once the ECC engine becomes\nthe binding "
                 "resource. t=0 runs *below* t=1: unprotected pages die "
@@ -68,5 +91,5 @@ main()
                 "model dbt2 stays\ndisk-bound across the sweep, so its "
                 "curve is flatter than the paper's (see "
                 "EXPERIMENTS.md).\n");
-    return 0;
+    return sweep.finish();
 }

@@ -13,25 +13,18 @@
 
 #include <cstdio>
 
-#include "core/flash_cache.hh"
-#include "workload/macro.hh"
-#include "workload/synthetic.hh"
+#include "sweep.hh"
 
 using namespace flashcache;
 
 namespace {
 
-struct Breakdown
+bench::Values
+run(const bench::WorkloadPoint& w)
 {
-    std::uint64_t ecc = 0;
-    std::uint64_t density = 0;
-};
-
-Breakdown
-run(WorkloadGenerator& gen)
-{
+    const auto gen = w.make();
     // Flash = half the working set (the paper's setup).
-    const std::uint64_t flash_bytes = gen.workingSetPages() * 2048 / 2;
+    const std::uint64_t flash_bytes = gen->workingSetPages() * 2048 / 2;
     const FlashGeometry geom = FlashGeometry::forMlcCapacity(flash_bytes);
 
     // Accelerated endurance: cells start failing after ~100 erases
@@ -39,11 +32,6 @@ run(WorkloadGenerator& gen)
     WearParams wear;
     wear.nominalCycles = 100;
     wear.sigmaDecades = 1.0;
-    CellLifetimeModel lifetime(wear);
-
-    FlashDevice device(geom, FlashTiming(), lifetime, 29);
-    FlashMemoryController ctrl(device);
-    FixedLatencyStore store;
 
     FlashCacheConfig cfg;
     cfg.hotPageMigration = false; // isolate the fault-driven policy
@@ -52,7 +40,7 @@ run(WorkloadGenerator& gen)
     // is applied globally to all regions"): worn blocks rotate into
     // the read path, so read-hot pages see faults too.
     cfg.wearThreshold = 16.0;
-    FlashCache cache(ctrl, store, cfg);
+    bench::CacheStack s(geom, 29, cfg, wear);
 
     Rng rng(23);
     // Stop once enough policy decisions accumulated: the paper
@@ -60,61 +48,48 @@ run(WorkloadGenerator& gen)
     // before the end-of-life uncorrectable storm.
     const std::uint64_t ops = 1500000;
     const std::uint64_t enough = 4000;
-    for (std::uint64_t i = 0; i < ops && !cache.failed(); ++i) {
-        const TraceRecord r = gen.next(rng);
-        if (r.isWrite)
-            cache.write(r.lba);
-        else
-            cache.read(r.lba);
-        if (cache.stats().policyEccChoices +
-                cache.stats().policyDensityChoices >= enough) {
-            break;
-        }
+    const FlashCacheStats& st = s.cache.stats();
+    s.drive(*gen, rng, ops, [&] {
+        return st.policyEccChoices + st.policyDensityChoices >= enough;
+    });
+    const double total =
+        static_cast<double>(st.policyEccChoices + st.policyDensityChoices);
+    bench::Values v{{"events", total}};
+    if (total != 0) {
+        v.set("ecc_pct", 100.0 * st.policyEccChoices / total);
+        v.set("density_pct", 100.0 * st.policyDensityChoices / total);
     }
-    return {cache.stats().policyEccChoices,
-            cache.stats().policyDensityChoices};
+    return s.values(v);
 }
 
 void
-report(const char* name, WorkloadGenerator& gen)
+report(const bench::WorkloadPoint& w, const bench::Values& v)
 {
-    const Breakdown b = run(gen);
-    const double total = static_cast<double>(b.ecc + b.density);
-    if (total == 0) {
-        std::printf("%-12s %10s (no reconfiguration events)\n", name,
-                    "-");
+    if (v["events"] == 0) {
+        std::printf("%-12s %10s (no reconfiguration events)\n",
+                    w.name.c_str(), "-");
         return;
     }
-    std::printf("%-12s %9.1f%% %9.1f%% %12llu\n", name,
-                100.0 * b.ecc / total, 100.0 * b.density / total,
-                static_cast<unsigned long long>(b.ecc + b.density));
+    std::printf("%-12s %9.1f%% %9.1f%% %12llu\n", w.name.c_str(),
+                v["ecc_pct"], v["density_pct"], v.count("events"));
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    bench::Sweep sweep(bench::Stack::CacheDirect, argc, argv);
     std::printf("=== Figure 11: breakdown of page reconfiguration "
                 "events (flash = 1/2 working set) ===\n\n");
     std::printf("%-12s %10s %10s %12s\n", "workload", "code str.",
                 "density", "events");
 
-    // Micro benchmarks at a bench-sized footprint (x1/16).
-    for (const auto& cfg : table4MicroConfigs(1.0 / 16.0)) {
-        auto gen = makeSynthetic(cfg);
-        report(cfg.name.c_str(), *gen);
-    }
-
-    // Macro models, each scaled to a ~32 MB working set.
-    for (const char* name : {"WebSearch1", "WebSearch2", "Financial1",
-                             "Financial2"}) {
-        const MacroConfig base = macroConfig(name, 1.0);
-        const double scale = 16384.0 * 2048.0 /
-            (static_cast<double>(base.readPages) * 2048.0);
-        auto gen = makeMacro(macroConfig(name, scale));
-        report(name, *gen);
-    }
+    // Micro benchmarks at a bench-sized footprint (x1/16); macro
+    // models, each scaled to a ~32 MB working set.
+    sweep.run(bench::table4Workloads(1.0 / 16.0, 16384.0),
+              [](const bench::WorkloadPoint& w) { return w.name; }, run,
+              report);
 
     std::printf("\nExpected shape: long-tailed workloads (uniform, low "
                 "alpha) are dominated by ECC-strength\nupdates — "
@@ -123,5 +98,5 @@ main()
                 "because hot pages profit from SLC latency and the "
                 "miss cost of lost\ncapacity is negligible. Macro "
                 "workloads land in between with high variance.\n");
-    return 0;
+    return sweep.finish();
 }

@@ -13,8 +13,9 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "core/flash_cache.hh"
+#include "sweep.hh"
 #include "util/log.hh"
 #include "util/rng.hh"
 
@@ -22,15 +23,9 @@ using namespace flashcache;
 
 namespace {
 
-double
+bench::Values
 gcOverheadAtOccupancy(double used_fraction)
 {
-    const FlashGeometry geom = FlashGeometry::forMlcCapacity(mib(64));
-    CellLifetimeModel lifetime;
-    FlashDevice device(geom, FlashTiming(), lifetime, 42);
-    FlashMemoryController ctrl(device);
-    FixedLatencyStore store;
-
     FlashCacheConfig cfg;
     cfg.splitRegions = false; // the whole device is one write log
     cfg.wearLeveling = false;
@@ -39,7 +34,8 @@ gcOverheadAtOccupancy(double used_fraction)
     // Figure 1(b) is about flash *storage* (eNVy / flash file
     // systems), which cannot evict data — GC must always relocate.
     cfg.gcMinInvalidFraction = 0.0;
-    FlashCache cache(ctrl, store, cfg);
+    bench::CacheStack s(FlashGeometry::forMlcCapacity(mib(64)), 42, cfg);
+    FlashCache& cache = s.cache;
 
     const auto live_pages = static_cast<Lba>(
         used_fraction * static_cast<double>(cache.capacityPages()));
@@ -51,7 +47,7 @@ gcOverheadAtOccupancy(double used_fraction)
     const Seconds warm_gc = cache.stats().gcTime;
     // Flash time is the array's plus the ECC engine's.
     const auto flash_busy = [&] {
-        return device.stats().busyTime + ctrl.stats().eccTime;
+        return s.device.stats().busyTime + s.ctrl.stats().eccTime;
     };
     const Seconds warm_busy = flash_busy();
 
@@ -69,26 +65,33 @@ gcOverheadAtOccupancy(double used_fraction)
     const Seconds gc = cache.stats().gcTime - warm_gc;
     const Seconds busy = flash_busy() - warm_busy;
     const Seconds useful = busy - gc;
-    return useful > 0.0 ? gc / useful : 0.0;
+    const double overhead = useful > 0.0 ? gc / useful : 0.0;
+    return s.values({{"used_fraction", used_fraction},
+                     {"gc_over_useful", overhead},
+                     {"normalized", overhead / 0.10}});
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    bench::Sweep sweep(bench::Stack::CacheDirect, argc, argv);
     std::printf("=== Figure 1(b): GC overhead vs used flash space ===\n");
     std::printf("(steady-state uniform overwrites of the live set; "
                 "normalized so 10%% time overhead = 1.0)\n\n");
     std::printf("%12s %16s %12s\n", "used space", "GC/useful work",
                 "normalized");
-    for (const double u : {0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70,
-                           0.80, 0.85, 0.90, 0.95}) {
-        const double overhead = gcOverheadAtOccupancy(u);
-        std::printf("%11.0f%% %15.1f%% %12.2f\n", u * 100.0,
-                    overhead * 100.0, overhead / 0.10);
-    }
+    sweep.run(
+        std::vector<double>{0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70,
+                            0.80, 0.85, 0.90, 0.95},
+        [](double u) { return bench::format("%.0f%%", u * 100.0); },
+        gcOverheadAtOccupancy,
+        [](double u, const bench::Values& v) {
+            std::printf("%11.0f%% %15.1f%% %12.2f\n", u * 100.0,
+                        v["gc_over_useful"] * 100.0, v["normalized"]);
+        });
     std::printf("\nExpected shape: negligible below ~50%%, a knee past "
                 "80%%, overwhelming by ~95%%.\n");
-    return 0;
+    return sweep.finish();
 }

@@ -14,45 +14,59 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "sim/system_sim.hh"
-#include "workload/macro.hh"
+#include "sweep.hh"
 
 using namespace flashcache;
 
 namespace {
 
-double
-missRate(bool split, std::uint64_t flash_bytes)
+/** Adds one cache's registry and read miss rate to `v`, under
+ *  `split.` or `unified.`. */
+void
+missRate(const bench::Sweep& sweep, bool split, unsigned mb,
+         bench::Values& v)
 {
     SystemConfig cfg;
     cfg.dramBytes = mib(16);
-    cfg.flashBytes = flash_bytes;
+    cfg.flashBytes = mib(mb);
     cfg.flashConfig.splitRegions = split;
     cfg.seed = 5;
-    SystemSimulator sim(cfg);
     auto gen = makeMacro(macroConfig("dbt2", 0.125));
-    sim.run(*gen, 3000000);
-    return sim.flashCache()->stats().fgst.reads.missRate();
+    const std::string stack = split ? "split" : "unified";
+    const auto sim = sweep.simulate(cfg, *gen, 3000000, v, stack);
+    v.set(stack + ".read_miss_rate",
+          sim->flashCache()->stats().fgst.reads.missRate());
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    bench::Sweep sweep(bench::Stack::System, argc, argv);
     std::printf("=== Figure 4: miss rate, unified vs split flash disk "
                 "cache (dbt2 model, 1/8 scale) ===\n\n");
     std::printf("%12s %14s %14s %14s\n", "flash size", "RW unified",
                 "RW separate", "paper size");
-    for (const unsigned mb : {16u, 32u, 48u, 64u, 80u}) {
-        const double unified = missRate(false, mib(mb));
-        const double split = missRate(true, mib(mb));
-        std::printf("%9u MB %13.1f%% %13.1f%% %11u MB\n", mb,
-                    unified * 100.0, split * 100.0, mb * 8);
-    }
+    sweep.run(
+        std::vector<unsigned>{16u, 32u, 48u, 64u, 80u},
+        [](unsigned mb) { return bench::format("%u MB", mb); },
+        [&](unsigned mb) {
+            bench::Values v{{"flash_mb", mb}, {"paper_mb", mb * 8}};
+            missRate(sweep, false, mb, v);
+            missRate(sweep, true, mb, v);
+            return v;
+        },
+        [](unsigned mb, const bench::Values& v) {
+            std::printf("%9u MB %13.1f%% %13.1f%% %11u MB\n", mb,
+                        v["unified.read_miss_rate"] * 100.0,
+                        v["split.read_miss_rate"] * 100.0, mb * 8);
+        });
     std::printf("\nExpected shape: the split cache's miss rate is lower "
                 "and the gap grows with cache size\n(paper Figure 4: "
                 "~50%% down to ~10-20%% over 128-640 MB).\n");
-    return 0;
+    return sweep.finish();
 }

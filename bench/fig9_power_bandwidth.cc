@@ -14,32 +14,32 @@
  */
 
 #include <cstdio>
+#include <vector>
 
-#include "obs/cli.hh"
-#include "obs/trace.hh"
-#include "sim/system_sim.hh"
-#include "workload/macro.hh"
+#include "sweep.hh"
 
 using namespace flashcache;
 
 namespace {
 
-/** Exporter flags; the last simulator run feeds the snapshots. */
-obs::CliOptions obsOpts;
-
-struct RunResult
+/** One configuration of one workload; flash 0 is DRAM only. */
+struct Config
 {
-    PowerReport power;
-    double throughput;
+    const char* workload;
+    std::uint64_t dram;
+    std::uint64_t flash;
 };
 
-RunResult
-run(const char* workload, double scale, std::uint64_t dram,
-    std::uint64_t flash, std::uint64_t requests)
+// Table 3 memory sizes at 1/4 scale; device-count ratios (4 vs
+// 2 vs 1 DIMMs) are preserved via the scaled device size.
+constexpr double kScale = 0.25;
+
+bench::Values
+run(const bench::Sweep& sweep, const Config& c)
 {
     SystemConfig cfg;
-    cfg.dramBytes = dram;
-    cfg.flashBytes = flash;
+    cfg.dramBytes = c.dram;
+    cfg.flashBytes = c.flash;
     cfg.seed = 13;
     // Server request work (parsing, transaction logic, network) —
     // the storage tier should bound throughput only in the
@@ -48,47 +48,33 @@ run(const char* workload, double scale, std::uint64_t dram,
     // Scale the DRAM device size with the footprint so device-count
     // ratios (hence idle-power ratios) match the full-size setup.
     cfg.dramSpec.deviceBytes = static_cast<std::uint64_t>(
-        static_cast<double>(cfg.dramSpec.deviceBytes) * scale);
-    if (obsOpts.clients)
-        cfg.clients = obsOpts.clients;
-    if (obsOpts.channels)
-        cfg.flashChannels = obsOpts.channels;
-    SystemSimulator sim(cfg);
-    if (obsOpts.wantTrace())
-        sim.enableTracing(obsOpts.traceEvents);
-    auto gen = makeMacro(macroConfig(workload, scale));
-    sim.run(*gen, requests);
-    if (obsOpts.wantStats())
-        obs::writeStatsJson(sim.metrics(), obsOpts.statsJson);
-    if (obsOpts.wantTrace())
-        obs::writeTrace(*sim.tracer(), obsOpts.traceOut);
-    return {sim.powerReport(), sim.stats().throughput()};
+        static_cast<double>(cfg.dramSpec.deviceBytes) * kScale);
+    auto gen = makeMacro(macroConfig(c.workload, kScale));
+    bench::Values v;
+    sweep.simulate(cfg, *gen, 4000000, v);
+    // The flash row is normalized to the DRAM-only row before it.
+    const bench::Values& base = c.flash ? sweep.rows().back().values : v;
+    v.set("norm_bw", v["system.throughput"] / base["system.throughput"]);
+    v.set("power_reduction", base["power.total"] / v["power.total"]);
+    return v;
 }
 
 void
-compare(const char* workload, double scale, std::uint64_t dram_only,
-        std::uint64_t dram_small, std::uint64_t flash)
+print(const Config& c, const bench::Values& v)
 {
-    const std::uint64_t requests = 4000000;
-    const RunResult base = run(workload, scale, dram_only, 0, requests);
-    const RunResult with = run(workload, scale, dram_small, flash,
-                               requests);
-
-    std::printf("\n--- %s (x%.2f scale) ---\n", workload, scale);
-    std::printf("%-34s %9s %9s %9s %9s %9s %9s %10s\n", "configuration",
-                "mem RD", "mem WR", "mem IDLE", "flash", "disk",
-                "total W", "norm. BW");
+    if (!c.flash) {
+        std::printf("\n--- %s (x%.2f scale) ---\n", c.workload, kScale);
+        std::printf("%-34s %9s %9s %9s %9s %9s %9s %10s\n",
+                    "configuration", "mem RD", "mem WR", "mem IDLE",
+                    "flash", "disk", "total W", "norm. BW");
+    }
     std::printf("%-34s %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f %10.2f\n",
-                "DRAM only", base.power.memRead, base.power.memWrite,
-                base.power.memIdle, base.power.flash, base.power.disk,
-                base.power.total(), 1.0);
-    std::printf("%-34s %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f %10.2f\n",
-                "DRAM + Flash disk cache", with.power.memRead,
-                with.power.memWrite, with.power.memIdle,
-                with.power.flash, with.power.disk, with.power.total(),
-                with.throughput / base.throughput);
-    std::printf("power reduction: %.2fx\n",
-                base.power.total() / with.power.total());
+                c.flash ? "DRAM + Flash disk cache" : "DRAM only",
+                v["power.mem_read"], v["power.mem_write"],
+                v["power.mem_idle"], v["power.flash"], v["power.disk"],
+                v["power.total"], v["norm_bw"]);
+    if (c.flash)
+        std::printf("power reduction: %.2fx\n", v["power_reduction"]);
 }
 
 } // namespace
@@ -96,19 +82,23 @@ compare(const char* workload, double scale, std::uint64_t dram_only,
 int
 main(int argc, char** argv)
 {
-    obsOpts = obs::CliOptions::parse(argc, argv);
+    bench::Sweep sweep(bench::Stack::System, argc, argv);
     std::printf("=== Figure 9: memory+disk power breakdown and network "
                 "bandwidth ===\n");
-
-    // Table 3 memory sizes at 1/4 scale; device-count ratios (4 vs
-    // 2 vs 1 DIMMs) are preserved via the scaled device size.
-    const double scale = 0.25;
-    compare("dbt2", scale, mib(128), mib(64), mib(256));
-    compare("SPECWeb99", scale, mib(128), mib(32), mib(512));
+    sweep.run(
+        std::vector<Config>{{"dbt2", mib(128), 0},
+                            {"dbt2", mib(64), mib(256)},
+                            {"SPECWeb99", mib(128), 0},
+                            {"SPECWeb99", mib(32), mib(512)}},
+        [](const Config& c) {
+            return bench::format("%s %s", c.workload,
+                                 c.flash ? "DRAM + flash" : "DRAM only");
+        },
+        [&](const Config& c) { return run(sweep, c); }, print);
 
     std::printf("\nExpected shape: the flash configuration cuts memory "
                 "idle power (fewer DRAM devices) and\ndisk power (fewer "
                 "disk accesses) for up to ~3x lower total at equal or "
                 "better bandwidth.\n");
-    return 0;
+    return sweep.finish();
 }

@@ -32,6 +32,7 @@ FlashDevice::FlashDevice(const FlashGeometry& geometry,
     const std::size_t nframes =
         static_cast<std::size_t>(geom_.numBlocks) * geom_.framesPerBlock;
     frames_.resize(nframes);
+    modes_.assign(nframes, DensityMode::MLC);
     blockErases_.assign(geom_.numBlocks, 0);
     programmed_.assign(nframes * 2, 0);
     torn_.assign(nframes * 2, false);
@@ -94,8 +95,8 @@ FlashDevice::validate(const PageAddress& addr) const
     }
     if (factoryBad_[addr.block])
         panic("access to a factory bad block");
-    const auto& fs = frameAt(addr.block, addr.frame);
-    if (addr.sub == 1 && fs.mode == DensityMode::SLC)
+    if (addr.sub == 1 &&
+        frameMode(addr.block, addr.frame) == DensityMode::SLC)
         panic("second MLC page addressed on an SLC-mode frame");
 }
 
@@ -169,10 +170,11 @@ FlashDevice::readPage(const PageAddress& addr)
     if (!programmed_[lp])
         panic("read of unprogrammed flash page");
     const auto& fs = frameAt(addr.block, addr.frame);
+    const DensityMode mode = frameMode(addr.block, addr.frame);
     ReadResult res;
-    res.latency = fs.mode == DensityMode::SLC ? timing_.slcReadLatency
-                                              : timing_.mlcReadLatency;
-    res.hardBitErrors = hardErrorsOf(fs, addr.block, addr.frame, fs.mode);
+    res.latency = mode == DensityMode::SLC ? timing_.slcReadLatency
+                                           : timing_.mlcReadLatency;
+    res.hardBitErrors = hardErrorsOf(fs, addr.block, addr.frame, mode);
     if (torn_[lp]) {
         // An interrupted program leaves cells at indeterminate levels;
         // report errors far beyond any ECC strength.
@@ -185,7 +187,7 @@ FlashDevice::readPage(const PageAddress& addr)
     if (softErrorRate_ > 0.0) {
         // Transient read-disturb/retention flips; MLC's narrower
         // sensing margins double the exposure.
-        const double rate = fs.mode == DensityMode::MLC
+        const double rate = mode == DensityMode::MLC
             ? 2.0 * softErrorRate_ : softErrorRate_;
         res.hardBitErrors += static_cast<unsigned>(
             softRng_.poisson(rate * geom_.pageBits()));
@@ -233,8 +235,7 @@ FlashDevice::programPage(const PageAddress& addr, const std::uint8_t* data,
     if (programmed_[lp])
         panic("program of already-programmed page without erase");
 
-    const auto& fs = frameAt(addr.block, addr.frame);
-    const Seconds lat = fs.mode == DensityMode::SLC
+    const Seconds lat = frameMode(addr.block, addr.frame) == DensityMode::SLC
         ? timing_.slcWriteLatency : timing_.mlcWriteLatency;
 
     ProgramFault pf = ProgramFault::None;
@@ -314,14 +315,14 @@ FlashDevice::eraseBlock(std::uint32_t block)
 
     bool any_mlc = false;
     for (std::uint16_t f = 0; f < geom_.framesPerBlock; ++f) {
-        FrameState& fs = frameAt(block, f);
+        const std::size_t fi =
+            static_cast<std::size_t>(block) * geom_.framesPerBlock + f;
+        FrameState& fs = frames_[fi];
         fs.damage += 1.0f;
-        fs.mode = fs.pendingMode;
-        if (fs.mode == DensityMode::MLC)
+        modes_[fi] = fs.pendingMode;
+        if (modes_[fi] == DensityMode::MLC)
             any_mlc = true;
-        const std::size_t base =
-            (static_cast<std::size_t>(block) * geom_.framesPerBlock + f) *
-            2;
+        const std::size_t base = fi * 2;
         if (storeData_) {
             dataLen_[base] = 0;
             dataLen_[base + 1] = 0;
@@ -350,8 +351,8 @@ unsigned
 FlashDevice::hardErrors(const PageAddress& addr) const
 {
     validate(addr);
-    const auto& fs = frameAt(addr.block, addr.frame);
-    return hardErrorsOf(fs, addr.block, addr.frame, fs.mode);
+    return hardErrorsOf(frameAt(addr.block, addr.frame), addr.block,
+                        addr.frame, frameMode(addr.block, addr.frame));
 }
 
 double
@@ -402,7 +403,8 @@ FlashDevice::saveState(std::ostream& os) const
     putRecords(os, kFrameRecordBytes, frames_.size(),
                [this](RecordCursor& r, std::uint64_t i) {
                    const FrameState& fs = frames_[i];
-                   r.put<std::uint8_t>(static_cast<std::uint8_t>(fs.mode));
+                   r.put<std::uint8_t>(
+                       static_cast<std::uint8_t>(modes_[i]));
                    r.put<std::uint8_t>(
                        static_cast<std::uint8_t>(fs.pendingMode));
                    r.put<float>(fs.damage);
@@ -461,7 +463,7 @@ FlashDevice::loadState(std::istream& is)
     getRecords(is, kFrameRecordBytes, frames_.size(),
                [&](RecordCursor& r, std::uint64_t i) {
                    FrameState& fs = frames_[i];
-                   fs.mode = getMode(r);
+                   modes_[i] = getMode(r);
                    fs.pendingMode = getMode(r);
                    fs.damage = r.get<float>();
                    if (!std::isfinite(fs.damage) || fs.damage < 0.0f)

@@ -162,9 +162,9 @@ class FlashDevice
     DensityMode
     frameMode(std::uint32_t block, std::uint16_t frame) const
     {
-        return frames_[static_cast<std::size_t>(block) *
-                           geom_.framesPerBlock +
-                       frame].mode;
+        return modes_[static_cast<std::size_t>(block) *
+                          geom_.framesPerBlock +
+                      frame];
     }
 
     /**
@@ -222,7 +222,6 @@ class FlashDevice
   private:
     struct FrameState
     {
-        DensityMode mode = DensityMode::MLC;
         DensityMode pendingMode = DensityMode::MLC;
         float damage = 0.0f; ///< accumulated erase cycles
         std::vector<float> weakest; ///< lazily sampled cell lifetimes
@@ -262,6 +261,9 @@ class FlashDevice
     bool storeData_;
 
     std::vector<FrameState> frames_;
+    /** Each frame's current mode, one byte per frame apart from
+     *  FrameState, so mode-only scans stream a dense array. */
+    std::vector<DensityMode> modes_;
     std::vector<std::uint32_t> blockErases_;
     /** One flag byte per page, so loading a snapshot stores whole
      *  bytes instead of read-modify-writing packed bits. */
