@@ -23,8 +23,7 @@ namespace {
 
 double
 throughputAt(const bench::Sweep& sweep, const char* workload,
-             std::uint8_t strength, bench::Values& v,
-             const char* prefix = "")
+             std::uint8_t strength, bench::Values& v)
 {
     SystemConfig cfg;
     cfg.dramBytes = mib(32);   // 256 MB / 8
@@ -38,8 +37,7 @@ throughputAt(const bench::Sweep& sweep, const char* workload,
     auto gen = makeMacro(macroConfig(workload, 0.125));
     // Warm the flash tier fully so throughput reflects the flash
     // access path (the paper's runs were warmed snapshots).
-    return sweep.simulate(cfg, *gen, 2500000, v, prefix)
-        ->stats().throughput();
+    return sweep.simulate(cfg, *gen, 2500000, v)->stats().throughput();
 }
 
 } // namespace
@@ -58,7 +56,11 @@ main(int argc, char** argv)
             points.push_back({wl, t});
     }
 
-    double base = 0.0; // t = 1, run with each workload's first point
+    // The t = 1 run is each workload's base: run with its first point,
+    // where its scalars join the row under `base.`, and reused as its
+    // own t = 1 row.
+    double base = 0.0;
+    bench::Values base_values;
     sweep.run(
         points,
         [](const auto& p) {
@@ -66,10 +68,20 @@ main(int argc, char** argv)
         },
         [&](const auto& p) {
             bench::Values v{{"strength", p.second}};
-            if (p.second == strengths.front())
-                base = throughputAt(sweep, p.first, 1, v, "base");
-            v.set("relative_bandwidth",
-                  throughputAt(sweep, p.first, p.second, v) / base);
+            if (p.second == strengths.front()) {
+                base_values = {};
+                base = throughputAt(sweep, p.first, 1, base_values);
+                for (const auto& [name, x] : base_values.items())
+                    v.set("base." + name, x);
+            }
+            double tput = base;
+            if (p.second == 1) {
+                for (const auto& [name, x] : base_values.items())
+                    v.set(name, x);
+            } else {
+                tput = throughputAt(sweep, p.first, p.second, v);
+            }
+            v.set("relative_bandwidth", tput / base);
             return v;
         },
         [&](const auto& p, const bench::Values& v) {

@@ -177,8 +177,8 @@ BENCHMARK(BM_FlashCacheWriteChurn);
 /**
  * A financial1-sized cache (128 MB of MLC flash, 65,536 pages) after
  * churn that leaves about a third of its pages valid, with its
- * device and cache snapshots held in memory so file I/O stays out of
- * the timing.
+ * snapshot (device section and tables) held in memory so file I/O
+ * stays out of the timing.
  */
 struct Financial1SizedCache
 {
@@ -195,20 +195,16 @@ struct Financial1SizedCache
             else
                 cache.read(l);
         }
-        device.saveState(devState);
-        cache.saveState(cacheState);
+        cache.saveState(snapshot);
     }
 
-    /** Load both snapshots back into the same objects. */
+    /** Load the snapshot back into the same objects. */
     void
     load()
     {
-        devState.clear();
-        devState.seekg(0);
-        cacheState.clear();
-        cacheState.seekg(0);
-        device.loadState(devState);
-        cache.loadState(cacheState);
+        snapshot.clear();
+        snapshot.seekg(0);
+        cache.loadState(snapshot);
     }
 
     FlashGeometry geom;
@@ -217,14 +213,14 @@ struct Financial1SizedCache
     FlashMemoryController ctrl;
     FixedLatencyStore store;
     FlashCache cache;
-    std::stringstream devState, cacheState;
+    std::stringstream snapshot;
 };
 
 void
 BM_FlashCacheLoadState(benchmark::State& state)
 {
-    // Warm-restart decode: both snapshots, the FCHT rebuild and the
-    // closing invariant check.
+    // Warm-restart decode: both snapshot sections, the FCHT rebuild
+    // and the closing invariant check.
     Financial1SizedCache f;
     for (auto _ : state)
         f.load();

@@ -137,12 +137,16 @@ enum class Stack : std::uint8_t
 class Sweep
 {
   public:
-    /** Parse the flags, fatal on one that `stack` does not take. The
-     *  bench is named after the binary (argv[0]). */
+    /** Parse the flags, fatal on one that `stack` does not take or
+     *  on any other argument. The bench is named after the binary
+     *  (argv[0]). */
     Sweep(Stack stack, int argc, char** argv)
         : bench_(std::filesystem::path(argv[0]).filename().string()),
           opts_(obs::CliOptions::parse(argc, argv))
     {
+        // parse() leaves what it does not know in argv[1..argc).
+        if (argc > 1)
+            fatal(bench_ + ": unknown argument '" + argv[1] + "'");
         // The trace, the clients and the channels belong to the event
         // scheduler, and a FlashCache-direct sweep runs with none.
         if (stack == Stack::CacheDirect &&

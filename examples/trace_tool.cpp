@@ -18,12 +18,11 @@
  * (DRAM PDC + flash cache + disk) and prints the gem5-style stats
  * dump; --stats-json snapshots the metric registry and --trace-out
  * writes a Chrome trace (open in chrome://tracing or Perfetto).
- * --save-state persists the flash stack (<PREFIX>.dev +
- * <PREFIX>.cache) after the run, each file atomically (temp file +
- * rename), so a crash mid-save never leaves a torn file; a crash
- * between the two renames leaves a .dev and a .cache from different
- * saves, which --load-state rejects with a fatal error. --load-state
- * warm-starts from such a snapshot before the run.
+ * --save-state writes the flash stack (device and cache tables) to
+ * the one file <PREFIX>.cache after the run, atomically (temp file,
+ * fsync, rename), so a crash mid-save leaves the previous snapshot
+ * whole; --load-state warm-starts from such a snapshot before the
+ * run. A positional argument beyond a command's usage exits 1.
  */
 
 #include <charconv>
@@ -115,6 +114,8 @@ main(int argc, char** argv)
     if (argc < 3)
         return usage();
     const std::string cmd = argv[1];
+    if (argc > (cmd == "gen" ? 6 : cmd == "run" ? 5 : 3))
+        return usage();
 
     if (cmd == "run") {
         const std::string name = argv[2];
@@ -137,7 +138,7 @@ main(int argc, char** argv)
             cfg.flashChannels = obsOpts.channels;
         SystemSimulator sim(cfg);
         if (!loadState.empty() && !sim.loadFlashState(loadState)) {
-            std::fprintf(stderr, "cannot load state from %s.{dev,cache}\n",
+            std::fprintf(stderr, "cannot load state from %s.cache\n",
                          loadState.c_str());
             return 1;
         }
@@ -151,14 +152,14 @@ main(int argc, char** argv)
         if (obsOpts.wantTrace())
             obs::writeTrace(*sim.tracer(), obsOpts.traceOut);
         if (!saveState.empty()) {
-            // Atomic (temp file + rename): an interrupted save leaves
-            // any previous snapshot intact for the next --load-state.
+            // Atomic: an interrupted save leaves any previous
+            // snapshot intact for the next --load-state.
             if (!sim.saveFlashState(saveState)) {
-                std::fprintf(stderr, "state save to %s.{dev,cache} "
-                             "failed\n", saveState.c_str());
+                std::fprintf(stderr, "state save to %s.cache failed\n",
+                             saveState.c_str());
                 return 1;
             }
-            std::printf("flash state saved to %s.{dev,cache}\n",
+            std::printf("flash state saved to %s.cache\n",
                         saveState.c_str());
         }
         return 0;

@@ -3,8 +3,8 @@
  * Warm-restart walkthrough: the section 3 management tables live on
  * disk and load back into DRAM at boot, so a server reboot does not
  * cool the flash cache. This example fills a cache, "reboots" by
- * saving and restoring device + cache state to files, and shows that
- * the hot set still hits without any disk traffic.
+ * saving the device and cache state to one file and loading it back,
+ * and shows that the hot set still hits without any disk traffic.
  */
 
 #include <cstdio>
@@ -85,8 +85,7 @@ main()
 {
     CellLifetimeModel lifetime;
     const RunDirectory dir;
-    const std::string dev_path = dir.file("device.state");
-    const std::string cache_path = dir.file("tables.state");
+    const std::string state_path = dir.file("cache.state");
 
     // --- before the "reboot": warm the cache ---
     {
@@ -111,12 +110,10 @@ main()
                     static_cast<unsigned long long>(cache.validPages()),
                     static_cast<unsigned long long>(disk.reads));
 
-        // Atomic saves (temp file + rename): a crash mid-save leaves
-        // the previous snapshot intact, never a torn one.
-        if (!atomicWriteFile(dev_path, [&](std::ostream& os) {
-                device.saveState(os);
-            }) ||
-            !atomicWriteFile(cache_path, [&](std::ostream& os) {
+        // One atomic save (temp file, fsync, rename) of the device
+        // and the tables: a crash mid-save leaves the previous
+        // snapshot intact, never a torn one.
+        if (!atomicWriteFile(state_path, [&](std::ostream& os) {
                 cache.saveState(os);
             })) {
             std::fprintf(stderr, "state save failed\n");
@@ -130,10 +127,8 @@ main()
     CountingDisk disk;
     FlashCache cache(controller, disk);
     {
-        std::ifstream dev_in(dev_path, std::ios::binary);
-        device.loadState(dev_in);
-        std::ifstream cache_in(cache_path, std::ios::binary);
-        cache.loadState(cache_in);
+        std::ifstream in(state_path, std::ios::binary);
+        cache.loadState(in);
     }
 
     Rng rng(2);

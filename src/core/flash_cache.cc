@@ -1493,8 +1493,7 @@ FlashCache::deriveTables(bool rebuild_fcht)
             continue;
         }
         if (off_device)
-            fatal("cache state: page states disagree with the device "
-                  "(device and cache from different saves?)");
+            fatal("cache state: page states disagree with the device");
         regions_[fb.region].validCount += nvalid;
         regions_[fb.region].invalidCount += ninvalid;
     }
@@ -1503,6 +1502,7 @@ FlashCache::deriveTables(bool rebuild_fcht)
 void
 FlashCache::saveState(std::ostream& os) const
 {
+    ctrl_->device().saveState(os);
     putMagic(os, "FCCHE003");
     putScalar<std::uint32_t>(os, numBlocks_);
     putScalar<std::uint32_t>(os, framesPerBlock_);
@@ -1540,6 +1540,7 @@ FlashCache::saveState(std::ostream& os) const
 void
 FlashCache::loadState(std::istream& is)
 {
+    ctrl_->device().loadState(is);
     expectMagic(is, "FCCHE003");
     if (getScalar<std::uint32_t>(is) != numBlocks_ ||
         getScalar<std::uint32_t>(is) != framesPerBlock_) {

@@ -279,11 +279,13 @@ class FlashCache
     void checkInvariants() const;
 
     /// @name Warm-restart persistence (section 3: the management
-    /// tables live on disk and load into DRAM at run time). The
-    /// snapshot holds only primary state; the rest is derived on load
-    /// against the device, so the FlashDevice state must be loaded
-    /// first, from the same save. Statistics restart fresh. Geometry
-    /// and split mode must match on load.
+    /// tables live on disk and load into DRAM at run time). One
+    /// snapshot is the device section (FlashDevice::saveState,
+    /// FCDEV002) followed by the cache tables (FCCHE003), which hold
+    /// only primary state; loadState() reads both in that order and
+    /// derives the rest against the loaded device. Statistics restart
+    /// fresh. Geometry, store_data mode and split mode must match on
+    /// load.
     /// @{
     void saveState(std::ostream& os) const;
     void loadState(std::istream& is);

@@ -302,13 +302,9 @@ SystemSimulator::saveFlashState(const std::string& prefix) const
 {
     if (!cache_)
         fatal("saveFlashState requires a flash cache");
-    return atomicWriteFile(prefix + ".dev",
-                           [this](std::ostream& os) {
-                               flash_->saveState(os);
-                           }) &&
-        atomicWriteFile(prefix + ".cache", [this](std::ostream& os) {
-            cache_->saveState(os);
-        });
+    return atomicWriteFile(prefix + ".cache", [this](std::ostream& os) {
+        cache_->saveState(os);
+    });
 }
 
 bool
@@ -316,13 +312,11 @@ SystemSimulator::loadFlashState(const std::string& prefix)
 {
     if (!cache_)
         fatal("loadFlashState requires a flash cache");
-    std::ifstream dev(prefix + ".dev", std::ios::binary);
-    std::ifstream cache(prefix + ".cache", std::ios::binary);
-    if (!dev || !cache)
+    std::ifstream is(prefix + ".cache", std::ios::binary);
+    if (!is)
         return false;
-    flash_->loadState(dev);
-    cache_->loadState(cache);
-    return dev.good() && cache.good();
+    cache_->loadState(is);
+    return is.good();
 }
 
 void

@@ -177,9 +177,11 @@ class SystemSimulator
     const FlashCache* flashCache() const { return cache_.get(); }
     FlashCache* flashCache() { return cache_.get(); }
 
-    /// @name Flash-stack snapshots (<prefix>.dev + <prefix>.cache),
-    /// written atomically (temp file + rename) so an interrupted save
-    /// never corrupts the previous snapshot. Requires flashBytes > 0.
+    /// @name Flash-stack snapshot: one file, <prefix>.cache, holding
+    /// the device section and the cache tables (FlashCache::saveState),
+    /// written atomically (temp file, fsync, rename) so an interrupted
+    /// save leaves the previous snapshot whole. Requires
+    /// flashBytes > 0.
     /// @{
     bool saveFlashState(const std::string& prefix) const;
     bool loadFlashState(const std::string& prefix);

@@ -2,8 +2,9 @@
  * @file
  * Warm-restart persistence tests (section 3: the management tables
  * are "read from the hard disk drive and stored in DRAM at
- * run-time"): a saved device+cache pair restored into fresh objects
- * must behave identically — same hits, same wear, same contents.
+ * run-time"): a saved snapshot (device section, then cache tables)
+ * restored into fresh objects must behave identically — same hits,
+ * same wear, same contents.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/flash_cache.hh"
@@ -51,7 +53,7 @@ geom()
 TEST(PersistenceTest, WarmRestartPreservesCacheContents)
 {
     CellLifetimeModel lifetime;
-    std::stringstream dev_state, cache_state;
+    std::stringstream state;
     std::vector<Lba> hot;
     for (Lba l = 0; l < 50; ++l)
         hot.push_back(l * 3);
@@ -86,8 +88,7 @@ TEST(PersistenceTest, WarmRestartPreservesCacheContents)
         invalid_before = cache.invalidPages();
         for (int r = 0; r < 2; ++r)
             occupancy_before[r] = cache.regionOccupancy(r);
-        device.saveState(dev_state);
-        cache.saveState(cache_state);
+        cache.saveState(state);
     }
     ASSERT_GT(cached_before.size(), 10u);
 
@@ -96,8 +97,7 @@ TEST(PersistenceTest, WarmRestartPreservesCacheContents)
     FlashMemoryController ctrl(device);
     NullStore store;
     FlashCache cache(ctrl, store);
-    device.loadState(dev_state);
-    cache.loadState(cache_state);
+    cache.loadState(state);
     cache.checkInvariants();
 
     // The snapshot stores none of the FBST's counts, modes or regions
@@ -294,7 +294,7 @@ TEST(PersistenceTest, CacheKeepsWorkingAfterRestart)
     // The restored cache must keep allocating, GCing and evicting
     // correctly — cursors and free lists were part of the state.
     CellLifetimeModel lifetime;
-    std::stringstream dev_state, cache_state;
+    std::stringstream state;
     {
         FlashDevice device(geom(), FlashTiming(), lifetime, 12);
         FlashMemoryController ctrl(device);
@@ -308,16 +308,14 @@ TEST(PersistenceTest, CacheKeepsWorkingAfterRestart)
             else
                 cache.read(l);
         }
-        device.saveState(dev_state);
-        cache.saveState(cache_state);
+        cache.saveState(state);
     }
 
     FlashDevice device(geom(), FlashTiming(), lifetime, 12);
     FlashMemoryController ctrl(device);
     NullStore store;
     FlashCache cache(ctrl, store);
-    device.loadState(dev_state);
-    cache.loadState(cache_state);
+    cache.loadState(state);
 
     Rng rng(3);
     for (int i = 0; i < 10000; ++i) {
@@ -365,7 +363,7 @@ TEST(PersistenceTest, WrongMagicIsFatal)
 TEST(PersistenceTest, SplitModeMismatchIsFatal)
 {
     CellLifetimeModel lifetime;
-    std::stringstream dev_state, cache_state;
+    std::stringstream state;
     class NS : public BackingStore
     {
       public:
@@ -376,23 +374,23 @@ TEST(PersistenceTest, SplitModeMismatchIsFatal)
         FlashDevice device(geom(), FlashTiming(), lifetime, 1);
         FlashMemoryController ctrl(device);
         FlashCache cache(ctrl, store); // split (default)
-        cache.saveState(cache_state);
+        cache.saveState(state);
     }
     FlashDevice device(geom(), FlashTiming(), lifetime, 1);
     FlashMemoryController ctrl(device);
     FlashCacheConfig cfg;
     cfg.splitRegions = false;
     FlashCache unified(ctrl, store, cfg);
-    EXPECT_DEATH(unified.loadState(cache_state), "split-mode");
+    EXPECT_DEATH(unified.loadState(state), "split-mode");
 }
 
-/** A cache state saved after a mixed workload, the device state
- *  saved with it, and the byte offsets (in FlashCache::saveState's
+/** A snapshot saved after a mixed workload, cut into its device
+ *  section and its cache tables, and the byte offsets (in the tables'
  *  layout) of the fields the corruption tests patch. */
 struct SavedCache
 {
-    std::string bytes;
-    std::string device; ///< the device's FlashDevice::saveState bytes
+    std::string bytes;  ///< the cache tables (FCCHE003)
+    std::string device; ///< the device section (FCDEV002) before them
     std::uint32_t numBlocks = 0;
     std::uint32_t framesPerBlock = 0;
     std::size_t fbstAt = 0;   ///< first FBST entry
@@ -437,6 +435,24 @@ runMixedWorkload(FlashCache& cache, std::uint64_t seed, int ops)
     }
 }
 
+/** A snapshot cut at its tables' magic: {device section, tables}. */
+std::pair<std::string, std::string>
+sections(const std::string& snapshot)
+{
+    const std::size_t at = snapshot.find("FCCHE003");
+    return {snapshot.substr(0, at), snapshot.substr(at)};
+}
+
+/** The snapshot `cache` saves after `ops` mixed operations. */
+std::string
+snapshotAfterWorkload(FlashCache& cache, std::uint64_t seed, int ops)
+{
+    runMixedWorkload(cache, seed, ops);
+    std::stringstream os;
+    cache.saveState(os);
+    return os.str();
+}
+
 SavedCache
 savedCacheAfterWorkload()
 {
@@ -445,14 +461,10 @@ savedCacheAfterWorkload()
     FlashMemoryController ctrl(device);
     NullStore store;
     FlashCache cache(ctrl, store);
-    runMixedWorkload(cache, 2, 5000);
-    std::stringstream os, dev_os;
-    cache.saveState(os);
-    device.saveState(dev_os);
 
     SavedCache sc;
-    sc.bytes = os.str();
-    sc.device = dev_os.str();
+    std::tie(sc.device, sc.bytes) =
+        sections(snapshotAfterWorkload(cache, 2, 5000));
     // magic(8) numBlocks(4) framesPerBlock(4) split(1), then one FPST
     // entry per page id (2 per frame), then one FBST entry per block,
     // then region 0: free list, LRU list, two 7-byte cursors (block,
@@ -468,14 +480,13 @@ savedCacheAfterWorkload()
     return sc;
 }
 
-/** A fresh stack that loads a device state and then a (possibly
- *  corrupted) cache state, as a warm restart does. */
+/** A fresh stack that loads a (possibly corrupted) snapshot, as a
+ *  warm restart does. */
 struct LoadedStack
 {
-    LoadedStack(const std::string& bytes, const std::string& device_bytes)
+    explicit LoadedStack(const std::string& snapshot)
     {
-        std::stringstream dev_in(device_bytes), is(bytes);
-        device.loadState(dev_in);
+        std::stringstream is(snapshot);
         cache.loadState(is);
     }
 
@@ -486,10 +497,11 @@ struct LoadedStack
     FlashCache cache{ctrl, store};
 };
 
+/** Load the snapshot of `device_bytes` followed by `bytes`. */
 void
 loadCorrupted(const std::string& bytes, const std::string& device_bytes)
 {
-    LoadedStack s(bytes, device_bytes);
+    LoadedStack s(device_bytes + bytes);
 }
 
 TEST(PersistenceTest, OutOfRangeLruBlockIsFatal)
@@ -563,26 +575,23 @@ TEST(PersistenceTest, CursorFrameOutOfRangeIsFatal)
                  "cache state file cursor slot out of range");
 }
 
-TEST(PersistenceTest, MismatchedSnapshotPairIsFatal)
+TEST(PersistenceTest, SplicedSnapshotIsFatal)
 {
-    // A crash between the renames of the .dev and the .cache leaves
-    // one from each of two saves. The device has programmed pages the
-    // older cache state calls free, or the other way round.
+    // The device section of one save followed by the tables of
+    // another, in either order: the device has programmed pages the
+    // tables call free, or the reverse.
     CellLifetimeModel lifetime;
     FlashDevice device(geom(), FlashTiming(), lifetime, 12);
     FlashMemoryController ctrl(device);
     NullStore store;
     FlashCache cache(ctrl, store);
-    std::stringstream dev_a, cache_a, dev_b, cache_b;
-    runMixedWorkload(cache, 2, 5000);
-    device.saveState(dev_a);
-    cache.saveState(cache_a);
-    runMixedWorkload(cache, 3, 200);
-    device.saveState(dev_b);
-    cache.saveState(cache_b);
-    EXPECT_DEATH(loadCorrupted(cache_a.str(), dev_b.str()),
+    const auto [dev_a, tables_a] =
+        sections(snapshotAfterWorkload(cache, 2, 5000));
+    const auto [dev_b, tables_b] =
+        sections(snapshotAfterWorkload(cache, 3, 200));
+    EXPECT_DEATH(loadCorrupted(tables_a, dev_b),
                  "page states disagree with the device");
-    EXPECT_DEATH(loadCorrupted(cache_b.str(), dev_a.str()),
+    EXPECT_DEATH(loadCorrupted(tables_b, dev_a),
                  "page states disagree with the device");
 }
 
@@ -673,29 +682,26 @@ fnv1a(const std::string& bytes)
     return h;
 }
 
-/** Load a device and cache snapshot into fresh objects (geometry g,
- *  device seed) and save them again: {device bytes, cache bytes}. */
-std::pair<std::string, std::string>
+/** Load a snapshot into fresh objects (geometry g, device seed) and
+ *  save it again. */
+std::string
 reloadAndSave(const FlashGeometry& g, std::uint64_t seed,
-              const std::string& dev_bytes, const std::string& cache_bytes)
+              const std::string& snapshot)
 {
     CellLifetimeModel lifetime;
     FlashDevice device(g, FlashTiming(), lifetime, seed);
     FlashMemoryController ctrl(device);
     NullStore store;
     FlashCache cache(ctrl, store);
-    std::stringstream dev_in(dev_bytes), cache_in(cache_bytes);
-    device.loadState(dev_in);
-    cache.loadState(cache_in);
-    std::stringstream dev_out, cache_out;
-    device.saveState(dev_out);
-    cache.saveState(cache_out);
-    return {dev_out.str(), cache_out.str()};
+    std::stringstream in(snapshot), out;
+    cache.loadState(in);
+    cache.saveState(out);
+    return out.str();
 }
 
 TEST(PersistenceTest, SnapshotFormatIsPinned)
 {
-    // Hashes of the FCCHE003 and FCDEV002 bytes this fixed-seed
+    // Hashes of the FCCHE003 and FCDEV002 sections this fixed-seed
     // workload saves, recorded from the per-field encoder. Either
     // wire format may only change together with its magic.
     const SavedCache sc = savedCacheAfterWorkload();
@@ -704,10 +710,8 @@ TEST(PersistenceTest, SnapshotFormatIsPinned)
     EXPECT_EQ(fnv1a(sc.bytes), 0xbeddd81f6137647eull);
     EXPECT_EQ(fnv1a(sc.device), 0x91301542e2dde09aull);
 
-    const auto [dev_out, cache_out] =
-        reloadAndSave(geom(), 12, sc.device, sc.bytes);
-    EXPECT_EQ(dev_out, sc.device);
-    EXPECT_EQ(cache_out, sc.bytes);
+    const std::string snapshot = sc.device + sc.bytes;
+    EXPECT_EQ(reloadAndSave(geom(), 12, snapshot), snapshot);
 }
 
 TEST(PersistenceTest, MultiChunkSnapshotIsPinnedAndRoundTrips)
@@ -730,17 +734,14 @@ TEST(PersistenceTest, MultiChunkSnapshotIsPinnedAndRoundTrips)
             cache.read(l);
     }
     ASSERT_GT(cache.validPages(), 10000u);
-    std::stringstream dev_os, cache_os;
-    device.saveState(dev_os);
-    cache.saveState(cache_os);
+    std::stringstream os;
+    cache.saveState(os);
+    const auto [dev, tables] = sections(os.str());
     // Recorded from the per-field encoder, as above.
-    EXPECT_EQ(fnv1a(cache_os.str()), 0x6fa0d64fa619e925ull);
-    EXPECT_EQ(fnv1a(dev_os.str()), 0x0ed59c7fe5caf62aull);
+    EXPECT_EQ(fnv1a(tables), 0x6fa0d64fa619e925ull);
+    EXPECT_EQ(fnv1a(dev), 0x0ed59c7fe5caf62aull);
 
-    const auto [dev_out, cache_out] =
-        reloadAndSave(g, 21, dev_os.str(), cache_os.str());
-    EXPECT_EQ(dev_out, dev_os.str());
-    EXPECT_EQ(cache_out, cache_os.str());
+    EXPECT_EQ(reloadAndSave(g, 21, os.str()), os.str());
 }
 
 /** Exit status and stderr of one child process. */
@@ -779,12 +780,12 @@ runInChild(Body&& body)
     return run;
 }
 
-/** Load a (mutated) device and cache state pair, check the result and
- *  serve mixed traffic from it. */
+/** Load a (mutated) snapshot, check the result and serve mixed
+ *  traffic from it. */
 void
-loadAndServe(const std::string& dev_bytes, const std::string& cache_bytes)
+loadAndServe(const std::string& snapshot)
 {
-    LoadedStack s(cache_bytes, dev_bytes);
+    LoadedStack s(snapshot);
     s.cache.checkInvariants();
     Rng rng(7);
     for (int i = 0; i < 200; ++i) {
@@ -799,19 +800,19 @@ loadAndServe(const std::string& dev_bytes, const std::string& cache_bytes)
 
 TEST(LoaderMutationTest, SeededMutationsLoadOrFailCleanly)
 {
-    // Seeded single mutations of the pinned snapshot pair: a bit flip,
-    // a byte set to 0x00, 0xFF or a random value, or a truncation, in
-    // either file. Each case loads and serves in a child process,
-    // which must exit 0, or exit 1 on a fatal() line; a panic, any
-    // other signal or a sanitizer report is a loader hole.
+    // Seeded single mutations of the pinned snapshot: a bit flip, a
+    // byte set to 0x00, 0xFF or a random value, or a truncation,
+    // anywhere in either section. Each case loads and serves in a
+    // child process, which must exit 0, or exit 1 on a fatal() line;
+    // a panic, any other signal or a sanitizer report is a loader
+    // hole.
     const SavedCache sc = savedCacheAfterWorkload();
+    const std::string snapshot = sc.device + sc.bytes;
     Rng rng(33);
     constexpr int kCases = 3000;
     int fatal_exits = 0;
     for (int i = 0; i < kCases; ++i) {
-        const bool on_device = rng.bernoulli(0.3);
-        std::string dev = sc.device, cache = sc.bytes;
-        std::string& target = on_device ? dev : cache;
+        std::string target = snapshot;
         const std::size_t at = rng.uniformInt(target.size());
         const auto kind = rng.uniformInt(5);
         switch (kind) {
@@ -832,8 +833,7 @@ TEST(LoaderMutationTest, SeededMutationsLoadOrFailCleanly)
             target.resize(at);
             break;
         }
-        const ChildRun run =
-            runInChild([&] { loadAndServe(dev, cache); });
+        const ChildRun run = runInChild([&] { loadAndServe(target); });
         const bool sanitizer =
             run.err.find("Sanitizer") != std::string::npos ||
             run.err.find("runtime error") != std::string::npos;
@@ -844,13 +844,15 @@ TEST(LoaderMutationTest, SeededMutationsLoadOrFailCleanly)
              (code == 1 && run.err.find("fatal: ") != std::string::npos));
         fatal_exits += code == 1;
         EXPECT_TRUE(clean)
-            << "case " << i << ": " << (on_device ? ".dev" : ".cache")
+            << "case " << i << ": "
+            << (at < sc.device.size() ? "device" : "tables")
             << " byte " << at << " mutation " << kind << " -> "
             << (exited ? "exit " + std::to_string(code)
                        : "signal " + std::to_string(WTERMSIG(run.status)))
             << "\n" << run.err;
     }
     // Most mutations must be caught, not just survived.
+    RecordProperty("fatal_exits", fatal_exits);
     EXPECT_GT(fatal_exits, kCases / 4);
 }
 

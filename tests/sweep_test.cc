@@ -141,6 +141,17 @@ TEST(SweepTest, StatsJsonParsesBackToTheSameRows)
     fs::remove_all(path.parent_path());
 }
 
+TEST(SweepDeathTest, LeftoverArgumentIsFatal)
+{
+    // A mistyped flag, and a stray word after a good one.
+    EXPECT_EXIT(makeSweep({"--stat-json", "typo.json"}),
+                ::testing::ExitedWithCode(1),
+                "sweep_bench: unknown argument '--stat-json'");
+    EXPECT_EXIT(makeSweep({"--stats-json", "sweep.json", "extra"}),
+                ::testing::ExitedWithCode(1),
+                "sweep_bench: unknown argument 'extra'");
+}
+
 TEST(SweepDeathTest, UnwritableStatsJsonFailsAndLeavesNoFile)
 {
     const fs::path dir = freshDir("sweep_unwritable");

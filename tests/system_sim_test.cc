@@ -2,10 +2,18 @@
  * @file
  * System simulator tests: PDC behaviour, the flash tier's effect on
  * disk traffic, power integration (Figure 9's mechanism), throughput
- * accounting, and the uniform-ECC override used by Figure 10.
+ * accounting, the uniform-ECC override used by Figure 10, and the
+ * warm-restart snapshot file.
  */
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/system_sim.hh"
 #include "workload/macro.hh"
@@ -202,6 +210,53 @@ TEST(SystemSimTest, RequestLatencyDoesNotClamp)
     const Histogram& lat = sim.stats().requestLatency;
     EXPECT_EQ(lat.total(), 3000u);
     EXPECT_GE(lat.percentile(0.99), 3 * cfg.computeTime);
+}
+
+/** The snapshot bytes FlashCache::saveState writes for `sim`. */
+std::string
+snapshotOf(const SystemSimulator& sim)
+{
+    std::ostringstream os;
+    sim.flashCache()->saveState(os);
+    return os.str();
+}
+
+TEST(SystemSimTest, FailedSaveKeepsThePreviousSnapshot)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) /
+        ("flash_state_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string prefix = (dir / "state").string();
+
+    SystemConfig cfg = baseConfig();
+    cfg.flashBytes = mib(16);
+    SystemSimulator sim(cfg);
+    auto gen = makeSynthetic(smallZipf(0.3));
+    sim.run(*gen, 20000);
+    ASSERT_TRUE(sim.saveFlashState(prefix));
+    // One save, one file: the device travels inside the snapshot.
+    std::vector<std::string> files;
+    for (const auto& entry : fs::directory_iterator(dir))
+        files.push_back(entry.path().filename().string());
+    EXPECT_EQ(files, std::vector<std::string>{"state.cache"});
+    const std::string first = snapshotOf(sim);
+    const std::uint64_t first_valid = sim.flashCache()->validPages();
+
+    sim.run(*gen, 20000);
+    ASSERT_NE(snapshotOf(sim), first);
+    // A directory in the temporary's place makes the second save fail
+    // at its open, for root too.
+    fs::create_directory(prefix + ".cache.tmp");
+    EXPECT_FALSE(sim.saveFlashState(prefix));
+    EXPECT_TRUE(fs::is_directory(prefix + ".cache.tmp"));
+
+    SystemSimulator restarted(cfg);
+    ASSERT_TRUE(restarted.loadFlashState(prefix));
+    EXPECT_EQ(restarted.flashCache()->validPages(), first_valid);
+    EXPECT_EQ(snapshotOf(restarted), first);
+    fs::remove_all(dir);
 }
 
 } // namespace
